@@ -15,6 +15,17 @@
 
 namespace trng::common {
 
+/// Largest |value| Xoshiro256StarStar::next_gaussian() can return.
+/// The polar method's uniforms u, v = 2 * next_double() - 1 lie on a
+/// 2^-52 grid, so the smallest accepted s = u^2 + v^2 > 0 is 2^-104
+/// (u = +-2^-52, v = 0). An output u * sqrt(-2 ln s / s) has magnitude at
+/// most sqrt(-2 ln s), which is largest at the smallest s:
+/// sqrt(208 ln 2) = 12.0073. The constant rounds that up so the few ulps
+/// of rounding in the computed value stay under it. Callers that skip a
+/// draw whose scaled deviate could not change an outcome stay exact in
+/// distribution: no draw is truncated.
+inline constexpr double kPolarGaussianBound = 12.01;
+
 /// SplitMix64: tiny, high-quality 64-bit generator. Used to expand a single
 /// user seed into independent stream seeds (the standard xoshiro seeding
 /// recipe) and as a cheap standalone generator in tests.

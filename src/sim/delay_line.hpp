@@ -38,17 +38,24 @@ class TappedDelayLineSim {
                      const fpga::FlipFlopTimingSpec& ff_spec,
                      std::uint64_t seed);
 
-  /// Captures the line fed by `source` stage `stage` at clock edge `t_clk`.
-  /// `source` must already be advanced past t_clk + max skew.
+  /// capture_into() unpacked into one bool per tap.
   LineSnapshot capture(const RingOscillator& source, int stage,
                        Picoseconds t_clk);
 
-  /// Batched form of capture(): writes the snapshot packed LSB-first into
-  /// `out_words` (tap j -> out_words[j >> 6] bit (j & 63); the caller
-  /// provides at least (taps() + 63) / 64 words, which are zero-filled
-  /// first). Draws the RNG in exactly the same order as capture(), so for
-  /// the same seed and history the packed bits equal the scalar snapshot
-  /// bit for bit — the scalar path stays the reference implementation.
+  /// Captures the line fed by `source` stage `stage` at clock edge `t_clk`,
+  /// packed LSB-first into `out_words` (tap j -> out_words[j >> 6] bit
+  /// (j & 63); the caller provides (taps() + 63) / 64 words, all of which
+  /// are overwritten, tail bits zero). `source` must already be advanced
+  /// past t_clk + max skew.
+  ///
+  /// A flip-flop draws its dynamic jitter, and its metastability outcome,
+  /// only when a toggle lies within half the aperture plus
+  /// common::kPolarGaussianBound jitter sigmas of its nominal instant.
+  /// Further out, no draw could change its value, so it reads the level
+  /// there without drawing. The result is exact in distribution against
+  /// the dense per-tap capture (every flip-flop draws), but not bit for
+  /// bit: the skipped draws shift which stream values later taps consume.
+  /// tests/test_capture_equivalence.cpp holds the dense oracle.
   void capture_into(const RingOscillator& source, int stage, Picoseconds t_clk,
                     std::uint64_t* out_words);
 
@@ -76,6 +83,10 @@ class TappedDelayLineSim {
   common::Xoshiro256StarStar rng_;
   std::vector<Picoseconds> static_offset_;  ///< per-FF, fixed per die
   std::vector<Picoseconds> scratch_toggles_;  ///< capture_into work buffer
+  /// Range of skew - cumulative delay + static offset over the taps: the
+  /// nominal observation instants span t_clk + [offset_lo_, offset_hi_].
+  Picoseconds offset_lo_ = 0.0;
+  Picoseconds offset_hi_ = 0.0;
   std::uint64_t metastable_events_ = 0;
 };
 

@@ -69,10 +69,11 @@ class SampleController {
   /// snapshots. Throws std::invalid_argument if accumulation_cycles == 0.
   CaptureResult next_capture(Cycles accumulation_cycles);
 
-  /// Batched form of next_capture(): fills `out` (reusing its buffer) via
-  /// TappedDelayLineSim::capture_into. Same simulation, same RNG draw
-  /// order — for the same controller state it produces bit-identical
-  /// snapshots to next_capture(); the scalar path is the reference.
+  /// Packed form of next_capture(): fills `out` (reusing its buffer) via
+  /// TappedDelayLineSim::capture_into. Both forms run the same capture, so
+  /// for the same controller state their snapshots are bit-identical;
+  /// that capture matches the dense per-tap capture in law (see
+  /// TappedDelayLineSim::capture_into).
   void next_capture_into(Cycles accumulation_cycles, PackedCapture& out);
 
   const RingOscillator& oscillator() const { return oscillator_; }

@@ -101,6 +101,31 @@ TEST(TappedDelayLine, EdgePositionMatchesEdgeAge) {
   EXPECT_TRUE(snap[20]);
 }
 
+TEST(TappedDelayLine, IdealFlipFlopsReadTheLevelAtTheirInstant) {
+  // No jitter and no aperture: every tap reads the oscillator level at its
+  // observation instant, consumes no RNG and never goes metastable — also
+  // when a tap sits exactly on a toggle. Stage 0 toggles at 480 + 1440 i;
+  // t_clk = 1920 + 17 * 6 puts tap 5 exactly on the toggle at 1920.
+  auto osc = noiseless_osc(480.0);
+  osc.reset(0.0);
+  osc.advance_to(6000.0);
+  TappedDelayLineSim line(ideal_line(36), ideal_ff(), 5);
+  for (const Picoseconds t_clk : {1920.0 + 17.0 * 6.0, 2300.0, 3400.5}) {
+    SCOPED_TRACE(t_clk);
+    std::uint64_t words[1] = {~0ULL};
+    line.capture_into(osc, 0, t_clk, words);
+    const auto snap = line.capture(osc, 0, t_clk);
+    for (int j = 0; j < 36; ++j) {
+      const bool expected = osc.value_at(0, line.observation_time(j, t_clk));
+      EXPECT_EQ(((words[0] >> j) & 1ULL) != 0, expected) << "tap " << j;
+      EXPECT_EQ(snap[static_cast<std::size_t>(j)], expected) << "tap " << j;
+    }
+    EXPECT_EQ(words[0] >> 36, 0u);
+  }
+  EXPECT_EQ(osc.value_at(0, 1920.0), !osc.value_at(0, 1919.0));
+  EXPECT_EQ(line.metastable_events(), 0u);
+}
+
 TEST(TappedDelayLine, MetastabilityTriggersNearEdge) {
   fpga::FlipFlopTimingSpec ff = ideal_ff();
   ff.aperture_ps = 10.0;

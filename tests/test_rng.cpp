@@ -1,6 +1,7 @@
 // Unit tests for the deterministic simulation PRNGs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <set>
@@ -91,6 +92,28 @@ TEST(Xoshiro, GaussianMoments) {
   EXPECT_NEAR(sum2 / kN, 1.0, 0.02);
   EXPECT_NEAR(sum3 / kN, 0.0, 0.05);
   EXPECT_NEAR(sum4 / kN, 3.0, 0.1);  // kurtosis of the normal
+}
+
+TEST(Xoshiro, PolarBoundCoversTheExtremeInput) {
+  // The largest polar output comes from the smallest accepted s: one
+  // uniform a single 2^-52 grid step from zero, the other exactly zero.
+  // Same arithmetic as next_gaussian().
+  for (const double u : {0x1.0p-52, -0x1.0p-52}) {
+    const double v = 0.0;
+    const double s = u * u + v * v;
+    const double g = u * std::sqrt(-2.0 * std::log(s) / s);
+    EXPECT_LE(std::fabs(g), kPolarGaussianBound);
+    EXPECT_GT(std::fabs(g), 12.0);  // the bound is tight, not padded
+  }
+}
+
+TEST(Xoshiro, GaussianNeverExceedsPolarBound) {
+  Xoshiro256StarStar rng(11);
+  double largest = 0.0;
+  for (int i = 0; i < 10'000'000; ++i) {
+    largest = std::max(largest, std::fabs(rng.next_gaussian()));
+  }
+  EXPECT_LE(largest, kPolarGaussianBound);
 }
 
 TEST(Xoshiro, JumpYieldsDisjointStreams) {

@@ -96,23 +96,24 @@ TEST(SampleController, RejectsMismatchedElaboration) {
       std::invalid_argument);
 }
 
-TEST(SampleController, PackedCaptureMatchesScalarCapture) {
-  // next_capture_into is the batched reference path used by the TRNG's
-  // generate_into: for identically-seeded controllers it must reproduce
-  // next_capture bit for bit, with identical sample times, and
-  // classify_packed must agree with classify_snapshots on every capture —
-  // in both sampling modes (free-running sweeps all Figure-4 classes).
+TEST(SampleController, PackedCaptureMatchesUnpackedCapture) {
+  // next_capture and next_capture_into run the same capture (the first
+  // unpacks it), so identically-seeded controllers must agree bit for
+  // bit, with identical sample times, and classify_packed must agree with
+  // classify_snapshots on every capture — in both sampling modes
+  // (free-running sweeps all Figure-4 classes). That capture matches the
+  // dense per-tap capture in law; test_capture_equivalence.cpp checks it.
   const auto e = make_elaborated();
   for (auto mode : {SamplingMode::kRestart, SamplingMode::kFreeRunning}) {
     SCOPED_TRACE(mode == SamplingMode::kRestart ? "restart" : "free-running");
-    SampleController scalar(e, fpga::FlipFlopTimingSpec{}, NoiseConfig{}, 7,
+    SampleController unpacked(e, fpga::FlipFlopTimingSpec{}, NoiseConfig{},
+                              7, mode);
+    SampleController packed(e, fpga::FlipFlopTimingSpec{}, NoiseConfig{}, 7,
                             mode);
-    SampleController batched(e, fpga::FlipFlopTimingSpec{}, NoiseConfig{}, 7,
-                             mode);
     PackedCapture pc;
     for (int iter = 0; iter < 60; ++iter) {
-      const CaptureResult cap = scalar.next_capture(2);
-      batched.next_capture_into(2, pc);
+      const CaptureResult cap = unpacked.next_capture(2);
+      packed.next_capture_into(2, pc);
       ASSERT_DOUBLE_EQ(pc.sample_time_ps, cap.sample_time_ps);
       ASSERT_EQ(pc.lines, static_cast<int>(cap.lines.size()));
       ASSERT_EQ(pc.taps, static_cast<int>(cap.lines.front().size()));
@@ -128,7 +129,7 @@ TEST(SampleController, PackedCaptureMatchesScalarCapture) {
       ASSERT_EQ(classify_packed(pc), classify_snapshots(cap.lines))
           << "capture " << iter;
     }
-    EXPECT_EQ(scalar.metastable_events(), batched.metastable_events());
+    EXPECT_EQ(unpacked.metastable_events(), packed.metastable_events());
   }
 }
 
