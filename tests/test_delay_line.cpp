@@ -1,8 +1,14 @@
 // Unit tests for the tapped-delay-line (TDC) capture simulation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <utility>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "fpga/fabric.hpp"
 #include "sim/delay_line.hpp"
 
@@ -124,6 +130,90 @@ TEST(TappedDelayLine, IdealFlipFlopsReadTheLevelAtTheirInstant) {
   }
   EXPECT_EQ(osc.value_at(0, 1920.0), !osc.value_at(0, 1919.0));
   EXPECT_EQ(line.metastable_events(), 0u);
+}
+
+TEST(TappedDelayLine, DrawsOnlyForTapsWithAToggleInReach) {
+  // A flip-flop draws (jitter, metastability) only when a toggle lies
+  // within reach = aperture/2 + kPolarGaussianBound * sigma_dyn of its
+  // nominal instant; every other tap reads the level there. A line with
+  // no toggle in reach of its whole span takes a one-level fill instead
+  // of the per-tap walk, and the two must agree. The clock sweeps past a
+  // toggle of stage 0 on a line whose bins are narrower than 2 * reach
+  // (each capture is quiet or draws) and on one whose bins are wider (a
+  // toggle midway between two taps is out of everyone's reach, so the
+  // per-tap walk runs without drawing).
+  const fpga::FlipFlopTimingSpec ff;  // nominal: 10 ps aperture, 0.8 ps
+  const Picoseconds reach = ff.aperture_ps / 2.0 +
+                            common::kPolarGaussianBound *
+                                ff.dynamic_jitter_sigma_ps;
+  auto osc = noiseless_osc(480.0);  // stage 0 toggles at 480 + 1440 i
+  osc.reset(0.0);
+  osc.advance_to(8000.0);
+  const auto& toggles = osc.toggle_history(0);
+  for (const auto& [m, bin] : {std::pair{36, 17.0}, std::pair{12, 40.0}}) {
+    SCOPED_TRACE(bin);
+    const auto timing = ideal_line(m, bin);
+    // Whether a capture drew: 16 probe captures with tap 0 right on the
+    // toggle at 4800 are fair coins, so they come out differently after
+    // any extra draw.
+    const auto probes = [&](TappedDelayLineSim& line) {
+      const Picoseconds t_probe = 4800.0 + bin - line.static_offset(0);
+      std::vector<std::uint64_t> words(16);
+      for (auto& w : words) line.capture_into(osc, 0, t_probe, &w);
+      return words;
+    };
+    TappedDelayLineSim twin(timing, ff, 9);
+    const auto undrawn = probes(twin);
+    int quiet = 0;
+    int walked = 0;
+    int drew = 0;
+    for (Picoseconds t_clk = 4500.0; t_clk < 5600.0; t_clk += 0.37) {
+      TappedDelayLineSim line(timing, ff, 9);
+      std::vector<Picoseconds> s0(static_cast<std::size_t>(m));
+      std::vector<bool> in_reach(s0.size());
+      bool ambiguous = false;
+      for (int j = 0; j < m; ++j) {
+        const auto k = static_cast<std::size_t>(j);
+        s0[k] = line.observation_time(j, t_clk) + line.static_offset(j);
+        Picoseconds d = std::numeric_limits<Picoseconds>::infinity();
+        for (const Picoseconds q : toggles) {
+          d = std::min(d, std::fabs(q - s0[k]));
+        }
+        in_reach[k] = d <= reach;
+        ambiguous = ambiguous || std::fabs(d - reach) < 1e-6;
+      }
+      if (ambiguous) continue;
+      std::uint64_t word = ~0ULL;
+      line.capture_into(osc, 0, t_clk, &word);
+      EXPECT_EQ(word >> m, 0u);
+      bool any_in_reach = false;
+      for (int j = 0; j < m; ++j) {
+        const auto k = static_cast<std::size_t>(j);
+        any_in_reach = any_in_reach || in_reach[k];
+        if (in_reach[k]) continue;
+        EXPECT_EQ(((word >> j) & 1ULL) != 0, osc.value_at(0, s0[k]))
+            << "t_clk " << t_clk << " tap " << j;
+      }
+      EXPECT_EQ(probes(line) != undrawn, any_in_reach) << "t_clk " << t_clk;
+      const auto [lo, hi] = std::minmax_element(s0.begin(), s0.end());
+      const bool span_quiet =
+          std::none_of(toggles.begin(), toggles.end(), [&](Picoseconds q) {
+            return q >= *lo - reach && q <= *hi + reach;
+          });
+      if (any_in_reach) {
+        ++drew;
+      } else if (span_quiet) {
+        ++quiet;
+      } else {
+        ++walked;
+      }
+    }
+    EXPECT_GT(quiet, 0);
+    EXPECT_GT(drew, 0);
+    if (bin > 2.0 * reach) {
+      EXPECT_GT(walked, 0);
+    }
+  }
 }
 
 TEST(TappedDelayLine, MetastabilityTriggersNearEdge) {
