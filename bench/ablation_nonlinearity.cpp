@@ -38,9 +38,10 @@ void report(const char* label, const fpga::Fabric& fabric, int base_row,
   core::EntropyExtractor extractor(36, k);
   std::vector<std::size_t> hist(static_cast<std::size_t>(36 / k), 0);
   std::size_t decoded = 0;
+  sim::PackedCapture cap;
   for (std::size_t i = 0; i < captures; ++i) {
-    const auto cap = sampler.next_capture(1);
-    const auto r = extractor.extract(cap.lines);
+    sampler.next_capture_into(1, cap);
+    const auto r = extractor.extract_packed(cap);
     if (r.edge_found) {
       const auto bin = static_cast<std::size_t>(r.edge_position / k);
       if (bin < hist.size()) {

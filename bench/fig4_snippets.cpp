@@ -4,6 +4,7 @@
 //
 // The TRNG is run in free-running mode so the sampling phase sweeps the
 // whole oscillator period and all three phenomena appear.
+#include <cstdint>
 #include <cstdio>
 #include <string>
 
@@ -17,9 +18,13 @@ namespace {
 
 using namespace trng;
 
-std::string render(const sim::LineSnapshot& snap) {
+/// Line `line` of `cap` as '0'/'1', tap 0 first.
+std::string render(const sim::PackedCapture& cap, int line) {
+  const std::uint64_t* words = cap.line(line);
   std::string s;
-  for (bool b : snap) s.push_back(b ? '1' : '0');
+  for (int j = 0; j < cap.taps; ++j) {
+    s.push_back(((words[j >> 6] >> (j & 63)) & 1ULL) != 0 ? '1' : '0');
+  }
   return s;
 }
 
@@ -42,9 +47,10 @@ int main() {
   bool shown[4] = {};
   std::printf("examples (C1..C3 = the three delay lines, tap 0 first):\n\n");
 
+  sim::PackedCapture cap;
   for (std::size_t i = 0; i < captures; ++i) {
-    const auto cap = sampler.next_capture(1);
-    const auto cls = sim::classify_snapshots(cap.lines);
+    sampler.next_capture_into(1, cap);
+    const auto cls = sim::classify_packed(cap);
     std::size_t idx = 0;
     const char* label = nullptr;
     switch (cls) {
@@ -69,10 +75,10 @@ int main() {
     if (!shown[idx] && label != nullptr) {
       shown[idx] = true;
       std::printf("%s\n", label);
-      for (std::size_t l = 0; l < cap.lines.size(); ++l) {
-        std::printf("  C%zu: %s\n", l + 1, render(cap.lines[l]).c_str());
+      for (int l = 0; l < cap.lines; ++l) {
+        std::printf("  C%d: %s\n", l + 1, render(cap, l).c_str());
       }
-      const auto r = extractor.extract(cap.lines);
+      const auto r = extractor.extract_packed(cap);
       std::printf("  -> edge position %d, bit %d\n\n", r.edge_position,
                   r.bit ? 1 : 0);
     }

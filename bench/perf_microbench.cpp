@@ -4,9 +4,9 @@
 // regeneration runs millions of captures).
 //
 // Before the google-benchmark suite runs, main() measures every canonical
-// bit source through both BitSource paths — per-bit next_bit() calls vs one
-// bulk generate_into() — and writes the results to BENCH_throughput.json
-// (machine-readable; see emit_throughput_json below for knobs).
+// bit source through BitSource::generate_into and writes the results to
+// BENCH_throughput.json (machine-readable; see emit_throughput_json below
+// for knobs).
 #include <benchmark/benchmark.h>
 
 #include <unistd.h>
@@ -24,7 +24,6 @@
 
 #include "common/env.hpp"
 #include "common/rng.hpp"
-#include "core/elementary.hpp"
 #include "core/extractor.hpp"
 #include "core/source_registry.hpp"
 #include "core/trng.hpp"
@@ -52,16 +51,6 @@ void BM_GaussianDraw(benchmark::State& state) {
 }
 BENCHMARK(BM_GaussianDraw);
 
-void BM_TrngRawBit(benchmark::State& state) {
-  fpga::Fabric fabric(fpga::DeviceGeometry{}, 42);
-  core::DesignParams p;
-  p.accumulation_cycles = static_cast<Cycles>(state.range(0));
-  core::CarryChainTrng trng(fabric, p, 7);
-  for (auto _ : state) benchmark::DoNotOptimize(trng.next_raw_bit());
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TrngRawBit)->Arg(1)->Arg(5)->Arg(20);
-
 void BM_TrngBatchedBits(benchmark::State& state) {
   fpga::Fabric fabric(fpga::DeviceGeometry{}, 42);
   core::DesignParams p;
@@ -78,17 +67,14 @@ void BM_TrngBatchedBits(benchmark::State& state) {
 }
 BENCHMARK(BM_TrngBatchedBits)->Arg(1)->Arg(5)->Arg(20);
 
-void BM_ElementaryAnalyticBit(benchmark::State& state) {
-  core::ElementaryTrng trng(480.0, 2.0, 800, 7);
-  for (auto _ : state) benchmark::DoNotOptimize(trng.next_bit());
-}
-BENCHMARK(BM_ElementaryAnalyticBit);
-
 void BM_ExtractorDecode(benchmark::State& state) {
   core::EntropyExtractor ex(36, 1);
-  std::vector<sim::LineSnapshot> lines(3, sim::LineSnapshot(36, false));
-  for (int j = 0; j < 14; ++j) lines[1][static_cast<std::size_t>(j)] = true;
-  for (auto _ : state) benchmark::DoNotOptimize(ex.extract(lines));
+  sim::PackedCapture cap;
+  cap.lines = 3;
+  cap.taps = 36;
+  cap.words_per_line = 1;
+  cap.words = {0, (std::uint64_t{1} << 14) - 1, 0};  // edge after tap 13
+  for (auto _ : state) benchmark::DoNotOptimize(ex.extract_packed(cap));
 }
 BENCHMARK(BM_ExtractorDecode);
 
@@ -167,22 +153,17 @@ BENCHMARK(BM_XorFold);
 // --- BitSource throughput comparison -> BENCH_throughput.json ------------
 //
 // For every canonical source (registry line-up plus the raw carry-chain
-// TRNG itself) this times the two BitSource paths over the same bit budget:
-//
-//   * "scalar": one next_bit() call per bit (the bit-at-a-time interface),
-//   * "batched": a single generate_into() covering the whole budget.
-//
-// Each path runs `repeats` passes over the bit budget on a persistent
-// generator; every pass is timed in small chunks and the minimum per-bit
-// chunk time is reported. The chunked minimum discards scheduler
-// preemption (which otherwise contaminates whole multi-millisecond
-// passes on a loaded machine) identically for both paths. Bit budget and
-// repeat count come from TRNG_BENCH_THROUGHPUT_BITS / _REPEATS, and the
-// output path from TRNG_BENCH_THROUGHPUT_JSON.
+// TRNG itself) this times generate_into() over a fixed bit budget: it runs
+// `repeats` passes over the budget on a persistent generator; every pass
+// is timed in small chunks and the minimum per-bit chunk time is
+// reported. The chunked minimum discards scheduler preemption (which
+// otherwise contaminates whole multi-millisecond passes on a loaded
+// machine). Bit budget and repeat count come from
+// TRNG_BENCH_THROUGHPUT_BITS / _REPEATS, and the output path from
+// TRNG_BENCH_THROUGHPUT_JSON.
 
 struct ThroughputRow {
   std::string id;
-  double scalar_ns_per_bit = 0.0;
   double batched_ns_per_bit = 0.0;
 };
 
@@ -207,23 +188,14 @@ double min_chunk_ns_per_bit(F&& run_chunk, std::size_t nbits, int repeats) {
   return best;
 }
 
-ThroughputRow measure_source(const std::string& id, core::BitSource& scalar,
-                             core::BitSource& batched, std::size_t nbits,
-                             int repeats) {
+ThroughputRow measure_source(const std::string& id, core::BitSource& batched,
+                             std::size_t nbits, int repeats) {
   std::vector<std::uint64_t> words((nbits + 63) / 64);
-  // One untimed pass per path warms caches and generator state.
-  scalar.next_bit();
+  // One untimed draw warms caches and generator state.
   batched.generate_into(words.data(), trng::common::Bits{std::min<std::size_t>(nbits, 64)});
 
   ThroughputRow row;
   row.id = id;
-  row.scalar_ns_per_bit = min_chunk_ns_per_bit(
-      [&](std::size_t n) {
-        bool sink = false;
-        for (std::size_t i = 0; i < n; ++i) sink ^= scalar.next_bit();
-        benchmark::DoNotOptimize(sink);
-      },
-      nbits, repeats);
   row.batched_ns_per_bit = min_chunk_ns_per_bit(
       [&](std::size_t n) {
         batched.generate_into(words.data(), trng::common::Bits{n});
@@ -650,33 +622,14 @@ void emit_throughput_json() {
   std::vector<ThroughputRow> rows;
 
   {
-    // The headline comparison: the paper's TRNG at its default design point,
-    // raw bits, scalar next_raw_bit() vs the fused packed pipeline.
-    core::CarryChainTrng scalar(fabric, core::DesignParams{}, 7);
-    core::CarryChainTrng batched(fabric, core::DesignParams{}, 7);
-    rows.push_back(
-        measure_source("carry-chain-raw", scalar, batched, nbits, repeats));
+    // The headline row: the paper's TRNG at its default design point, raw
+    // bits through the packed capture -> classify -> extract pipeline.
+    core::CarryChainTrng trng(fabric, core::DesignParams{}, 7);
+    rows.push_back(measure_source("carry-chain-raw", trng, nbits, repeats));
   }
   for (const auto& factory : core::canonical_sources(fabric)) {
-    auto scalar = factory.make(7);
-    auto batched = factory.make(7);
-    rows.push_back(
-        measure_source(factory.id, *scalar, *batched, nbits, repeats));
-  }
-
-  // Warn-level assertion: the batched wrapper must never be slower than the
-  // scalar path (budget 1% for timer noise). A warning here means per-call
-  // setup has crept back into a word loop somewhere; it does not fail the
-  // run because microbenchmark noise on shared runners would flake.
-  for (const ThroughputRow& r : rows) {
-    const double speedup = r.scalar_ns_per_bit / r.batched_ns_per_bit;
-    if (speedup < 0.99) {
-      std::fprintf(stderr,
-                   "perf_microbench: WARNING: source '%s' batched_speedup "
-                   "%.2f < 0.99 (scalar %.1f ns/bit, batched %.1f ns/bit)\n",
-                   r.id.c_str(), speedup, r.scalar_ns_per_bit,
-                   r.batched_ns_per_bit);
-    }
+    auto source = factory.make(7);
+    rows.push_back(measure_source(factory.id, *source, nbits, repeats));
   }
 
   // Service-layer draw throughput at increasing producer counts.
@@ -709,12 +662,9 @@ void emit_throughput_json() {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const ThroughputRow& r = rows[i];
     std::fprintf(f,
-                 "    {\"id\": \"%s\", \"scalar_ns_per_bit\": %.1f, "
-                 "\"batched_ns_per_bit\": %.1f, \"scalar_bits_per_s\": %.0f, "
-                 "\"batched_bits_per_s\": %.0f, \"batched_speedup\": %.2f}%s\n",
-                 r.id.c_str(), r.scalar_ns_per_bit, r.batched_ns_per_bit,
-                 1e9 / r.scalar_ns_per_bit, 1e9 / r.batched_ns_per_bit,
-                 r.scalar_ns_per_bit / r.batched_ns_per_bit,
+                 "    {\"id\": \"%s\", \"batched_ns_per_bit\": %.1f, "
+                 "\"batched_bits_per_s\": %.0f}%s\n",
+                 r.id.c_str(), r.batched_ns_per_bit, 1e9 / r.batched_ns_per_bit,
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");

@@ -1,5 +1,6 @@
 #include "common/bitstream.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 
@@ -162,16 +163,38 @@ BitStream BitStream::xor_fold(unsigned np) const {
   if (np == 0) {
     throw std::invalid_argument("BitStream::xor_fold: np must be >= 1");
   }
+  const std::size_t n = size_ / np;
+  std::vector<std::uint64_t> folded((n + 63) / 64);
+  xor_fold_words(words_.data(), folded.data(), n, np);
   BitStream out;
-  out.reserve(size_ / np);
-  std::size_t i = 0;
-  while (i + np <= size_) {
-    bool acc = false;
-    for (unsigned j = 0; j < np; ++j) acc ^= (*this)[i + j];
-    out.push_back(acc);
-    i += np;
-  }
+  out.append_words(folded.data(), n);
   return out;
+}
+
+void xor_fold_words(const std::uint64_t* in, std::uint64_t* out,
+                    std::size_t out_bits, unsigned np) {
+  std::uint64_t word = 0;
+  std::size_t r = 0;  // first input bit of the current group
+  for (std::size_t i = 0; i < out_bits; ++i) {
+    // A group's parity is the popcount parity of its bits, taken one
+    // word-aligned run at a time (one or two runs for np <= 64).
+    unsigned parity = 0;
+    for (unsigned left = np; left > 0;) {
+      const auto offset = static_cast<unsigned>(r & 63);
+      const unsigned take = std::min(left, 64U - offset);
+      std::uint64_t run = in[r >> 6] >> offset;
+      if (take < 64) run &= (std::uint64_t{1} << take) - 1;
+      parity ^= static_cast<unsigned>(std::popcount(run));
+      r += take;
+      left -= take;
+    }
+    word |= static_cast<std::uint64_t>(parity & 1U) << (i & 63);
+    if ((i & 63) == 63) {
+      out[i >> 6] = word;
+      word = 0;
+    }
+  }
+  if ((out_bits & 63) != 0) out[out_bits >> 6] = word;
 }
 
 double BitStream::ones_fraction() const {

@@ -96,4 +96,12 @@ class BitStream {
   std::size_t size_ = 0;
 };
 
+/// The XOR fold behind BitStream::xor_fold and core::XorCompressedSource:
+/// bit i of `out` is the XOR of bits [i * np, (i + 1) * np) of `in`, both
+/// packed LSB-first. `in` must hold out_bits * np bits; every one of the
+/// (out_bits + 63) / 64 words of `out` is written, tail bits zero.
+/// np must be >= 1 (callers validate it).
+void xor_fold_words(const std::uint64_t* in, std::uint64_t* out,
+                    std::size_t out_bits, unsigned np);
+
 }  // namespace trng::common

@@ -25,20 +25,13 @@ SelfTimedRingTrng::SelfTimedRingTrng(Params params, std::uint64_t seed)
   resolution_ps_ = params_.ring_period_ps / static_cast<double>(params_.stages);
 }
 
-bool SelfTimedRingTrng::next_bit() {
-  phase_ps_ += drift_ps_ + sigma_per_sample_ * rng_.next_gaussian();
-  phase_ps_ = std::fmod(phase_ps_, params_.ring_period_ps);
-  if (phase_ps_ < 0.0) phase_ps_ += params_.ring_period_ps;
-  const auto bin =
-      static_cast<long long>(std::floor(phase_ps_ / resolution_ps_));
-  return (bin % 2) != 0;
-}
-
 void SelfTimedRingTrng::generate_into(std::uint64_t* words,
                                       common::Bits nbits) {
   // Per-call setup hoisted once; the walk state and RNG run on locals and
-  // are written back after the loop. The update is the scalar next_bit()
-  // body on pre-drawn Gaussian blocks — same draws, same arithmetic.
+  // are written back after the loop. Each sample advances the phase by the
+  // drift plus one Gaussian jitter step and outputs the parity of its
+  // Delta-bin. fill_gaussian draws in next_gaussian() order, so the
+  // stream does not depend on how the bits are chunked into calls.
   const std::size_t n = nbits.count();
   const double period = params_.ring_period_ps;
   const double drift = drift_ps_;
@@ -72,8 +65,8 @@ void SelfTimedRingTrng::generate_into(std::uint64_t* words,
   rng_ = rng;
 }
 
-BaselineInfo SelfTimedRingTrng::info() const {
-  BaselineInfo bi;
+SourceInfo SelfTimedRingTrng::info() const {
+  SourceInfo bi;
   bi.name = "[1] Cherkaoui et al. (self-timed ring)";
   bi.platform = params_.platform;
   bi.resources = ">511 LUTs";

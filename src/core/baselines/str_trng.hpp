@@ -25,11 +25,12 @@
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
-#include "core/baselines/baseline.hpp"
+#include "common/bitstream.hpp"
+#include "core/bit_source.hpp"
 
 namespace trng::core::baselines {
 
-class SelfTimedRingTrng : public BaselineTrng {
+class SelfTimedRingTrng : public BitSource {
  public:
   struct Params {
     int stages = 511;                 ///< L
@@ -48,14 +49,11 @@ class SelfTimedRingTrng : public BaselineTrng {
   explicit SelfTimedRingTrng(std::uint64_t seed)
       : SelfTimedRingTrng(Params{}, seed) {}
 
-  bool next_bit() override;
-
-  /// Batched path: block Gaussian fills feed the same phase-walk update as
-  /// next_bit() with the per-call setup (bin width, period, RNG state)
-  /// hoisted out of the bit loop. Bit-identical to the scalar path.
+  /// One phase-walk step per bit, on block Gaussian fills, with the per-call
+  /// setup (bin width, period, RNG state) hoisted out of the bit loop.
   void generate_into(std::uint64_t* words, common::Bits nbits) override;
 
-  BaselineInfo info() const override;
+  SourceInfo info() const override;
 
   /// Phase-bin width Delta = T / L in ps (fixed per design; hoisted to a
   /// member at construction so the sampling loops do not re-divide).

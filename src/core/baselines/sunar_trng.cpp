@@ -36,36 +36,7 @@ SunarSchellekensTrng::SunarSchellekensTrng(Params params, std::uint64_t seed)
   }
 }
 
-bool SunarSchellekensTrng::next_raw_sample() {
-  bool acc = false;
-  for (std::size_t i = 0; i < phase_.size(); ++i) {
-    // Advance the ring by one sample period: the phase (in half-periods)
-    // grows by dt/half_period plus accumulated white jitter.
-    const double jitter_ps = sig_step_[i] * rng_.next_gaussian();
-    phase_[i] += (sample_period_ps_ + jitter_ps) / half_period_[i];
-    // Square wave: value = parity of completed half-periods.
-    const auto halves = static_cast<long long>(std::floor(phase_[i]));
-    acc = acc != ((halves % 2) != 0);
-  }
-  return acc;
-}
-
-bool SunarSchellekensTrng::next_bit() {
-  if (out_pos_ < out_buffer_.size()) return out_buffer_[out_pos_++];
-  // Refill: collect code_in raw samples, compress to code_out parity bits
-  // over disjoint groups.
-  out_buffer_.assign(params_.code_out, false);
-  const unsigned group = params_.code_in / params_.code_out;
-  for (unsigned o = 0; o < params_.code_out; ++o) {
-    bool parity = false;
-    for (unsigned g = 0; g < group; ++g) parity = parity != next_raw_sample();
-    out_buffer_[o] = parity;
-  }
-  out_pos_ = 0;
-  return out_buffer_[out_pos_++];
-}
-
-void SunarSchellekensTrng::refill_out_buffer_batched() {
+void SunarSchellekensTrng::refill_out_buffer() {
   out_buffer_.assign(params_.code_out, false);
   const unsigned group = params_.code_in / params_.code_out;
   const std::size_t rings = phase_.size();
@@ -79,8 +50,10 @@ void SunarSchellekensTrng::refill_out_buffer_batched() {
   for (unsigned o = 0; o < params_.code_out; ++o) {
     unsigned parity = 0;
     for (unsigned g = 0; g < group; ++g) {
-      // One block draw per sample: ring i consumes value i, the order the
-      // scalar loop draws in.
+      // One block draw per sample: ring i consumes value i. Each ring's
+      // phase (in half-periods) grows by dt/half_period plus accumulated
+      // white jitter; its square-wave value is the parity of completed
+      // half-periods.
       rng_.fill_gaussian(gs, rings);
       unsigned acc = 0;
       for (std::size_t i = 0; i < rings; ++i) {
@@ -98,14 +71,14 @@ void SunarSchellekensTrng::refill_out_buffer_batched() {
 
 void SunarSchellekensTrng::generate_into(std::uint64_t* words,
                                          common::Bits nbits) {
-  // Same stream as nbits next_bit() calls: drain the pending resilient-
-  // function buffer first, then refill through the batched lane kernel.
-  // Word packing mirrors BaselineTrng::generate_into (register-accumulated,
-  // tail bits zero).
+  // Drain the pending resilient-function buffer first, then refill through
+  // the lane kernel, so a stream drawn in chunks equals one drawn at once.
+  // Each word is accumulated in a register and stored once; tail bits stay
+  // zero.
   const std::size_t n = nbits.count();
   std::uint64_t word = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (out_pos_ == out_buffer_.size()) refill_out_buffer_batched();
+    if (out_pos_ == out_buffer_.size()) refill_out_buffer();
     word |= static_cast<std::uint64_t>(out_buffer_[out_pos_++]) << (i & 63);
     if ((i & 63) == 63) {
       words[i >> 6] = word;
@@ -117,8 +90,8 @@ void SunarSchellekensTrng::generate_into(std::uint64_t* words,
   }
 }
 
-BaselineInfo SunarSchellekensTrng::info() const {
-  BaselineInfo bi;
+SourceInfo SunarSchellekensTrng::info() const {
+  SourceInfo bi;
   bi.name = "[8] Schellekens et al. (Sunar construction)";
   bi.platform = "Virtex 2 pro";
   bi.resources = "565 slices";

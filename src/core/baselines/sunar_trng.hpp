@@ -21,11 +21,12 @@
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
-#include "core/baselines/baseline.hpp"
+#include "common/bitstream.hpp"
+#include "core/bit_source.hpp"
 
 namespace trng::core::baselines {
 
-class SunarSchellekensTrng : public BaselineTrng {
+class SunarSchellekensTrng : public BitSource {
  public:
   struct Params {
     int rings = 110;
@@ -41,32 +42,23 @@ class SunarSchellekensTrng : public BaselineTrng {
   SunarSchellekensTrng(std::uint64_t seed)
       : SunarSchellekensTrng(Params{}, seed) {}
 
-  bool next_bit() override;
-
-  /// Batched path: refills the resilient-function buffer with the SoA lane
+  /// Drains the resilient-function buffer, refilling it with the SoA lane
   /// kernel — per sample, one fill_gaussian block of `rings` draws feeds a
   /// flat loop over the per-ring phase/half-period/jitter-scale arrays
-  /// (the rings are the parallel lanes). Bit-identical to next_bit(): the
-  /// Gaussian stream, the per-ring arithmetic and the fold order are the
-  /// scalar path's exactly.
+  /// (the rings are the parallel lanes).
   void generate_into(std::uint64_t* words, common::Bits nbits) override;
 
-  BaselineInfo info() const override;
-
-  /// One pre-post-processing sample (XOR of all rings at the sample clock).
-  /// Scalar reference: draws each ring's Gaussian on demand.
-  bool next_raw_sample();
+  SourceInfo info() const override;
 
  private:
-  void refill_out_buffer_batched();
+  void refill_out_buffer();
 
   Params params_;
   common::Xoshiro256StarStar rng_;
   std::vector<double> phase_;        ///< per-ring phase in half-periods
   std::vector<double> half_period_;  ///< per-ring half-period (ps)
   /// Per-ring accumulated-jitter scale sigma * sqrt(traversals per sample),
-  /// hoisted out of the per-sample loop (bit-identical: the scalar path
-  /// multiplied left-to-right, so the pre-folded product is the same).
+  /// hoisted out of the per-sample loop.
   std::vector<double> sig_step_;
   std::vector<double> gauss_scratch_;  ///< one fill_gaussian block per sample
   double sample_period_ps_;

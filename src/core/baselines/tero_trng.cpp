@@ -16,18 +16,9 @@ TeroTrng::TeroTrng(Params params, std::uint64_t seed)
   log_mean_ = std::log(params_.mean_count);
 }
 
-bool TeroTrng::next_bit() {
-  // Multiplicative decay of the TERO asymmetry => lognormal count.
-  const double count =
-      std::exp(log_mean_ + params_.rel_sigma * rng_.next_gaussian());
-  last_count_ = static_cast<long long>(std::llround(count));
-  if (last_count_ < 1) last_count_ = 1;
-  return (last_count_ % 2) != 0;
-}
-
 void TeroTrng::generate_into(std::uint64_t* words, common::Bits nbits) {
-  // The scalar trigger model on pre-drawn Gaussian blocks; RNG and the
-  // running count live in locals and are written back after the loop.
+  // One trigger per bit on pre-drawn Gaussian blocks; RNG and the running
+  // count live in locals and are written back after the loop.
   const std::size_t n = nbits.count();
   const double log_mean = log_mean_;
   const double rel_sigma = params_.rel_sigma;
@@ -39,6 +30,7 @@ void TeroTrng::generate_into(std::uint64_t* words, common::Bits nbits) {
     const std::size_t chunk = std::min<std::size_t>(n - done, 256);
     rng.fill_gaussian(gauss, chunk);
     for (std::size_t c = 0; c < chunk; ++c) {
+      // Multiplicative decay of the TERO asymmetry => lognormal count.
       const double count = std::exp(log_mean + rel_sigma * gauss[c]);
       last = static_cast<long long>(std::llround(count));
       if (last < 1) last = 1;
@@ -58,8 +50,8 @@ void TeroTrng::generate_into(std::uint64_t* words, common::Bits nbits) {
   last_count_ = last;
 }
 
-BaselineInfo TeroTrng::info() const {
-  BaselineInfo bi;
+SourceInfo TeroTrng::info() const {
+  SourceInfo bi;
   bi.name = "[11] Varchola & Drutarovsky (TERO)";
   bi.platform = "Spartan 3E";
   bi.resources = "not reported";

@@ -21,11 +21,12 @@
 #include <cstdint>
 
 #include "common/rng.hpp"
-#include "core/baselines/baseline.hpp"
+#include "common/bitstream.hpp"
+#include "core/bit_source.hpp"
 
 namespace trng::core::baselines {
 
-class TeroTrng : public BaselineTrng {
+class TeroTrng : public BitSource {
  public:
   struct Params {
     double mean_count = 220.0;   ///< mean oscillation cycles per trigger
@@ -36,14 +37,12 @@ class TeroTrng : public BaselineTrng {
   TeroTrng(Params params, std::uint64_t seed);
   explicit TeroTrng(std::uint64_t seed) : TeroTrng(Params{}, seed) {}
 
-  bool next_bit() override;
-
-  /// Batched path: the scalar count model on pre-drawn Gaussian blocks,
-  /// with log(mean_count) and the RNG state hoisted out of the bit loop.
-  /// Bit-identical to next_bit() (including last_count()).
+  /// One trigger per bit: the lognormal count model on pre-drawn Gaussian
+  /// blocks, with log(mean_count) and the RNG state hoisted out of the bit
+  /// loop.
   void generate_into(std::uint64_t* words, common::Bits nbits) override;
 
-  BaselineInfo info() const override;
+  SourceInfo info() const override;
 
   /// The raw oscillation count of the most recent trigger (diagnostics).
   long long last_count() const { return last_count_; }

@@ -6,8 +6,9 @@
 // examples — talks to them through this one abstraction. The contract is
 // stream-oriented: implementations fill packed 64-bit words (LSB-first,
 // the same layout as common::BitStream) so hot paths amortize virtual
-// dispatch and avoid per-bit container growth; `next_bit` and `generate`
-// are derived conveniences.
+// dispatch and avoid per-bit container growth; `generate` is a derived
+// convenience. generate_into is each source's only generation path: a
+// stream drawn in chunks equals the same total drawn in one call.
 //
 // Decorators (core::XorCompressedSource) and the factory registry
 // (core/source_registry.hpp) compose on top of this interface, giving the
@@ -24,9 +25,8 @@
 namespace trng::core {
 
 /// Identity and headline figures of a bit source, used by comparison
-/// tables and reports. Subsumes the old BaselineInfo (whose `work` field
-/// is now `name`): the paper's own design and the related-work baselines
-/// share one schema.
+/// tables and reports: the paper's own design and the related-work
+/// baselines share one schema.
 struct SourceInfo {
   std::string name;        ///< design / citation, e.g. "This work (k=1)"
   std::string platform;    ///< target device, e.g. "Spartan 6 (sim)"
@@ -42,21 +42,14 @@ class BitSource {
   /// Fills `nbits` bits into `words`, packed LSB-first (bit i lands at
   /// words[i >> 6] bit (i & 63)). `words` must hold at least
   /// bits_to_words(nbits) words; bits above `nbits` in the final word are
-  /// zeroed. This is the primary contract — implement it batched. The
-  /// count is strongly typed (common::Bits): a word count cannot be
-  /// passed here without an explicit, visible conversion.
+  /// zeroed. Successive calls continue one stream, so the chunking of the
+  /// draws never changes the bits. The count is strongly typed
+  /// (common::Bits): a word count cannot be passed here without an
+  /// explicit, visible conversion.
   virtual void generate_into(std::uint64_t* words, common::Bits nbits) = 0;
 
   /// Identity and headline throughput/resource figures.
   virtual SourceInfo info() const = 0;
-
-  /// Scalar convenience; derived from generate_into by default. Scalar
-  /// generators may override it as their primary path instead.
-  virtual bool next_bit() {
-    std::uint64_t w = 0;
-    generate_into(&w, common::Bits{1});
-    return (w & 1ULL) != 0;
-  }
 
   /// Generates `count` bits into a BitStream via the batched path.
   /// Non-virtual on purpose: it is pure plumbing over generate_into, and

@@ -33,23 +33,6 @@ double ElementaryTrng::throughput_bps() const {
   return schedule_.raw_throughput_bps(cycles_);
 }
 
-bool ElementaryTrng::next_bit() {
-  if (mode_ == Mode::kEventDriven) {
-    osc_->reset(schedule_.cursor_ps());
-    const Picoseconds t_sample = schedule_.begin_conversion(cycles_);
-    osc_->advance_to(t_sample + 1.0);
-    return osc_->value_at(0, t_sample);
-  }
-  // Analytic mode: from reset all-high, the one-stage ring toggles at
-  // d0, 2*d0, ... so the noise-free value at t is
-  // (floor(t / d0) even). Accumulated white jitter shifts the effective
-  // sampling phase by N(0, sigma_acc^2).
-  const Picoseconds jitter = accumulated_sigma_ps() * rng_.next_gaussian();
-  const double phase = (accumulation_time_ps() - jitter) / d0_;
-  const auto toggles = static_cast<long long>(std::floor(std::max(phase, 0.0)));
-  return (toggles % 2) == 0;
-}
-
 void ElementaryTrng::generate_into(std::uint64_t* words, common::Bits nbits) {
   // Both branches accumulate each output word in a register and store it
   // once (per-bit |= into `words` would read-modify-write memory every
@@ -60,7 +43,12 @@ void ElementaryTrng::generate_into(std::uint64_t* words, common::Bits nbits) {
   std::uint64_t word = 0;
   if (mode_ == Mode::kEventDriven) {
     for (std::size_t i = 0; i < n; ++i) {
-      word |= static_cast<std::uint64_t>(next_bit()) << (i & 63);
+      // Restart from reset, accumulate t_A, sample the stage's level.
+      osc_->reset(schedule_.cursor_ps());
+      const Picoseconds t_sample = schedule_.begin_conversion(cycles_);
+      osc_->advance_to(t_sample + 1.0);
+      word |= static_cast<std::uint64_t>(osc_->value_at(0, t_sample))
+              << (i & 63);
       if ((i & 63) == 63) {
         words[i >> 6] = word;
         word = 0;
@@ -71,11 +59,14 @@ void ElementaryTrng::generate_into(std::uint64_t* words, common::Bits nbits) {
     }
     return;
   }
-  // Analytic kernel, word-packed, on pre-drawn Gaussian blocks. sigma_acc
-  // and t_acc are pure functions of the construction parameters, the RNG
-  // runs on a local copy written back after the loop, and fill_gaussian
-  // consumes the stream in scalar order, so hoisting and blocking change
-  // no draw — the packed bits equal nbits next_bit() calls exactly.
+  // Analytic kernel, word-packed, on pre-drawn Gaussian blocks. From reset
+  // all-high, the one-stage ring toggles at d0, 2*d0, ... so the
+  // noise-free value at t is (floor(t / d0) even); accumulated white
+  // jitter shifts the effective sampling phase by N(0, sigma_acc^2).
+  // sigma_acc and t_acc are pure functions of the construction
+  // parameters, the RNG runs on a local copy written back after the loop,
+  // and fill_gaussian draws in next_gaussian() order, so the stream does
+  // not depend on how the bits are chunked into calls.
   const Picoseconds sigma_acc = accumulated_sigma_ps();
   const Picoseconds t_acc = accumulation_time_ps();
   const Picoseconds d0 = d0_;

@@ -37,11 +37,9 @@ class ElementaryTrng : public BitSource {
                  Cycles accumulation_cycles, std::uint64_t seed,
                  Mode mode = Mode::kAnalytic);
 
-  bool next_bit() override;
-
   /// BitSource: `nbits` bits. In analytic mode the closed-form kernel runs
-  /// word-packed (same RNG draws, bit-identical to next_bit()); in
-  /// event-driven mode each bit still runs the timing simulation.
+  /// word-packed on pre-drawn Gaussian blocks; in event-driven mode each
+  /// bit runs the timing simulation.
   void generate_into(std::uint64_t* words, common::Bits nbits) override;
 
   /// BitSource: identity + Section 5.3's comparison figures.

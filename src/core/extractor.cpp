@@ -14,43 +14,6 @@ EntropyExtractor::EntropyExtractor(int m, int k) : m_(m), k_(k) {
   }
 }
 
-std::vector<bool> EntropyExtractor::xor_fold(
-    const std::vector<sim::LineSnapshot>& lines) const {
-  if (lines.empty()) {
-    throw std::invalid_argument("EntropyExtractor: no line snapshots");
-  }
-  std::vector<bool> v(static_cast<std::size_t>(m_), false);
-  for (const auto& line : lines) {
-    if (static_cast<int>(line.size()) != m_) {
-      throw std::invalid_argument(
-          "EntropyExtractor: snapshot width != configured m");
-    }
-    for (int j = 0; j < m_; ++j) {
-      v[static_cast<std::size_t>(j)] =
-          v[static_cast<std::size_t>(j)] != line[static_cast<std::size_t>(j)];
-    }
-  }
-  return v;
-}
-
-ExtractionResult EntropyExtractor::extract(
-    const std::vector<sim::LineSnapshot>& lines) const {
-  const std::vector<bool> v = xor_fold(lines);
-
-  // Priority-encode the first transition of the folded vector.
-  ExtractionResult r;
-  for (int j = 0; j + 1 < m_; ++j) {
-    if (v[static_cast<std::size_t>(j)] != v[static_cast<std::size_t>(j + 1)]) {
-      r.edge_found = true;
-      r.edge_position = j;
-      const int binned = j / k_;
-      r.bit = (binned & 1) != 0;
-      break;
-    }
-  }
-  return r;
-}
-
 ExtractionResult EntropyExtractor::extract_packed(
     const sim::PackedCapture& capture) const {
   if (capture.lines < 1) {

@@ -12,10 +12,6 @@
 //      bins decode to alternating bits.
 #pragma once
 
-#include <cstdint>
-#include <vector>
-
-#include "sim/delay_line.hpp"
 #include "sim/sampler.hpp"
 
 namespace trng::core {
@@ -32,23 +28,11 @@ class EntropyExtractor {
   /// Throws std::invalid_argument for m < 2 or k outside [1, m].
   EntropyExtractor(int m, int k = 1);
 
-  /// Extracts one bit from the snapshots of all n lines. Each snapshot must
-  /// have exactly m bits; throws std::invalid_argument otherwise.
-  ExtractionResult extract(
-      const std::vector<sim::LineSnapshot>& lines) const;
-
-  /// extract() on a packed capture: XOR-folds the lines word by word and
-  /// priority-encodes the first edge via countr_zero — no per-bit loop and
-  /// no intermediate vector<bool>. Produces identical results to the
-  /// scalar extract() on the equivalent snapshots. Throws
-  /// std::invalid_argument when the capture is empty or its tap count
-  /// differs from the configured m.
+  /// Extracts one bit from the snapshots of all n lines of `capture`:
+  /// XOR-folds the lines word by word and priority-encodes the first edge
+  /// via countr_zero. Throws std::invalid_argument when the capture is
+  /// empty or its tap count differs from the configured m.
   ExtractionResult extract_packed(const sim::PackedCapture& capture) const;
-
-  /// The XOR-folded m-bit vector (step 1) — exposed for tests and the
-  /// Figure 4 bench.
-  std::vector<bool> xor_fold(
-      const std::vector<sim::LineSnapshot>& lines) const;
 
   int m() const { return m_; }
   int k() const { return k_; }

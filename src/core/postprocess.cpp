@@ -5,27 +5,6 @@
 
 namespace trng::core {
 
-XorPostProcessor::XorPostProcessor(unsigned np) : np_(np) {
-  if (np == 0) {
-    throw std::invalid_argument("XorPostProcessor: np must be >= 1");
-  }
-}
-
-bool XorPostProcessor::feed(bool raw, bool& out) {
-  acc_ = acc_ != raw;
-  if (++fill_ == np_) {
-    out = acc_;
-    acc_ = false;
-    fill_ = 0;
-    return true;
-  }
-  return false;
-}
-
-common::BitStream XorPostProcessor::process(const common::BitStream& raw) const {
-  return raw.xor_fold(np_);
-}
-
 XorCompressedSource::XorCompressedSource(BitSource& source, unsigned np)
     : source_(&source), np_(np) {
   if (np == 0) {
@@ -46,28 +25,12 @@ XorCompressedSource::XorCompressedSource(std::unique_ptr<BitSource> source,
 
 void XorCompressedSource::generate_into(std::uint64_t* words,
                                         common::Bits nbits) {
-  const std::size_t out_words = common::bits_to_words(nbits).count();
-  for (std::size_t w = 0; w < out_words; ++w) words[w] = 0;
   if (nbits.is_zero()) return;
   const common::Bits raw_bits = nbits * np_;
-  raw_buf_.assign(common::bits_to_words(raw_bits).count(), 0);
+  // The inner source writes every word of the buffer, so no zero-fill.
+  raw_buf_.resize(common::bits_to_words(raw_bits).count());
   source_->generate_into(raw_buf_.data(), raw_bits);
-  // Fold each group of np consecutive raw bits into one output bit.
-  const std::size_t n = nbits.count();
-  std::size_t r = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    unsigned acc = 0;
-    for (unsigned j = 0; j < np_; ++j, ++r) {
-      acc ^= static_cast<unsigned>((raw_buf_[r >> 6] >> (r & 63)) & 1ULL);
-    }
-    words[i >> 6] |= static_cast<std::uint64_t>(acc) << (i & 63);
-  }
-}
-
-bool XorCompressedSource::next_bit() {
-  bool acc = false;
-  for (unsigned j = 0; j < np_; ++j) acc = acc != source_->next_bit();
-  return acc;
+  common::xor_fold_words(raw_buf_.data(), words, nbits.count(), np_);
 }
 
 SourceInfo XorCompressedSource::info() const {

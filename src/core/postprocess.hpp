@@ -16,32 +16,13 @@
 
 namespace trng::core {
 
-/// Streaming XOR compressor: feed raw bits, collect compressed bits.
-class XorPostProcessor {
- public:
-  /// `np` >= 1; np == 1 passes bits through unchanged.
-  explicit XorPostProcessor(unsigned np);
-
-  /// Feeds one raw bit; returns true when an output bit completed, in which
-  /// case `out` receives it.
-  bool feed(bool raw, bool& out);
-
-  /// Compresses a whole stream (drops a trailing partial group).
-  common::BitStream process(const common::BitStream& raw) const;
-
-  unsigned np() const { return np_; }
-
- private:
-  unsigned np_;
-  unsigned fill_ = 0;
-  bool acc_ = false;
-};
-
 /// BitSource decorator applying XOR compression to ANY source: each output
 /// bit is the XOR of np consecutive bits pulled (batched) from the inner
 /// source. This is how polymorphic consumers (registry, battery, health
 /// chain) get a post-processed stream without knowing the concrete
-/// generator: source -> XorCompressedSource -> health -> battery.
+/// generator: source -> XorCompressedSource -> health -> battery. A whole
+/// stream already in memory folds with common::BitStream::xor_fold, which
+/// runs the same fold (common::xor_fold_words).
 class XorCompressedSource : public BitSource {
  public:
   /// Non-owning: `source` must outlive the decorator. np >= 1.
@@ -51,16 +32,6 @@ class XorCompressedSource : public BitSource {
   XorCompressedSource(std::unique_ptr<BitSource> source, unsigned np);
 
   void generate_into(std::uint64_t* words, common::Bits nbits) override;
-
-  /// Scalar reference path: folds np scalar next_bit() pulls from the inner
-  /// source. Without this override the BitSource default would route one-
-  /// bit requests through the inner generate_into — i.e. the batched
-  /// pipeline — so "scalar" consumers of a wrapped source would never
-  /// exercise the inner source's bit-at-a-time reference implementation.
-  /// Emits the same stream as generate_into (each output bit XORs the same
-  /// np consecutive raw bits, and scalar ≡ batched holds for the inner
-  /// source).
-  bool next_bit() override;
 
   /// Inner source's info with the name suffixed " + XOR np=<np>" and the
   /// throughput divided by np (the rate-for-entropy trade of Eq. 7).

@@ -28,28 +28,6 @@ CarryChainTrng::CarryChainTrng(const fpga::Fabric& fabric, DesignParams params,
                1.0e12 / constants::kSystemClockHz),
       extractor_(params.m, params.k) {}
 
-bool CarryChainTrng::next_raw_bit() {
-  const sim::CaptureResult capture =
-      sampler_.next_capture(params_.accumulation_cycles);
-  ++diagnostics_.captures;
-
-  // Phenomenology accounting (Figure 4 classes).
-  const sim::SnapshotClass cls = sim::classify_snapshots(capture.lines);
-  switch (cls) {
-    case sim::SnapshotClass::kDoubleEdge: ++diagnostics_.double_edges; break;
-    case sim::SnapshotClass::kBubbles: ++diagnostics_.bubbles; break;
-    case sim::SnapshotClass::kNoEdge: break;  // counted below via extractor
-    case sim::SnapshotClass::kRegular: break;
-  }
-
-  const ExtractionResult r = extractor_.extract(capture.lines);
-  if (!r.edge_found) {
-    ++diagnostics_.missed_edges;
-    return false;
-  }
-  return r.bit;
-}
-
 void CarryChainTrng::generate_into(std::uint64_t* words, common::Bits nbits) {
   std::fill_n(words, common::bits_to_words(nbits).count(), std::uint64_t{0});
   // Accumulate diagnostics in locals and fold them in once after the loop:
@@ -71,7 +49,7 @@ void CarryChainTrng::generate_into(std::uint64_t* words, common::Bits nbits) {
     const ExtractionResult r = extractor_.extract_packed(scratch_);
     if (!r.edge_found) {
       ++missed;
-      continue;  // the bit stays 0, as in next_raw_bit()
+      continue;  // a missed edge leaves the bit 0
     }
     words[i >> 6] |= static_cast<std::uint64_t>(r.bit) << (i & 63);
   }
@@ -87,8 +65,8 @@ common::BitStream CarryChainTrng::generate_raw(common::Bits count) {
 
 common::BitStream CarryChainTrng::generate(common::Bits count) {
   if (count.is_zero()) return common::BitStream{};
-  // count * np raw bits through the batched path, XOR-folded np -> 1: the
-  // same stream XorPostProcessor::feed produces bit by bit.
+  // count * np raw bits, XOR-folded np -> 1: the stream
+  // XorCompressedSource(*this, np) produces.
   return BitSource::generate(count * params_.np).xor_fold(params_.np);
 }
 

@@ -22,11 +22,11 @@
 
 namespace trng::core {
 
-/// The BitSource facet emits RAW (pre-post-processing) bits: next_bit() is
-/// next_raw_bit() and generate_into() is the batched raw path. The
-/// post-processed stream stays available as generate() (which name-hides
-/// BitSource::generate — it consumes count * np raw bits), or, for
-/// polymorphic consumers, by wrapping the TRNG in XorCompressedSource.
+/// The BitSource facet emits RAW (pre-post-processing) bits through
+/// generate_into(). The post-processed stream stays available as
+/// generate() (which name-hides BitSource::generate — it consumes
+/// count * np raw bits), or, for polymorphic consumers, by wrapping the
+/// TRNG in XorCompressedSource.
 class CarryChainTrng : public BitSource {
  public:
   /// Places the canonical floorplan (Section 5) on `fabric`, elaborates it
@@ -38,18 +38,10 @@ class CarryChainTrng : public BitSource {
                  const sim::NoiseConfig& noise = sim::NoiseConfig{},
                  int base_col = 0, int base_row = 17);
 
-  /// Generates one raw (pre-post-processing) bit.
+  /// BitSource: `nbits` raw bits, one capture each, via the packed
+  /// capture -> classify -> extract pipeline (no per-capture allocation).
   /// A capture whose snapshots contain no edge (possible for too-small m)
   /// yields 0 and is counted in diagnostics().missed_edges.
-  bool next_raw_bit();
-
-  /// BitSource: one raw bit (scalar reference path).
-  bool next_bit() override { return next_raw_bit(); }
-
-  /// BitSource: `nbits` raw bits via the fused packed capture -> packed
-  /// classify -> packed extract pipeline. Bit-identical to calling
-  /// next_raw_bit() nbits times from the same generator state (the RNG
-  /// draw order is preserved), but without per-capture allocations.
   void generate_into(std::uint64_t* words, common::Bits nbits) override;
 
   /// BitSource: identity + the paper's headline raw-rate figures.

@@ -1,14 +1,13 @@
 #include "model/platform_measurement.hpp"
 
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
 
 #include "common/stats.hpp"
-#include "core/extractor.hpp"
 #include "sim/delay_line.hpp"
 #include "sim/ring_oscillator.hpp"
-#include "sim/sampler.hpp"
 
 namespace trng::model {
 
@@ -16,12 +15,33 @@ namespace {
 
 constexpr double kTwoPi = 6.283185307179586;
 
-/// First-edge position of a single-line snapshot, or -1 when edge-free.
-int first_edge_position(const sim::LineSnapshot& snapshot) {
-  for (std::size_t j = 0; j + 1 < snapshot.size(); ++j) {
-    if (snapshot[j] != snapshot[j + 1]) return static_cast<int>(j);
+/// Captures `stage` of `osc` into a packed snapshot of `line`.
+std::vector<std::uint64_t> capture(sim::TappedDelayLineSim& line,
+                                   const sim::RingOscillator& osc, int stage,
+                                   Picoseconds t_clk) {
+  std::vector<std::uint64_t> words(
+      (static_cast<std::size_t>(line.taps()) + 63) / 64);
+  line.capture_into(osc, stage, t_clk, words.data());
+  return words;
+}
+
+/// Transition positions of a packed snapshot of `taps` bits, in tap
+/// order: j is listed when taps j and j + 1 differ.
+std::vector<int> edge_positions(const std::vector<std::uint64_t>& snap,
+                                int taps) {
+  std::vector<int> positions;
+  for (std::size_t w = 0; w < snap.size(); ++w) {
+    const std::uint64_t next0 =
+        w + 1 < snap.size() ? (snap[w + 1] & 1ULL) : 0ULL;
+    // Bit b marks a transition between taps 64w+b and 64w+b+1.
+    for (std::uint64_t e = snap[w] ^ ((snap[w] >> 1) | (next0 << 63)); e != 0;
+         e &= e - 1) {
+      const int j = static_cast<int>(w * 64) + std::countr_zero(e);
+      if (j + 1 >= taps) break;
+      positions.push_back(j);
+    }
   }
-  return -1;
+  return positions;
 }
 
 }  // namespace
@@ -99,16 +119,13 @@ Picoseconds PlatformMeasurement::measure_t_step(int line_carry4s,
   for (int c = 0; c < captures; ++c) {
     t += 3.0 * half_period + 13.7;  // stride avoids phase-locking to HP
     osc.advance_to(t + 500.0);
-    const auto snap = line.capture(osc, 0, t);
     int prev = -1;
-    for (std::size_t j = 0; j + 1 < snap.size(); ++j) {
-      if (snap[j] != snap[j + 1]) {
-        if (prev >= 0) {
-          const double d = static_cast<double>(static_cast<int>(j) - prev);
-          if (d >= min_spacing) spacing.add(d);
-        }
-        prev = static_cast<int>(j);
+    for (const int j : edge_positions(capture(line, osc, 0, t), line.taps())) {
+      if (prev >= 0) {
+        const double d = static_cast<double>(j - prev);
+        if (d >= min_spacing) spacing.add(d);
       }
+      prev = j;
     }
   }
   if (spacing.count() < 10) {
@@ -170,11 +187,14 @@ Picoseconds PlatformMeasurement::measure_jitter_sigma(
     const Picoseconds ts = t0 + t_acc_ps;
     osc_a.advance_to(ts + 500.0);
     osc_b.advance_to(ts + 500.0);
-    const auto snap_a = line_a.capture(osc_a, kStages - 1, ts);
-    const auto snap_b = line_b.capture(osc_b, kStages - 1, ts);
-    const int pa = first_edge_position(snap_a);
-    const int pb = first_edge_position(snap_b);
-    if (pa >= 0 && pb >= 0) {
+    // First edge of each line; an edge-free capture is skipped.
+    const auto edges_a =
+        edge_positions(capture(line_a, osc_a, kStages - 1, ts), line_a.taps());
+    const auto edges_b =
+        edge_positions(capture(line_b, osc_b, kStages - 1, ts), line_b.taps());
+    if (!edges_a.empty() && !edges_b.empty()) {
+      const int pa = edges_a.front();
+      const int pb = edges_b.front();
       const double age_a =
           elaborated.lines[0].cumulative_delay[static_cast<std::size_t>(pa)];
       const double age_b =

@@ -1,7 +1,6 @@
 #include "sim/delay_line.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -46,18 +45,6 @@ Picoseconds TappedDelayLineSim::observation_time(int tap,
   }
   const auto j = static_cast<std::size_t>(tap);
   return t_clk + timing_.ff_clock_skew[j] - timing_.cumulative_delay[j];
-}
-
-LineSnapshot TappedDelayLineSim::capture(const RingOscillator& source,
-                                         int stage, Picoseconds t_clk) {
-  std::vector<std::uint64_t> words(
-      (static_cast<std::size_t>(taps()) + 63) / 64);
-  capture_into(source, stage, t_clk, words.data());
-  LineSnapshot bits(static_cast<std::size_t>(taps()));
-  for (std::size_t j = 0; j < bits.size(); ++j) {
-    bits[j] = ((words[j >> 6] >> (j & 63)) & 1ULL) != 0;
-  }
-  return bits;
 }
 
 void TappedDelayLineSim::capture_into(const RingOscillator& source, int stage,
@@ -202,82 +189,6 @@ std::vector<Picoseconds> TappedDelayLineSim::effective_bin_widths() const {
     widths.push_back(observation_time(j, 0.0) - observation_time(j + 1, 0.0));
   }
   return widths;
-}
-
-int count_edges(const LineSnapshot& snapshot) {
-  int edges = 0;
-  for (std::size_t j = 0; j + 1 < snapshot.size(); ++j) {
-    if (snapshot[j] != snapshot[j + 1]) ++edges;
-  }
-  return edges;
-}
-
-bool has_bubble(const LineSnapshot& snapshot) {
-  for (std::size_t j = 1; j + 1 < snapshot.size(); ++j) {
-    if (snapshot[j] != snapshot[j - 1] && snapshot[j] != snapshot[j + 1]) {
-      return true;
-    }
-  }
-  return false;
-}
-
-int count_edges_packed(const std::uint64_t* words, int taps) {
-  if (taps <= 1) return 0;
-  const std::size_t pairs = static_cast<std::size_t>(taps) - 1;
-  const std::size_t nwords = (static_cast<std::size_t>(taps) + 63) / 64;
-  int edges = 0;
-  for (std::size_t w = 0; w < nwords; ++w) {
-    const std::uint64_t next0 =
-        (w + 1 < nwords) ? (words[w + 1] & 1ULL) : 0ULL;
-    // Bit b marks a transition between taps 64w+b and 64w+b+1.
-    std::uint64_t x = words[w] ^ ((words[w] >> 1) | (next0 << 63));
-    const std::size_t base = w * 64;
-    if (pairs < base + 64) {
-      const std::size_t valid = pairs > base ? pairs - base : 0;
-      x &= valid == 0 ? 0ULL : (~0ULL >> (64 - valid));
-    }
-    edges += std::popcount(x);
-  }
-  return edges;
-}
-
-bool has_bubble_packed(const std::uint64_t* words, int taps) {
-  if (taps < 3) return false;
-  const std::size_t nwords = (static_cast<std::size_t>(taps) + 63) / 64;
-  const std::size_t last = static_cast<std::size_t>(taps) - 2;
-  for (std::size_t w = 0; w < nwords; ++w) {
-    const std::uint64_t v = words[w];
-    const std::uint64_t prev63 = (w > 0) ? (words[w - 1] >> 63) : 0ULL;
-    const std::uint64_t next0 =
-        (w + 1 < nwords) ? (words[w + 1] & 1ULL) : 0ULL;
-    const std::uint64_t left = (v << 1) | prev63;
-    const std::uint64_t right = (v >> 1) | (next0 << 63);
-    std::uint64_t b = (v ^ left) & (v ^ right);
-    // Restrict to interior taps 1 .. taps-2.
-    const std::size_t base = w * 64;
-    std::uint64_t mask = ~0ULL;
-    if (base == 0) mask &= ~1ULL;
-    if (last < base) {
-      mask = 0;
-    } else if (last - base < 63) {
-      mask &= ~0ULL >> (63 - (last - base));
-    }
-    if ((b & mask) != 0) return true;
-  }
-  return false;
-}
-
-SnapshotClass classify_snapshots(const std::vector<LineSnapshot>& lines) {
-  int total_edges = 0;
-  bool bubble = false;
-  for (const auto& line : lines) {
-    total_edges += count_edges(line);
-    bubble = bubble || has_bubble(line);
-  }
-  if (bubble) return SnapshotClass::kBubbles;
-  if (total_edges == 0) return SnapshotClass::kNoEdge;
-  if (total_edges == 1) return SnapshotClass::kRegular;
-  return SnapshotClass::kDoubleEdge;
 }
 
 }  // namespace trng::sim

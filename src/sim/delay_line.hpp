@@ -29,18 +29,11 @@
 
 namespace trng::sim {
 
-/// One captured TDC snapshot (the m flip-flop values of one line).
-using LineSnapshot = std::vector<bool>;
-
 class TappedDelayLineSim {
  public:
   TappedDelayLineSim(const fpga::ElaboratedDelayLine& timing,
                      const fpga::FlipFlopTimingSpec& ff_spec,
                      std::uint64_t seed);
-
-  /// capture_into() unpacked into one bool per tap.
-  LineSnapshot capture(const RingOscillator& source, int stage,
-                       Picoseconds t_clk);
 
   /// Captures the line fed by `source` stage `stage` at clock edge `t_clk`,
   /// packed LSB-first into `out_words` (tap j -> out_words[j >> 6] bit
@@ -89,31 +82,5 @@ class TappedDelayLineSim {
   Picoseconds offset_hi_ = 0.0;
   std::uint64_t metastable_events_ = 0;
 };
-
-/// Classification of a full multi-line snapshot, used to reproduce the
-/// phenomenology of Figure 4.
-enum class SnapshotClass {
-  kRegular,     ///< exactly one edge across all lines (Fig. 4a)
-  kDoubleEdge,  ///< two or more edges (Fig. 4b)
-  kBubbles,     ///< at least one 1-bit-wide glitch next to an edge (Fig. 4c)
-  kNoEdge,      ///< all lines constant — the "missed edge" failure (Sec. 5.2)
-};
-
-/// Counts 0->1/1->0 transitions in one line snapshot.
-int count_edges(const LineSnapshot& snapshot);
-
-/// True when the snapshot contains an isolated single-bit glitch
-/// (pattern 010 or 101 with the single bit differing from both neighbours).
-bool has_bubble(const LineSnapshot& snapshot);
-
-/// count_edges on a packed snapshot of `taps` bits (capture_into layout):
-/// XOR-with-shift plus popcount per word instead of a per-bit loop.
-int count_edges_packed(const std::uint64_t* words, int taps);
-
-/// has_bubble on a packed snapshot of `taps` bits.
-bool has_bubble_packed(const std::uint64_t* words, int taps);
-
-/// Classifies the set of line snapshots of one capture.
-SnapshotClass classify_snapshots(const std::vector<LineSnapshot>& lines);
 
 }  // namespace trng::sim

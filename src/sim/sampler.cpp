@@ -42,35 +42,6 @@ SampleController::SampleController(const fpga::ElaboratedTrng& elaborated,
   }
 }
 
-CaptureResult SampleController::next_capture(Cycles accumulation_cycles) {
-  if (accumulation_cycles == 0) {
-    throw std::invalid_argument(
-        "SampleController::next_capture: accumulation_cycles must be >= 1");
-  }
-  if (mode_ == SamplingMode::kRestart || !started_) {
-    oscillator_.reset(schedule_.cursor_ps());
-    started_ = true;
-  }
-  // begin_conversion returns the sample instant and advances the cursor to
-  // the following clock edge (where the next conversion starts).
-  const Picoseconds t_sample = schedule_.begin_conversion(accumulation_cycles);
-
-  // Simulate past the sample instant far enough to cover the largest
-  // positive clock skew plus the metastability aperture. The scalar capture
-  // path runs the reference advance kernel; trajectories are bit-identical
-  // to the batched kernel next_capture_into uses.
-  oscillator_.advance_to(t_sample + 500.0, AdvanceKernel::kReference);
-
-  CaptureResult result;
-  result.sample_time_ps = t_sample;
-  result.lines.reserve(lines_.size());
-  for (std::size_t i = 0; i < lines_.size(); ++i) {
-    result.lines.push_back(
-        lines_[i].capture(oscillator_, static_cast<int>(i), t_sample));
-  }
-  return result;
-}
-
 void SampleController::next_capture_into(Cycles accumulation_cycles,
                                          PackedCapture& out) {
   if (accumulation_cycles == 0) {
@@ -113,10 +84,10 @@ std::uint64_t SampleController::metastable_events() const {
 }
 
 SnapshotClass classify_packed(const PackedCapture& capture) {
-  // Single fused pass per line: count_edges_packed and has_bubble_packed
-  // share their shifted-neighbour words, and this runs once per generated
-  // bit, so fusing them here spares two helper calls per line. The masks
-  // and results are identical to the helpers'.
+  // One fused pass per line: the edge count and the bubble scan share
+  // their shifted-neighbour words, and this runs once per generated bit.
+  // A bubble is an interior tap differing from both neighbours (010 or
+  // 101); it takes precedence over the edge count.
   int total_edges = 0;
   bool bubble = false;
   const int taps = capture.taps;

@@ -24,13 +24,7 @@
 
 namespace trng::sim {
 
-/// One full conversion: the snapshots of all n delay lines.
-struct [[nodiscard]] CaptureResult {
-  std::vector<LineSnapshot> lines;
-  Picoseconds sample_time_ps = 0.0;
-};
-
-/// One full conversion in packed form: each line's snapshot occupies
+/// One full conversion, packed: each line's snapshot occupies
 /// `words_per_line` consecutive 64-bit words (tap j of line i at
 /// words[i * words_per_line + (j >> 6)] bit (j & 63); tail bits zero).
 /// The flat buffer is reused across conversions by next_capture_into, so
@@ -52,6 +46,15 @@ struct [[nodiscard]] PackedCapture {
   }
 };
 
+/// Classification of a full multi-line snapshot, used to reproduce the
+/// phenomenology of Figure 4.
+enum class SnapshotClass {
+  kRegular,     ///< exactly one edge across all lines (Fig. 4a)
+  kDoubleEdge,  ///< two or more edges (Fig. 4b)
+  kBubbles,     ///< at least one 1-bit-wide glitch next to an edge (Fig. 4c)
+  kNoEdge,      ///< all lines constant — the "missed edge" failure (Sec. 5.2)
+};
+
 enum class SamplingMode { kRestart, kFreeRunning };
 
 class SampleController {
@@ -65,15 +68,10 @@ class SampleController {
                        constants::kSystemClockPeriodPs);
 
   /// Runs one conversion with `accumulation_cycles` system-clock cycles of
-  /// jitter accumulation (t_A = N_A * T_clk) and returns the captured
-  /// snapshots. Throws std::invalid_argument if accumulation_cycles == 0.
-  CaptureResult next_capture(Cycles accumulation_cycles);
-
-  /// Packed form of next_capture(): fills `out` (reusing its buffer) via
-  /// TappedDelayLineSim::capture_into. Both forms run the same capture, so
-  /// for the same controller state their snapshots are bit-identical;
-  /// that capture matches the dense per-tap capture in law (see
-  /// TappedDelayLineSim::capture_into).
+  /// jitter accumulation (t_A = N_A * T_clk) and fills `out` (reusing its
+  /// buffer) with the snapshots TappedDelayLineSim::capture_into takes;
+  /// that capture matches the dense per-tap capture in law. Throws
+  /// std::invalid_argument if accumulation_cycles == 0.
   void next_capture_into(Cycles accumulation_cycles, PackedCapture& out);
 
   const RingOscillator& oscillator() const { return oscillator_; }
@@ -95,7 +93,9 @@ class SampleController {
   bool started_ = false;
 };
 
-/// classify_snapshots on a packed capture (word-level edge/bubble scans).
+/// Classifies one capture (Figure 4): counts the transitions between
+/// neighbouring taps over all lines and looks for bubbles, with one
+/// word-level scan per line.
 SnapshotClass classify_packed(const PackedCapture& capture);
 
 }  // namespace trng::sim

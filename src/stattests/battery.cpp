@@ -108,24 +108,6 @@ BatteryReport TestBattery::run(core::BitSource& source,
   return run(source.generate(nbits));
 }
 
-std::optional<unsigned> TestBattery::min_passing_np(const RawSource& source,
-                                                    common::Bits test_bits,
-                                                    unsigned max_np) const {
-  if (!source || test_bits < common::Bits{20000} || max_np == 0) {
-    throw std::invalid_argument("min_passing_np: bad arguments");
-  }
-  for (unsigned np = 1; np <= max_np; ++np) {
-    const common::BitStream raw = source(test_bits * np);
-    const BatteryReport report = run(raw.xor_fold(np));
-    // Vacuous reports (zero applicable tests — e.g. a source that returned
-    // far fewer bits than requested) never qualify: all_passed() rejects
-    // them, and the explicit check documents the intent here.
-    if (report.applicable_count() == 0) continue;
-    if (report.all_passed(options_.alpha)) return np;
-  }
-  return std::nullopt;
-}
-
 std::optional<unsigned> TestBattery::min_passing_np(core::BitSource& source,
                                                     common::Bits test_bits,
                                                     unsigned max_np) const {
@@ -134,9 +116,8 @@ std::optional<unsigned> TestBattery::min_passing_np(core::BitSource& source,
   }
   for (unsigned np = 1; np <= max_np; ++np) {
     const common::BitStream raw = source.generate(test_bits * np);
-    const BatteryReport report = run(raw.xor_fold(np));
-    if (report.applicable_count() == 0) continue;
-    if (report.all_passed(options_.alpha)) return np;
+    // all_passed() rejects a vacuous report (no applicable test).
+    if (run(raw.xor_fold(np)).all_passed(options_.alpha)) return np;
   }
   return std::nullopt;
 }

@@ -9,7 +9,6 @@
 // BatteryExecutor thread pool. Every engine produces the same report.
 #pragma once
 
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -65,23 +64,12 @@ class TestBattery {
   /// and runs every test on them.
   BatteryReport run(core::BitSource& source, common::Bits nbits) const;
 
-  /// Streaming source of raw bits: invoked with a bit count, returns that
-  /// many fresh raw bits from the generator under test. Legacy adapter —
-  /// new code should pass a core::BitSource directly.
-  using RawSource = std::function<common::BitStream(common::Bits)>;
-
   /// The paper's n_NIST: smallest np in [1, max_np] such that the XOR-
   /// compressed output passes all applicable tests. Each candidate np
-  /// consumes test_bits * np fresh raw bits. Returns nullopt when even
-  /// max_np fails (Table 1 reports this as "> max_np"). A candidate whose
-  /// folded stream is too short for any test (a source returning fewer
-  /// bits than requested) is rejected, never accepted vacuously.
-  std::optional<unsigned> min_passing_np(const RawSource& source,
-                                         common::Bits test_bits,
-                                         unsigned max_np = 16) const;
-
-  /// BitSource form of the n_NIST search: raw bits are drawn batched from
-  /// `source` (which must produce RAW, pre-compression bits).
+  /// draws test_bits * np fresh raw bits from `source` (which must produce
+  /// RAW, pre-compression bits). Returns nullopt when even max_np fails
+  /// (Table 1 reports this as "> max_np"). Throws std::invalid_argument
+  /// for test_bits < 20000 or max_np == 0.
   std::optional<unsigned> min_passing_np(core::BitSource& source,
                                          common::Bits test_bits,
                                          unsigned max_np = 16) const;

@@ -1,0 +1,169 @@
+// Bit-at-a-time references for the packed datapath, used only by tests.
+//
+// src/ ships one implementation of each operation: the packed Figure 4
+// classifier (sim::classify_packed), the packed Figure 5 extractor
+// (core::EntropyExtractor::extract_packed) and the Sunar/Schellekens
+// resilient-function refill that runs its rings as SoA lanes. The scalar
+// forms below restate each one a tap (or a ring) at a time, straight from
+// the paper's description, so the tests can check the word-level code
+// against them. Plus the test helpers that build packed captures from
+// '0'/'1' strings.
+#pragma once
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "core/baselines/sunar_trng.hpp"
+#include "core/extractor.hpp"
+#include "sim/sampler.hpp"
+
+namespace trng::test {
+
+/// One line snapshot, one bool per tap (tap 0 first).
+using Snapshot = std::vector<bool>;
+
+/// Packs '0'/'1' strings (tap 0 first, all of one length) into a capture.
+inline sim::PackedCapture packed_capture(const std::vector<std::string>& lines) {
+  sim::PackedCapture pc;
+  pc.lines = static_cast<int>(lines.size());
+  pc.taps = lines.empty() ? 0 : static_cast<int>(lines.front().size());
+  pc.words_per_line = (pc.taps + 63) / 64;
+  pc.words.assign(static_cast<std::size_t>(pc.lines) *
+                      static_cast<std::size_t>(pc.words_per_line),
+                  0);
+  for (int i = 0; i < pc.lines; ++i) {
+    std::uint64_t* words = pc.line(i);
+    const std::string& line = lines[static_cast<std::size_t>(i)];
+    for (int j = 0; j < pc.taps; ++j) {
+      words[j >> 6] |=
+          static_cast<std::uint64_t>(line[static_cast<std::size_t>(j)] == '1')
+          << (j & 63);
+    }
+  }
+  return pc;
+}
+
+/// Unpacks every line of a capture into a Snapshot.
+inline std::vector<Snapshot> unpack(const sim::PackedCapture& pc) {
+  std::vector<Snapshot> lines;
+  for (int i = 0; i < pc.lines; ++i) {
+    const std::uint64_t* words = pc.line(i);
+    Snapshot s(static_cast<std::size_t>(pc.taps));
+    for (int j = 0; j < pc.taps; ++j) {
+      s[static_cast<std::size_t>(j)] = ((words[j >> 6] >> (j & 63)) & 1ULL) != 0;
+    }
+    lines.push_back(s);
+  }
+  return lines;
+}
+
+/// Transitions between neighbouring taps of one snapshot.
+inline int count_edges(const Snapshot& s) {
+  int edges = 0;
+  for (std::size_t j = 0; j + 1 < s.size(); ++j) {
+    if (s[j] != s[j + 1]) ++edges;
+  }
+  return edges;
+}
+
+/// True when an interior tap differs from both neighbours (010 or 101).
+inline bool has_bubble(const Snapshot& s) {
+  for (std::size_t j = 1; j + 1 < s.size(); ++j) {
+    if (s[j] != s[j - 1] && s[j] != s[j + 1]) return true;
+  }
+  return false;
+}
+
+/// Figure 4 classes of one capture, a tap at a time.
+inline sim::SnapshotClass classify_snapshots(const std::vector<Snapshot>& lines) {
+  int total_edges = 0;
+  bool bubble = false;
+  for (const Snapshot& line : lines) {
+    total_edges += count_edges(line);
+    bubble = bubble || has_bubble(line);
+  }
+  if (bubble) return sim::SnapshotClass::kBubbles;
+  if (total_edges == 0) return sim::SnapshotClass::kNoEdge;
+  if (total_edges == 1) return sim::SnapshotClass::kRegular;
+  return sim::SnapshotClass::kDoubleEdge;
+}
+
+/// Figure 5 a tap at a time: XOR the lines, priority-encode the first
+/// edge, merge k bins, output the LSB of the merged position.
+inline core::ExtractionResult extract_scalar(const std::vector<Snapshot>& lines,
+                                             int k) {
+  Snapshot v(lines.front().size(), false);
+  for (const Snapshot& line : lines) {
+    for (std::size_t j = 0; j < v.size(); ++j) v[j] = v[j] != line[j];
+  }
+  core::ExtractionResult r;
+  for (std::size_t j = 0; j + 1 < v.size(); ++j) {
+    if (v[j] != v[j + 1]) {
+      r.edge_found = true;
+      r.edge_position = static_cast<int>(j);
+      r.bit = ((r.edge_position / k) & 1) != 0;
+      break;
+    }
+  }
+  return r;
+}
+
+/// SunarSchellekensTrng a ring and a bit at a time: the same die (ring
+/// de-tuning and start phases drawn from `seed` in constructor order) and
+/// the same Gaussian stream, one next_gaussian() per ring per sample.
+class SunarReference {
+ public:
+  using Params = core::baselines::SunarSchellekensTrng::Params;
+
+  SunarReference(Params params, std::uint64_t seed)
+      : params_(params),
+        rng_(seed),
+        sample_period_ps_(1.0e12 / params.sample_rate_hz) {
+    for (int i = 0; i < params_.rings; ++i) {
+      const double spread = 1.0 + 0.03 * rng_.next_gaussian();
+      const double half = static_cast<double>(params_.stages_per_ring) *
+                          params_.d0_ps * std::max(spread, 0.5);
+      half_period_.push_back(half);
+      phase_.push_back(rng_.next_double() * 2.0);
+      const double traversals =
+          sample_period_ps_ /
+          (half / static_cast<double>(params_.stages_per_ring));
+      sig_step_.push_back(params_.sigma_ps * std::sqrt(traversals));
+    }
+  }
+
+  /// One pre-post-processing sample: the XOR of all rings' square waves.
+  bool next_raw_sample() {
+    bool acc = false;
+    for (std::size_t i = 0; i < phase_.size(); ++i) {
+      const double jitter_ps = sig_step_[i] * rng_.next_gaussian();
+      phase_[i] += (sample_period_ps_ + jitter_ps) / half_period_[i];
+      const auto halves = static_cast<long long>(std::floor(phase_[i]));
+      acc = acc != ((halves % 2) != 0);
+    }
+    return acc;
+  }
+
+  /// One output bit: the parity of the next code_in / code_out raw samples
+  /// (the [code_in, code_out] XOR-fold resilient function).
+  bool next_bit() {
+    const unsigned group = params_.code_in / params_.code_out;
+    bool parity = false;
+    for (unsigned g = 0; g < group; ++g) parity = parity != next_raw_sample();
+    return parity;
+  }
+
+ private:
+  Params params_;
+  common::Xoshiro256StarStar rng_;
+  double sample_period_ps_;
+  std::vector<double> phase_;
+  std::vector<double> half_period_;
+  std::vector<double> sig_step_;
+};
+
+}  // namespace trng::test

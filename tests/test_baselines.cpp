@@ -2,10 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "core/baselines/str_trng.hpp"
 #include "core/baselines/sunar_trng.hpp"
 #include "core/baselines/tero_trng.hpp"
+#include "oracles.hpp"
 
 namespace trng::core::baselines {
 namespace {
@@ -34,11 +36,32 @@ TEST(SunarTrng, OutputIsBalanced) {
 }
 
 TEST(SunarTrng, RawSamplesAreNotConstant) {
-  SunarSchellekensTrng t(3);
-  int ones = 0;
-  for (int i = 0; i < 1000; ++i) ones += t.next_raw_sample() ? 1 : 0;
-  EXPECT_GT(ones, 100);
-  EXPECT_LT(ones, 900);
+  // A [16, 16] resilient function passes each raw sample (the XOR of all
+  // rings at the sample clock) through unchanged.
+  SunarSchellekensTrng::Params p;
+  p.code_in = 16;
+  p.code_out = 16;
+  SunarSchellekensTrng t(p, 3);
+  const std::size_t ones = t.generate(trng::common::Bits{1000}).count_ones();
+  EXPECT_GT(ones, 100u);
+  EXPECT_LT(ones, 900u);
+}
+
+TEST(SunarTrng, MatchesScalarReference) {
+  // The SoA lane refill (one Gaussian block per sample, rings as lanes)
+  // against the ring-at-a-time reference in tests/oracles.hpp, on the
+  // default [256, 16] code and on a raw [16, 16] one.
+  for (const unsigned code_in : {256u, 16u}) {
+    SCOPED_TRACE(code_in);
+    SunarSchellekensTrng::Params p;
+    p.code_in = code_in;
+    SunarSchellekensTrng t(p, 5);
+    test::SunarReference ref(p, 5);
+    const auto bits = t.generate(trng::common::Bits{300});
+    for (std::size_t i = 0; i < bits.size(); ++i) {
+      ASSERT_EQ(bits[i], ref.next_bit()) << "bit " << i;
+    }
+  }
 }
 
 TEST(StrTrng, RejectsBadParameters) {
@@ -98,7 +121,8 @@ TEST(TeroTrng, CountsSpreadAroundMean) {
   double sum2 = 0.0;
   constexpr int kN = 20000;
   for (int i = 0; i < kN; ++i) {
-    (void)t.next_bit();
+    std::uint64_t bit = 0;
+    t.generate_into(&bit, trng::common::Bits{1});
     sum += static_cast<double>(t.last_count());
     sum2 += static_cast<double>(t.last_count()) *
             static_cast<double>(t.last_count());

@@ -1,7 +1,11 @@
 // Unit tests for the battery runner and the n_NIST search.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
 #include "common/rng.hpp"
+#include "core/bit_source.hpp"
 #include "stattests/battery.hpp"
 
 namespace trng::stat {
@@ -95,33 +99,42 @@ TEST(TestBattery, VacuousReportDoesNotPass) {
   EXPECT_FALSE(empty.all_passed());
 }
 
-TEST(TestBattery, MinPassingNpRejectsVacuousCandidates) {
-  // A broken source that ignores the requested count and always returns
-  // ~50 bits: every folded candidate is too short for any test, so the
-  // n_NIST search must return nullopt instead of accepting np = 1 on a
-  // report where nothing ran.
-  TestBattery::Options opt;
-  opt.include_slow = false;
-  TestBattery battery(opt);
-  auto source = [](common::Bits) { return random_bits(50, 3); };
-  EXPECT_EQ(battery.min_passing_np(source, common::Bits{30000}, 4),
-            std::nullopt);
-}
+/// A test-local raw source: each bit is 1 with probability `p_one` (one
+/// next_double() per bit), or a raw next() word per 64 bits at p_one = 0.5.
+class BernoulliSource : public core::BitSource {
+ public:
+  BernoulliSource(double p_one, std::uint64_t seed) : p_one_(p_one), rng_(seed) {}
+
+  void generate_into(std::uint64_t* words, common::Bits nbits) override {
+    const std::size_t n = nbits.count();
+    for (std::size_t w = 0; w < (n + 63) / 64; ++w) {
+      const std::size_t len = std::min<std::size_t>(64, n - w * 64);
+      std::uint64_t v = 0;
+      if (p_one_ == 0.5) {
+        v = rng_.next();
+        if (len < 64) v &= (std::uint64_t{1} << len) - 1;
+      } else {
+        for (std::size_t b = 0; b < len; ++b) {
+          v |= static_cast<std::uint64_t>(rng_.next_double() < p_one_) << b;
+        }
+      }
+      words[w] = v;
+    }
+  }
+  core::SourceInfo info() const override { return {"bernoulli", "", "", 1.0}; }
+
+ private:
+  double p_one_;
+  common::Xoshiro256StarStar rng_;
+};
 
 TEST(TestBattery, MinPassingNpFindsCompressionRate) {
   // A source with bias 0.25: b_pp(np) = 2^(np-1) * 0.25^np; np = 3 gives
   // bias 0.0156 — still detectable on 60k bits; np = 4 gives 0.0039.
-  common::Xoshiro256StarStar rng(5);
   TestBattery::Options opt;
   opt.include_slow = false;
   TestBattery battery(opt);
-  auto source = [&rng](common::Bits count) {
-    common::BitStream b;
-    for (std::size_t i = 0; i < count.count(); ++i) {
-      b.push_back(rng.next_double() < 0.75);
-    }
-    return b;
-  };
+  BernoulliSource source(0.75, 5);
   const auto np = battery.min_passing_np(source, common::Bits{60000}, 8);
   ASSERT_TRUE(np.has_value());
   EXPECT_GE(*np, 3u);
@@ -129,19 +142,10 @@ TEST(TestBattery, MinPassingNpFindsCompressionRate) {
 }
 
 TEST(TestBattery, MinPassingNpIsOneForGoodSource) {
-  common::Xoshiro256StarStar rng(6);
   TestBattery::Options opt;
   opt.include_slow = false;
   TestBattery battery(opt);
-  auto source = [&rng](common::Bits count) {
-    const std::size_t n = count.count();
-    common::BitStream b;
-    b.reserve(n + 64);
-    for (std::size_t w = 0; w < n / 64 + 1; ++w) {
-      b.append_bits(rng.next(), 64);
-    }
-    return b.slice(0, n);
-  };
+  BernoulliSource source(0.5, 6);
   EXPECT_EQ(battery.min_passing_np(source, common::Bits{60000}, 8), 1u);
 }
 
@@ -150,21 +154,15 @@ TEST(TestBattery, MinPassingNpReturnsNulloptWhenHopeless) {
   TestBattery::Options opt;
   opt.include_slow = false;
   TestBattery battery(opt);
-  auto source = [](common::Bits count) {
-    common::BitStream b;
-    for (std::size_t i = 0; i < count.count(); ++i) b.push_back(true);
-    return b;
-  };
+  BernoulliSource source(1.0, 7);
   EXPECT_EQ(battery.min_passing_np(source, common::Bits{30000}, 4),
             std::nullopt);
 }
 
 TEST(TestBattery, MinPassingNpValidatesArguments) {
   TestBattery battery;
-  auto source = [](common::Bits) { return common::BitStream{}; };
+  BernoulliSource source(0.5, 8);
   EXPECT_THROW(battery.min_passing_np(source, common::Bits{100}, 4),
-               std::invalid_argument);
-  EXPECT_THROW(battery.min_passing_np(nullptr, common::Bits{100000}, 4),
                std::invalid_argument);
   EXPECT_THROW(battery.min_passing_np(source, common::Bits{100000}, 0),
                std::invalid_argument);

@@ -1,11 +1,12 @@
-// The BitSource layer's central contract: for every generator family the
-// batched generate_into() stream is bit-identical to the scalar next_bit()
-// stream from the same initial state, across word boundaries, odd chunk
-// sizes and repeated calls. The scalar path is the reference
-// implementation; these tests are what lets the batched path be
-// aggressively optimized.
+// The BitSource layer's central contract: generate_into() is each
+// source's only generation path, and successive calls continue one
+// stream. For every generator family, bits drawn in uneven chunks that
+// start and end off word boundaries equal the same total drawn in one
+// call from a same-seed twin, and the tail bits of every final word are
+// zeroed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -33,70 +34,70 @@ fpga::Fabric default_fabric(std::uint64_t die = 42) {
   return fpga::Fabric(fpga::DeviceGeometry{}, die);
 }
 
-std::vector<bool> scalar_bits(BitSource& source, std::size_t n) {
-  std::vector<bool> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) out.push_back(source.next_bit());
-  return out;
-}
-
-// Draws the same total bit count from `batched` as `scalar_ref` holds, in
-// uneven chunks that start and end off word boundaries, and asserts bit
-// equality. Also asserts the tail bits of every final word are zeroed even
-// when the buffer starts out all-ones.
-void expect_batched_equals(BitSource& batched,
-                           const std::vector<bool>& scalar_ref) {
-  const std::vector<std::size_t> chunks = {1, 3, 64, 65, 127, 1000000};
-  std::size_t done = 0;
-  for (std::size_t chunk : chunks) {
-    if (done == scalar_ref.size()) break;
-    const std::size_t n = std::min(chunk, scalar_ref.size() - done);
+// Draws `total` bits from `chunked` in chunks of {1, 3, 64, 65, 127, rest}
+// and from `one_shot` in a single generate_into, and asserts bit equality.
+// Every buffer starts all-ones, so the tail bits of each final word must
+// come back zeroed.
+void expect_chunk_invariant(BitSource& chunked, BitSource& one_shot,
+                            std::size_t total) {
+  const auto draw = [](BitSource& source, std::size_t n) {
     std::vector<std::uint64_t> words((n + 63) / 64, ~std::uint64_t{0});
-    batched.generate_into(words.data(), trng::common::Bits{n});
-    for (std::size_t i = 0; i < n; ++i) {
-      const bool bit = (words[i >> 6] >> (i & 63)) & 1ULL;
-      ASSERT_EQ(bit, scalar_ref[done + i])
-          << "bit " << done + i << " of " << scalar_ref.size()
-          << " (chunk of " << n << ")";
-    }
+    source.generate_into(words.data(), trng::common::Bits{n});
     for (std::size_t i = n; i < words.size() * 64; ++i) {
-      ASSERT_EQ((words[i >> 6] >> (i & 63)) & 1ULL, 0u)
-          << "tail bit " << i << " not zeroed";
+      EXPECT_EQ((words[i >> 6] >> (i & 63)) & 1ULL, 0u)
+          << "tail bit " << i << " of a " << n << "-bit draw not zeroed";
+    }
+    return words;
+  };
+  const std::vector<std::uint64_t> whole = draw(one_shot, total);
+  static constexpr std::size_t kChunks[] = {1, 3, 64, 65, 127, 1000000};
+  std::size_t done = 0;
+  for (const std::size_t chunk : kChunks) {
+    if (done == total) break;
+    const std::size_t n = std::min(chunk, total - done);
+    const std::vector<std::uint64_t> part = draw(chunked, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t at = done + i;
+      ASSERT_EQ((part[i >> 6] >> (i & 63)) & 1ULL,
+                (whole[at >> 6] >> (at & 63)) & 1ULL)
+          << "bit " << at << " of " << total << " (chunk of " << n << ")";
     }
     done += n;
   }
-  ASSERT_EQ(done, scalar_ref.size());
+  ASSERT_EQ(done, total);
+}
+
+// Chunked and one-shot draws of a carry-chain TRNG must also account the
+// Figure 4 phenomenology and the metastable captures identically.
+void expect_same_diagnostics(const CarryChainTrng& a, const CarryChainTrng& b) {
+  EXPECT_EQ(a.diagnostics().captures, b.diagnostics().captures);
+  EXPECT_EQ(a.diagnostics().double_edges, b.diagnostics().double_edges);
+  EXPECT_EQ(a.diagnostics().bubbles, b.diagnostics().bubbles);
+  EXPECT_EQ(a.diagnostics().missed_edges, b.diagnostics().missed_edges);
+  EXPECT_EQ(a.metastable_events(), b.metastable_events());
 }
 
 TEST(BitSourceEquivalence, CarryChainRestartMode) {
   const auto fabric = default_fabric();
-  CarryChainTrng scalar(fabric, DesignParams{}, 7);
-  CarryChainTrng batched(fabric, DesignParams{}, 7);
-  expect_batched_equals(batched, scalar_bits(scalar, 600));
-
-  // The fused packed pipeline must also account phenomenology identically.
-  EXPECT_EQ(scalar.diagnostics().captures, batched.diagnostics().captures);
-  EXPECT_EQ(scalar.diagnostics().double_edges,
-            batched.diagnostics().double_edges);
-  EXPECT_EQ(scalar.diagnostics().bubbles, batched.diagnostics().bubbles);
-  EXPECT_EQ(scalar.diagnostics().missed_edges,
-            batched.diagnostics().missed_edges);
-  EXPECT_EQ(scalar.metastable_events(), batched.metastable_events());
+  CarryChainTrng chunked(fabric, DesignParams{}, 7);
+  CarryChainTrng one_shot(fabric, DesignParams{}, 7);
+  expect_chunk_invariant(chunked, one_shot, 600);
+  expect_same_diagnostics(chunked, one_shot);
 }
 
 TEST(BitSourceEquivalence, CarryChainFreeRunningMode) {
+  // Free-running sampling sweeps all Figure 4 classes, so the diagnostics
+  // comparison sees double edges, bubbles and metastable captures.
   const auto fabric = default_fabric();
   DesignParams p;
   p.mode = sim::SamplingMode::kFreeRunning;
-  CarryChainTrng scalar(fabric, p, 7);
-  CarryChainTrng batched(fabric, p, 7);
-  expect_batched_equals(batched, scalar_bits(scalar, 600));
-  EXPECT_EQ(scalar.diagnostics().captures, batched.diagnostics().captures);
-  EXPECT_EQ(scalar.diagnostics().double_edges,
-            batched.diagnostics().double_edges);
-  EXPECT_EQ(scalar.diagnostics().bubbles, batched.diagnostics().bubbles);
-  EXPECT_EQ(scalar.diagnostics().missed_edges,
-            batched.diagnostics().missed_edges);
+  CarryChainTrng chunked(fabric, p, 7);
+  CarryChainTrng one_shot(fabric, p, 7);
+  expect_chunk_invariant(chunked, one_shot, 600);
+  expect_same_diagnostics(chunked, one_shot);
+  EXPECT_GT(one_shot.diagnostics().double_edges +
+                one_shot.diagnostics().bubbles,
+            0u);
 }
 
 TEST(BitSourceEquivalence, CarryChainDownSampled) {
@@ -104,43 +105,77 @@ TEST(BitSourceEquivalence, CarryChainDownSampled) {
   DesignParams p;
   p.k = 4;
   p.accumulation_cycles = 20;
-  CarryChainTrng scalar(fabric, p, 7);
-  CarryChainTrng batched(fabric, p, 7);
-  expect_batched_equals(batched, scalar_bits(scalar, 200));
+  CarryChainTrng chunked(fabric, p, 7);
+  CarryChainTrng one_shot(fabric, p, 7);
+  expect_chunk_invariant(chunked, one_shot, 400);
+  expect_same_diagnostics(chunked, one_shot);
+}
+
+TEST(BitSourceEquivalence, CarryChainMissedEdges) {
+  // m = 8 is too short a window: free-running, part of the captures miss
+  // the edge, and the miss count must not depend on the chunking.
+  const auto fabric = default_fabric();
+  DesignParams p;
+  p.m = 8;
+  p.mode = sim::SamplingMode::kFreeRunning;
+  CarryChainTrng chunked(fabric, p, 7);
+  CarryChainTrng one_shot(fabric, p, 7);
+  expect_chunk_invariant(chunked, one_shot, 600);
+  expect_same_diagnostics(chunked, one_shot);
+  EXPECT_GT(one_shot.diagnostics().missed_edges, 0u);
 }
 
 TEST(BitSourceEquivalence, ElementaryAnalytic) {
-  ElementaryTrng scalar(480.0, 2.0, 800, 5, ElementaryTrng::Mode::kAnalytic);
-  ElementaryTrng batched(480.0, 2.0, 800, 5, ElementaryTrng::Mode::kAnalytic);
-  expect_batched_equals(batched, scalar_bits(scalar, 600));
+  ElementaryTrng chunked(480.0, 2.0, 800, 5, ElementaryTrng::Mode::kAnalytic);
+  ElementaryTrng one_shot(480.0, 2.0, 800, 5, ElementaryTrng::Mode::kAnalytic);
+  expect_chunk_invariant(chunked, one_shot, 600);
 }
 
 TEST(BitSourceEquivalence, ElementaryEventDriven) {
-  ElementaryTrng scalar(480.0, 2.0, 40, 5, ElementaryTrng::Mode::kEventDriven);
-  ElementaryTrng batched(480.0, 2.0, 40, 5,
-                         ElementaryTrng::Mode::kEventDriven);
-  expect_batched_equals(batched, scalar_bits(scalar, 150));
+  ElementaryTrng chunked(480.0, 2.0, 40, 5, ElementaryTrng::Mode::kEventDriven);
+  ElementaryTrng one_shot(480.0, 2.0, 40, 5,
+                          ElementaryTrng::Mode::kEventDriven);
+  expect_chunk_invariant(chunked, one_shot, 300);
 }
 
 TEST(BitSourceEquivalence, Baselines) {
-  const auto make_pair = [](int which, std::uint64_t seed)
-      -> std::pair<std::unique_ptr<BitSource>, std::unique_ptr<BitSource>> {
+  // Off-registry parameters (EveryRegistrySource covers the registry's):
+  // a [64, 16] Sunar code, a shorter STR ring, a wider TERO count spread.
+  // The odd chunk sizes straddle Sunar's 16-bit output-buffer refills.
+  const auto make = [](int which) -> std::unique_ptr<BitSource> {
     switch (which) {
-      case 0:
-        return {std::make_unique<SunarSchellekensTrng>(seed),
-                std::make_unique<SunarSchellekensTrng>(seed)};
-      case 1:
-        return {std::make_unique<SelfTimedRingTrng>(seed),
-                std::make_unique<SelfTimedRingTrng>(seed)};
-      default:
-        return {std::make_unique<TeroTrng>(seed),
-                std::make_unique<TeroTrng>(seed)};
+      case 0: {
+        SunarSchellekensTrng::Params p;
+        p.code_in = 64;
+        return std::make_unique<SunarSchellekensTrng>(p, 12);
+      }
+      case 1: {
+        SelfTimedRingTrng::Params p;
+        p.stages = 255;
+        return std::make_unique<SelfTimedRingTrng>(p, 12);
+      }
+      default: {
+        TeroTrng::Params p;
+        p.rel_sigma = 0.2;
+        return std::make_unique<TeroTrng>(p, 12);
+      }
     }
   };
   for (int which = 0; which < 3; ++which) {
-    auto [scalar, batched] = make_pair(which, 11);
-    SCOPED_TRACE(scalar->info().name);
-    expect_batched_equals(*batched, scalar_bits(*scalar, 600));
+    auto chunked = make(which);
+    auto one_shot = make(which);
+    SCOPED_TRACE(chunked->info().name);
+    expect_chunk_invariant(*chunked, *one_shot, 600);
+  }
+}
+
+TEST(BitSourceEquivalence, EveryRegistrySource) {
+  const auto fabric = default_fabric();
+  for (const auto& f : canonical_sources(fabric)) {
+    SCOPED_TRACE(f.id);
+    auto chunked = f.make(11);
+    auto one_shot = f.make(11);
+    expect_chunk_invariant(*chunked, *one_shot, 400);
   }
 }
 
@@ -169,12 +204,21 @@ TEST(XorCompressedSource, MatchesManualFold) {
   EXPECT_TRUE(got == expected);
 }
 
-TEST(XorCompressedSource, ScalarFacetDrawsBatched) {
-  ElementaryTrng inner_a(480.0, 2.0, 800, 21);
-  ElementaryTrng inner_b(480.0, 2.0, 800, 21);
-  XorCompressedSource a(inner_a, 3);
-  XorCompressedSource b(inner_b, 3);
-  expect_batched_equals(b, scalar_bits(a, 150));
+TEST(XorCompressedSource, ChunkInvariant) {
+  // The decorator over both inner pipelines: each chunk pulls its
+  // chunk * np raw bits from where the previous one stopped.
+  const auto fabric = default_fabric();
+  CarryChainTrng carry_a(fabric, DesignParams{}, 21);
+  CarryChainTrng carry_b(fabric, DesignParams{}, 21);
+  XorCompressedSource carry_chunked(carry_a, 7);
+  XorCompressedSource carry_one_shot(carry_b, 7);
+  expect_chunk_invariant(carry_chunked, carry_one_shot, 300);
+
+  ElementaryTrng elem_a(480.0, 2.0, 800, 21);
+  ElementaryTrng elem_b(480.0, 2.0, 800, 21);
+  XorCompressedSource elem_chunked(elem_a, 3);
+  XorCompressedSource elem_one_shot(elem_b, 3);
+  expect_chunk_invariant(elem_chunked, elem_one_shot, 600);
 }
 
 TEST(XorCompressedSource, InfoReflectsCompression) {

@@ -4,13 +4,17 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "fpga/fabric.hpp"
+#include "oracles.hpp"
 #include "sim/delay_line.hpp"
+#include "sim/sampler.hpp"
 
 namespace trng::sim {
 namespace {
@@ -39,6 +43,31 @@ fpga::FlipFlopTimingSpec ideal_ff() {
 RingOscillator noiseless_osc(Picoseconds d0 = 480.0) {
   return RingOscillator({d0, d0, d0}, 0.0, NoiseConfig::white_only(), nullptr,
                         1);
+}
+
+/// One capture of `line`, unpacked to a bool per tap.
+test::Snapshot capture(TappedDelayLineSim& line, const RingOscillator& osc,
+                       int stage, Picoseconds t_clk) {
+  PackedCapture pc;
+  pc.lines = 1;
+  pc.taps = line.taps();
+  pc.words_per_line = (pc.taps + 63) / 64;
+  pc.words.resize(static_cast<std::size_t>(pc.words_per_line));
+  line.capture_into(osc, stage, t_clk, pc.line(0));
+  return test::unpack(pc).front();
+}
+
+SnapshotClass classify(const std::vector<std::string>& lines) {
+  return classify_packed(test::packed_capture(lines));
+}
+
+/// `m` taps of `fill` with the taps in `flipped` inverted.
+std::string taps(int m, char fill, std::initializer_list<int> flipped = {}) {
+  std::string s(static_cast<std::size_t>(m), fill);
+  for (int j : flipped) {
+    s[static_cast<std::size_t>(j)] = fill == '1' ? '0' : '1';
+  }
+  return s;
 }
 
 TEST(TappedDelayLine, RejectsInconsistentTiming) {
@@ -73,10 +102,10 @@ TEST(TappedDelayLine, CapturesThermometerCodeAroundEdge) {
   const Picoseconds t_clk = 10000.0;
   osc.advance_to(t_clk + 100.0);
   TappedDelayLineSim line(ideal_line(36), ideal_ff(), 2);
-  const auto snap = line.capture(osc, 0, t_clk);
+  const auto snap = capture(line, osc, 0, t_clk);
   ASSERT_EQ(snap.size(), 36u);
-  EXPECT_LE(count_edges(snap), 2);
-  EXPECT_FALSE(has_bubble(snap));
+  EXPECT_LE(test::count_edges(snap), 2);
+  EXPECT_FALSE(test::has_bubble(snap));
   EXPECT_EQ(line.metastable_events(), 0u);
 }
 
@@ -92,7 +121,7 @@ TEST(TappedDelayLine, EdgePositionMatchesEdgeAge) {
   const Picoseconds t_clk = 680.0;
   osc.advance_to(t_clk + 100.0);
   TappedDelayLineSim line(ideal_line(36), ideal_ff(), 3);
-  const auto snap = line.capture(osc, 0, t_clk);
+  const auto snap = capture(line, osc, 0, t_clk);
   int edge_at = -1;
   for (int j = 0; j + 1 < 36; ++j) {
     if (snap[static_cast<std::size_t>(j)] !=
@@ -120,11 +149,9 @@ TEST(TappedDelayLine, IdealFlipFlopsReadTheLevelAtTheirInstant) {
     SCOPED_TRACE(t_clk);
     std::uint64_t words[1] = {~0ULL};
     line.capture_into(osc, 0, t_clk, words);
-    const auto snap = line.capture(osc, 0, t_clk);
     for (int j = 0; j < 36; ++j) {
       const bool expected = osc.value_at(0, line.observation_time(j, t_clk));
       EXPECT_EQ(((words[0] >> j) & 1ULL) != 0, expected) << "tap " << j;
-      EXPECT_EQ(snap[static_cast<std::size_t>(j)], expected) << "tap " << j;
     }
     EXPECT_EQ(words[0] >> 36, 0u);
   }
@@ -227,7 +254,7 @@ TEST(TappedDelayLine, MetastabilityTriggersNearEdge) {
   for (int rep = 0; rep < 200; ++rep) {
     const Picoseconds t_clk = 700.0 + rep * 1440.0;  // same phase each time
     osc.advance_to(t_clk + 100.0);
-    (void)line.capture(osc, 0, t_clk);
+    (void)capture(line, osc, 0, t_clk);
     (void)meta_before;
   }
   EXPECT_GT(line.metastable_events(), 0u);
@@ -249,28 +276,78 @@ TEST(TappedDelayLine, StaticOffsetsAreDeterministicPerSeed) {
   EXPECT_THROW(a.static_offset(16), std::out_of_range);
 }
 
+// The Figure 4 classifier on packed captures built from '0'/'1' strings
+// (tap 0 first). The m = 70 lines put edges and bubbles on the 63/64 word
+// seam, where the word-level scan reads its neighbours across two words.
+
 TEST(SnapshotHelpers, CountEdges) {
-  EXPECT_EQ(count_edges({1, 1, 1, 0, 0}), 1);
-  EXPECT_EQ(count_edges({0, 0, 0}), 0);
-  EXPECT_EQ(count_edges({1, 0, 1, 0}), 3);
-  EXPECT_EQ(count_edges({}), 0);
-  EXPECT_EQ(count_edges({1}), 0);
+  using S = SnapshotClass;
+  EXPECT_EQ(classify({"11100"}), S::kRegular);      // one edge
+  EXPECT_EQ(classify({"000"}), S::kNoEdge);
+  EXPECT_EQ(classify({"110011"}), S::kDoubleEdge);  // two edges
+  EXPECT_EQ(classify({"1"}), S::kNoEdge);           // no tap pair
+  EXPECT_EQ(classify({""}), S::kNoEdge);
+  // Edges on and across the seam of a 70-tap line.
+  std::string seam = taps(70, '1');
+  for (std::size_t j = 64; j < seam.size(); ++j) seam[j] = '0';
+  EXPECT_EQ(classify({seam}), S::kRegular);  // taps 63 | 64
+  std::string across = seam;
+  for (std::size_t j = 60; j < 64; ++j) across[j] = '0';
+  for (std::size_t j = 66; j < across.size(); ++j) across[j] = '1';
+  EXPECT_EQ(classify({across}), S::kDoubleEdge);  // taps 59 | 60, 65 | 66
+  // Edges are counted over all lines together.
+  EXPECT_EQ(classify({"1100", "0011"}), S::kDoubleEdge);
 }
 
 TEST(SnapshotHelpers, HasBubble) {
-  EXPECT_FALSE(has_bubble({1, 1, 0, 0}));
-  EXPECT_TRUE(has_bubble({1, 1, 0, 1, 1}));   // isolated 0
-  EXPECT_TRUE(has_bubble({0, 1, 0, 0}));      // isolated 1
-  EXPECT_FALSE(has_bubble({1, 0, 0, 1}));     // 2-wide gap, not a bubble
-  EXPECT_FALSE(has_bubble({1, 0}));           // too short
+  using S = SnapshotClass;
+  EXPECT_NE(classify({"1100"}), S::kBubbles);
+  EXPECT_EQ(classify({"11011"}), S::kBubbles);   // isolated 0
+  EXPECT_EQ(classify({"0100"}), S::kBubbles);    // isolated 1
+  EXPECT_EQ(classify({"1001"}), S::kDoubleEdge);  // 2-wide gap, not a bubble
+  EXPECT_EQ(classify({"10"}), S::kRegular);      // too short for a bubble
+  // Interior taps on either side of the seam, and the last interior tap,
+  // are bubbles; the two end taps have one neighbour and cannot be.
+  for (int j : {1, 62, 63, 64, 65, 68}) {
+    EXPECT_EQ(classify({taps(70, '1', {j})}), S::kBubbles) << "tap " << j;
+  }
+  EXPECT_EQ(classify({taps(70, '0', {0})}), S::kRegular);
+  EXPECT_EQ(classify({taps(70, '0', {69})}), S::kRegular);
 }
 
 TEST(SnapshotHelpers, ClassifySnapshots) {
   using S = SnapshotClass;
-  EXPECT_EQ(classify_snapshots({{1, 1, 0, 0}, {0, 0, 0, 0}}), S::kRegular);
-  EXPECT_EQ(classify_snapshots({{1, 1, 0, 0}, {0, 0, 1, 1}}), S::kDoubleEdge);
-  EXPECT_EQ(classify_snapshots({{1, 0, 1, 1}, {0, 0, 0, 0}}), S::kBubbles);
-  EXPECT_EQ(classify_snapshots({{1, 1, 1, 1}, {0, 0, 0, 0}}), S::kNoEdge);
+  EXPECT_EQ(classify({"1100", "0000"}), S::kRegular);
+  EXPECT_EQ(classify({"1100", "0011"}), S::kDoubleEdge);
+  EXPECT_EQ(classify({"1011", "0000"}), S::kBubbles);
+  EXPECT_EQ(classify({"1111", "0000"}), S::kNoEdge);
+  // A bubble in any line wins over the edge count.
+  EXPECT_EQ(classify({"1100", "0011", taps(4, '0', {2})}), S::kBubbles);
+  // Random multi-line captures of 3, 36 and 70 taps against the
+  // tap-at-a-time oracle. A few flips per line keep all four classes
+  // common.
+  common::Xoshiro256StarStar rng(17);
+  int seen[4] = {};
+  for (const int m : {3, 36, 70}) {
+    for (int trial = 0; trial < 2000; ++trial) {
+      std::vector<std::string> lines;
+      for (int i = 0; i < 3; ++i) {
+        std::string s = taps(m, (rng.next() & 1) != 0 ? '1' : '0');
+        const auto flips = rng.next() % 3;
+        for (std::uint64_t f = 0; f < flips; ++f) {
+          const auto j = static_cast<std::size_t>(rng.next() % s.size());
+          s[j] = s[j] == '1' ? '0' : '1';
+        }
+        lines.push_back(s);
+      }
+      const auto pc = test::packed_capture(lines);
+      const S expected = test::classify_snapshots(test::unpack(pc));
+      ASSERT_EQ(classify_packed(pc), expected) << lines[0] << " " << lines[1]
+                                               << " " << lines[2];
+      ++seen[static_cast<int>(expected)];
+    }
+  }
+  for (int c = 0; c < 4; ++c) EXPECT_GT(seen[c], 0) << "class " << c;
 }
 
 }  // namespace

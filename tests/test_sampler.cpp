@@ -1,11 +1,22 @@
 // Unit tests for the sample controller (enable -> accumulate -> capture).
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "core/extractor.hpp"
 #include "fpga/fabric.hpp"
+#include "oracles.hpp"
 #include "sim/sampler.hpp"
 
 namespace trng::sim {
 namespace {
+
+/// One conversion into a fresh capture.
+PackedCapture next_capture(SampleController& sc, Cycles accumulation_cycles) {
+  PackedCapture pc;
+  sc.next_capture_into(accumulation_cycles, pc);
+  return pc;
+}
 
 fpga::ElaboratedTrng make_elaborated(std::uint64_t die = 42,
                                      const fpga::FabricSpec& spec = {}) {
@@ -22,23 +33,27 @@ TEST(SampleController, RejectsBadArguments) {
                                 SamplingMode::kRestart, 0.0),
                std::invalid_argument);
   SampleController sc(e, ff, NoiseConfig{}, 1);
-  EXPECT_THROW(sc.next_capture(0), std::invalid_argument);
+  PackedCapture pc;
+  EXPECT_THROW(sc.next_capture_into(0, pc), std::invalid_argument);
 }
 
 TEST(SampleController, CaptureHasOneSnapshotPerLine) {
   const auto e = make_elaborated();
   SampleController sc(e, fpga::FlipFlopTimingSpec{}, NoiseConfig{}, 7);
-  const auto cap = sc.next_capture(1);
-  ASSERT_EQ(cap.lines.size(), 3u);
-  for (const auto& snap : cap.lines) EXPECT_EQ(snap.size(), 36u);
+  const auto cap = next_capture(sc, 1);
+  ASSERT_EQ(cap.lines, 3);
+  EXPECT_EQ(cap.taps, 36);
+  EXPECT_EQ(cap.words_per_line, 1);
+  ASSERT_EQ(cap.words.size(), 3u);
+  for (std::uint64_t w : cap.words) EXPECT_EQ(w >> 36, 0u);  // tail zero
   EXPECT_DOUBLE_EQ(cap.sample_time_ps, 10000.0);
 }
 
 TEST(SampleController, SampleTimesAdvanceByAccumulationPlusOneCycle) {
   const auto e = make_elaborated();
   SampleController sc(e, fpga::FlipFlopTimingSpec{}, NoiseConfig{}, 7);
-  const auto c1 = sc.next_capture(5);
-  const auto c2 = sc.next_capture(5);
+  const auto c1 = next_capture(sc, 5);
+  const auto c2 = next_capture(sc, 5);
   EXPECT_DOUBLE_EQ(c1.sample_time_ps, 50000.0);
   EXPECT_DOUBLE_EQ(c2.sample_time_ps, 50000.0 + 10000.0 + 50000.0);
 }
@@ -49,9 +64,9 @@ TEST(SampleController, RestartModeIsPhaseDeterministicWithoutNoise) {
   NoiseConfig off = NoiseConfig::white_only();
   off.white_sigma_scale = 0.0;
   SampleController sc(e, ff, off, 9, SamplingMode::kRestart);
-  const auto c1 = sc.next_capture(1);
-  const auto c2 = sc.next_capture(1);
-  EXPECT_EQ(c1.lines, c2.lines);  // identical phase, identical snapshot
+  const auto c1 = next_capture(sc, 1);
+  const auto c2 = next_capture(sc, 1);
+  EXPECT_EQ(c1.words, c2.words);  // identical phase, identical snapshot
 }
 
 TEST(SampleController, FreeRunningModeDrifts) {
@@ -62,10 +77,10 @@ TEST(SampleController, FreeRunningModeDrifts) {
   NoiseConfig off = NoiseConfig::white_only();
   off.white_sigma_scale = 0.0;
   SampleController sc(e, ff, off, 9, SamplingMode::kFreeRunning);
-  const auto c1 = sc.next_capture(1);
+  const auto c1 = next_capture(sc, 1);
   bool any_diff = false;
   for (int i = 0; i < 8 && !any_diff; ++i) {
-    any_diff = !(sc.next_capture(1).lines == c1.lines);
+    any_diff = next_capture(sc, 1).words != c1.words;
   }
   EXPECT_TRUE(any_diff);
 }
@@ -75,7 +90,7 @@ TEST(SampleController, DeterministicPerSeed) {
   SampleController a(e, fpga::FlipFlopTimingSpec{}, NoiseConfig{}, 1234);
   SampleController b(e, fpga::FlipFlopTimingSpec{}, NoiseConfig{}, 1234);
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(a.next_capture(1).lines, b.next_capture(1).lines);
+    EXPECT_EQ(next_capture(a, 1).words, next_capture(b, 1).words);
   }
 }
 
@@ -83,7 +98,8 @@ TEST(SampleController, MetastableCounterAccumulates) {
   const auto e = make_elaborated();
   SampleController sc(e, fpga::FlipFlopTimingSpec{}, NoiseConfig{}, 5,
                       SamplingMode::kFreeRunning);
-  for (int i = 0; i < 500; ++i) (void)sc.next_capture(1);
+  PackedCapture pc;
+  for (int i = 0; i < 500; ++i) sc.next_capture_into(1, pc);
   // Free-running sweeps all phases; some captures must hit the aperture.
   EXPECT_GT(sc.metastable_events(), 0u);
 }
@@ -97,39 +113,37 @@ TEST(SampleController, RejectsMismatchedElaboration) {
 }
 
 TEST(SampleController, PackedCaptureMatchesUnpackedCapture) {
-  // next_capture and next_capture_into run the same capture (the first
-  // unpacks it), so identically-seeded controllers must agree bit for
-  // bit, with identical sample times, and classify_packed must agree with
-  // classify_snapshots on every capture — in both sampling modes
-  // (free-running sweeps all Figure-4 classes). That capture matches the
-  // dense per-tap capture in law; test_capture_equivalence.cpp checks it.
+  // Real captures, unpacked to one bool per tap, through the tap-at-a-time
+  // Figure 4 and Figure 5 oracles: classify_packed and extract_packed must
+  // agree with them on every capture, in both sampling modes (free-running
+  // sweeps all Figure 4 classes). A controller that refills one reused
+  // capture and a same-seed twin that shapes a fresh one every time must
+  // also capture the same bits at the same instants.
   const auto e = make_elaborated();
+  const core::EntropyExtractor extractor(36, 1);
   for (auto mode : {SamplingMode::kRestart, SamplingMode::kFreeRunning}) {
     SCOPED_TRACE(mode == SamplingMode::kRestart ? "restart" : "free-running");
-    SampleController unpacked(e, fpga::FlipFlopTimingSpec{}, NoiseConfig{},
-                              7, mode);
-    SampleController packed(e, fpga::FlipFlopTimingSpec{}, NoiseConfig{}, 7,
+    SampleController fresh(e, fpga::FlipFlopTimingSpec{}, NoiseConfig{}, 7,
+                           mode);
+    SampleController reused(e, fpga::FlipFlopTimingSpec{}, NoiseConfig{}, 7,
                             mode);
     PackedCapture pc;
-    for (int iter = 0; iter < 60; ++iter) {
-      const CaptureResult cap = unpacked.next_capture(2);
-      packed.next_capture_into(2, pc);
+    for (int iter = 0; iter < 200; ++iter) {
+      const PackedCapture cap = next_capture(fresh, 2);
+      reused.next_capture_into(2, pc);
       ASSERT_DOUBLE_EQ(pc.sample_time_ps, cap.sample_time_ps);
-      ASSERT_EQ(pc.lines, static_cast<int>(cap.lines.size()));
-      ASSERT_EQ(pc.taps, static_cast<int>(cap.lines.front().size()));
-      for (int i = 0; i < pc.lines; ++i) {
-        const std::uint64_t* words = pc.line(i);
-        for (int j = 0; j < pc.taps; ++j) {
-          ASSERT_EQ(static_cast<bool>((words[j >> 6] >> (j & 63)) & 1ULL),
-                    cap.lines[static_cast<std::size_t>(i)]
-                             [static_cast<std::size_t>(j)])
-              << "capture " << iter << " line " << i << " tap " << j;
-        }
-      }
-      ASSERT_EQ(classify_packed(pc), classify_snapshots(cap.lines))
+      ASSERT_EQ(pc.words, cap.words) << "capture " << iter;
+      const std::vector<test::Snapshot> lines = test::unpack(pc);
+      ASSERT_EQ(classify_packed(pc), test::classify_snapshots(lines))
           << "capture " << iter;
+      const core::ExtractionResult packed = extractor.extract_packed(pc);
+      const core::ExtractionResult scalar = test::extract_scalar(lines, 1);
+      ASSERT_EQ(packed.edge_found, scalar.edge_found) << "capture " << iter;
+      ASSERT_EQ(packed.edge_position, scalar.edge_position)
+          << "capture " << iter;
+      ASSERT_EQ(packed.bit, scalar.bit) << "capture " << iter;
     }
-    EXPECT_EQ(unpacked.metastable_events(), packed.metastable_events());
+    EXPECT_EQ(fresh.metastable_events(), reused.metastable_events());
   }
 }
 

@@ -145,16 +145,6 @@ TEST(CarryChainTrng, MissedEdgesCountedWhenWindowTooShort) {
   (void)free_running.generate_raw(trng::common::Bits{2000});
   EXPECT_GT(free_running.diagnostics().missed_edges, 0u);
   EXPECT_LT(free_running.diagnostics().missed_edges, 2000u);
-
-  // The batched path (generate_raw) and the scalar reference must account
-  // missed edges identically.
-  CarryChainTrng scalar(fabric, p, 7);
-  std::uint64_t missed_scalar = 0;
-  for (int i = 0; i < 2000; ++i) {
-    (void)scalar.next_raw_bit();
-  }
-  missed_scalar = scalar.diagnostics().missed_edges;
-  EXPECT_EQ(missed_scalar, free_running.diagnostics().missed_edges);
 }
 
 TEST(CarryChainTrng, CustomPlacementLocation) {
