@@ -32,7 +32,6 @@
 #include "server/serverd.hpp"
 #include "service/entropy_pool.hpp"
 #include "stattests/battery.hpp"
-#include "stattests/sp800_22.hpp"
 #include "stattests/sp800_22_wordpar.hpp"
 
 namespace {
@@ -111,34 +110,36 @@ const common::BitStream& bench_bits() {
 }
 
 void BM_NistFrequency(benchmark::State& state) {
-  for (auto _ : state) benchmark::DoNotOptimize(stat::frequency_test(bench_bits()));
+  for (auto _ : state) benchmark::DoNotOptimize(stat::wordpar::frequency_test(bench_bits()));
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(bench_bits().size()));
 }
 BENCHMARK(BM_NistFrequency);
 
 void BM_NistRuns(benchmark::State& state) {
-  for (auto _ : state) benchmark::DoNotOptimize(stat::runs_test(bench_bits()));
+  for (auto _ : state) benchmark::DoNotOptimize(stat::wordpar::runs_test(bench_bits()));
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(bench_bits().size()));
 }
 BENCHMARK(BM_NistRuns);
 
 void BM_NistDft(benchmark::State& state) {
-  for (auto _ : state) benchmark::DoNotOptimize(stat::dft_test(bench_bits()));
+  for (auto _ : state) benchmark::DoNotOptimize(stat::wordpar::dft_test(bench_bits()));
 }
 BENCHMARK(BM_NistDft);
 
 void BM_NistSerial(benchmark::State& state) {
-  for (auto _ : state) benchmark::DoNotOptimize(stat::serial_test(bench_bits()));
+  for (auto _ : state) benchmark::DoNotOptimize(stat::wordpar::serial_test(bench_bits()));
 }
 BENCHMARK(BM_NistSerial);
 
 void BM_BerlekampMassey500(benchmark::State& state) {
-  std::vector<bool> block;
+  common::BitStream block;
   common::Xoshiro256StarStar rng(5);
-  for (int i = 0; i < 500; ++i) block.push_back(rng.next() & 1);
-  for (auto _ : state) benchmark::DoNotOptimize(stat::berlekamp_massey(block));
+  for (int w = 0; w < 8; ++w) block.append_bits(rng.next(), 64);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(stat::wordpar::berlekamp_massey_words(block, 0, 500));
+  }
 }
 BENCHMARK(BM_BerlekampMassey500);
 
@@ -479,7 +480,6 @@ double best_run_seconds(F&& run, int repeats) {
 
 struct BatteryTestRow {
   const char* name;
-  double scalar_ns_per_bit = 0.0;
   double wordpar_ns_per_bit = 0.0;
 };
 
@@ -499,55 +499,43 @@ void emit_battery_section(std::FILE* f) {
   const double n = static_cast<double>(nbits);
 
   using TestFn = stat::TestResult (*)(const common::BitStream&);
-  struct Pair {
+  struct Test {
     const char* name;
-    TestFn scalar;
-    TestFn wordpar;
+    TestFn run;
   };
   // Default-argument wrappers so the table can hold plain function pointers.
-  static constexpr Pair kPairs[] = {
-      {"frequency", [](const common::BitStream& b) { return stat::frequency_test(b); },
-       [](const common::BitStream& b) { return stat::wordpar::frequency_test(b); }},
-      {"block_frequency", [](const common::BitStream& b) { return stat::block_frequency_test(b); },
-       [](const common::BitStream& b) { return stat::wordpar::block_frequency_test(b); }},
-      {"runs", [](const common::BitStream& b) { return stat::runs_test(b); },
-       [](const common::BitStream& b) { return stat::wordpar::runs_test(b); }},
-      {"longest_run", [](const common::BitStream& b) { return stat::longest_run_test(b); },
-       [](const common::BitStream& b) { return stat::wordpar::longest_run_test(b); }},
-      {"cumulative_sums", [](const common::BitStream& b) { return stat::cumulative_sums_test(b); },
-       [](const common::BitStream& b) { return stat::wordpar::cumulative_sums_test(b); }},
-      {"serial", [](const common::BitStream& b) { return stat::serial_test(b); },
-       [](const common::BitStream& b) { return stat::wordpar::serial_test(b); }},
-      {"approximate_entropy", [](const common::BitStream& b) { return stat::approximate_entropy_test(b); },
-       [](const common::BitStream& b) { return stat::wordpar::approximate_entropy_test(b); }},
-      {"random_excursions", [](const common::BitStream& b) { return stat::random_excursions_test(b); },
-       [](const common::BitStream& b) { return stat::wordpar::random_excursions_test(b); }},
-      {"random_excursions_variant", [](const common::BitStream& b) { return stat::random_excursions_variant_test(b); },
-       [](const common::BitStream& b) { return stat::wordpar::random_excursions_variant_test(b); }},
-      {"rank", [](const common::BitStream& b) { return stat::rank_test(b); },
-       [](const common::BitStream& b) { return stat::wordpar::rank_test(b); }},
-      {"dft", [](const common::BitStream& b) { return stat::dft_test(b); },
-       [](const common::BitStream& b) { return stat::wordpar::dft_test(b); }},
-      {"non_overlapping_template", [](const common::BitStream& b) { return stat::non_overlapping_template_test(b); },
-       [](const common::BitStream& b) { return stat::wordpar::non_overlapping_template_test(b); }},
-      {"overlapping_template", [](const common::BitStream& b) { return stat::overlapping_template_test(b); },
-       [](const common::BitStream& b) { return stat::wordpar::overlapping_template_test(b); }},
-      {"universal", [](const common::BitStream& b) { return stat::universal_test(b); },
-       [](const common::BitStream& b) { return stat::wordpar::universal_test(b); }},
-      {"linear_complexity", [](const common::BitStream& b) { return stat::linear_complexity_test(b); },
-       [](const common::BitStream& b) { return stat::wordpar::linear_complexity_test(b); }},
+  namespace wp = stat::wordpar;
+  using BS = common::BitStream;
+  static constexpr Test kTests[] = {
+      {"frequency", [](const BS& b) { return wp::frequency_test(b); }},
+      {"block_frequency", [](const BS& b) { return wp::block_frequency_test(b); }},
+      {"runs", [](const BS& b) { return wp::runs_test(b); }},
+      {"longest_run", [](const BS& b) { return wp::longest_run_test(b); }},
+      {"cumulative_sums", [](const BS& b) { return wp::cumulative_sums_test(b); }},
+      {"serial", [](const BS& b) { return wp::serial_test(b); }},
+      {"approximate_entropy",
+       [](const BS& b) { return wp::approximate_entropy_test(b); }},
+      {"random_excursions",
+       [](const BS& b) { return wp::random_excursions_test(b); }},
+      {"random_excursions_variant",
+       [](const BS& b) { return wp::random_excursions_variant_test(b); }},
+      {"rank", [](const BS& b) { return wp::rank_test(b); }},
+      {"dft", [](const BS& b) { return wp::dft_test(b); }},
+      {"non_overlapping_template",
+       [](const BS& b) { return wp::non_overlapping_template_test(b); }},
+      {"overlapping_template",
+       [](const BS& b) { return wp::overlapping_template_test(b); }},
+      {"universal", [](const BS& b) { return wp::universal_test(b); }},
+      {"linear_complexity",
+       [](const BS& b) { return wp::linear_complexity_test(b); }},
   };
 
   std::vector<BatteryTestRow> rows;
-  for (const Pair& p : kPairs) {
+  for (const Test& t : kTests) {
     BatteryTestRow row;
-    row.name = p.name;
-    row.scalar_ns_per_bit =
-        best_run_seconds([&] { benchmark::DoNotOptimize(p.scalar(bits)); },
-                         repeats) *
-        1e9 / n;
+    row.name = t.name;
     row.wordpar_ns_per_bit =
-        best_run_seconds([&] { benchmark::DoNotOptimize(p.wordpar(bits)); },
+        best_run_seconds([&] { benchmark::DoNotOptimize(t.run(bits)); },
                          repeats) *
         1e9 / n;
     rows.push_back(row);
@@ -562,8 +550,6 @@ void emit_battery_section(std::FILE* f) {
     benchmark::DoNotOptimize(report.results.size());
   };
   const unsigned pool_threads = 4;
-  const double scalar_s = best_run_seconds(
-      [&] { run_engine(stat::TestBattery::Engine::kScalar, 0); }, repeats);
   const double wordpar_s = best_run_seconds(
       [&] { run_engine(stat::TestBattery::Engine::kWordParallel, 0); },
       repeats);
@@ -579,32 +565,24 @@ void emit_battery_section(std::FILE* f) {
   std::fprintf(f, "    \"tests\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const BatteryTestRow& r = rows[i];
-    std::fprintf(f,
-                 "      {\"name\": \"%s\", \"scalar_ns_per_bit\": %.3f, "
-                 "\"wordpar_ns_per_bit\": %.3f, \"speedup\": %.2f}%s\n",
-                 r.name, r.scalar_ns_per_bit, r.wordpar_ns_per_bit,
-                 r.scalar_ns_per_bit / r.wordpar_ns_per_bit,
-                 i + 1 < rows.size() ? "," : "");
+    std::fprintf(f, "      {\"name\": \"%s\", \"wordpar_ns_per_bit\": %.3f}%s\n",
+                 r.name, r.wordpar_ns_per_bit, i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "    ],\n");
   std::fprintf(f, "    \"whole_battery\": {\n");
-  std::fprintf(f, "      \"scalar_ns_per_bit\": %.3f,\n", scalar_s * 1e9 / n);
   std::fprintf(f, "      \"wordpar_ns_per_bit\": %.3f,\n",
                wordpar_s * 1e9 / n);
   std::fprintf(f, "      \"threaded_ns_per_bit\": %.3f,\n",
                threaded_s * 1e9 / n);
   std::fprintf(f, "      \"threads\": %u,\n", pool_threads);
-  std::fprintf(f, "      \"wordpar_speedup\": %.2f,\n", scalar_s / wordpar_s);
-  std::fprintf(f, "      \"threaded_speedup\": %.2f,\n",
-               scalar_s / threaded_s);
   std::fprintf(f,
-               "      \"comment\": \"all engines return bit-identical "
+               "      \"comment\": \"both engines return bit-identical "
                "reports; the threaded row runs the word-parallel kernels on "
                "a %u-thread BatteryExecutor and is bounded by "
                "hardware_threads — on hosts with fewer cores than threads "
                "it matches the wordpar row plus scheduling overhead (same "
-               "caveat as pool_draw.unpaced), and the wordpar_speedup "
-               "column is the host-independent figure\"\n",
+               "caveat as pool_draw.unpaced), and the wordpar row is the "
+               "host-independent figure\"\n",
                pool_threads);
   std::fprintf(f, "    }\n");
   std::fprintf(f, "  },\n");

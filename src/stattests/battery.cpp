@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "stattests/battery_executor.hpp"
-#include "stattests/sp800_22.hpp"
 #include "stattests/sp800_22_wordpar.hpp"
 
 namespace trng::stat {
@@ -49,47 +48,25 @@ BatteryReport TestBattery::run(const common::BitStream& bits) const {
   // report layout is identical across engines and thread schedules.
   std::vector<BatteryExecutor::Job> jobs;
   jobs.reserve(options_.include_slow ? 15 : 9);
-  if (options_.engine == Engine::kScalar) {
-    jobs.push_back([&bits] { return frequency_test(bits); });
-    jobs.push_back([&bits] { return block_frequency_test(bits); });
-    jobs.push_back([&bits] { return runs_test(bits); });
-    jobs.push_back([&bits] { return longest_run_test(bits); });
-    jobs.push_back([&bits] { return cumulative_sums_test(bits); });
-    jobs.push_back([&bits] { return serial_test(bits); });
-    jobs.push_back([&bits] { return approximate_entropy_test(bits); });
-    jobs.push_back([&bits] { return random_excursions_test(bits); });
-    jobs.push_back([&bits] { return random_excursions_variant_test(bits); });
-    if (options_.include_slow) {
-      jobs.push_back([&bits] { return rank_test(bits); });
-      jobs.push_back([&bits] { return dft_test(bits); });
-      jobs.push_back([&bits] { return non_overlapping_template_test(bits); });
-      jobs.push_back([&bits] { return overlapping_template_test(bits); });
-      jobs.push_back([&bits] { return universal_test(bits); });
-      jobs.push_back([&bits] { return linear_complexity_test(bits); });
-    }
-  } else {
-    jobs.push_back([&bits] { return wordpar::frequency_test(bits); });
-    jobs.push_back([&bits] { return wordpar::block_frequency_test(bits); });
-    jobs.push_back([&bits] { return wordpar::runs_test(bits); });
-    jobs.push_back([&bits] { return wordpar::longest_run_test(bits); });
-    jobs.push_back([&bits] { return wordpar::cumulative_sums_test(bits); });
-    jobs.push_back([&bits] { return wordpar::serial_test(bits); });
+  jobs.push_back([&bits] { return wordpar::frequency_test(bits); });
+  jobs.push_back([&bits] { return wordpar::block_frequency_test(bits); });
+  jobs.push_back([&bits] { return wordpar::runs_test(bits); });
+  jobs.push_back([&bits] { return wordpar::longest_run_test(bits); });
+  jobs.push_back([&bits] { return wordpar::cumulative_sums_test(bits); });
+  jobs.push_back([&bits] { return wordpar::serial_test(bits); });
+  jobs.push_back([&bits] { return wordpar::approximate_entropy_test(bits); });
+  jobs.push_back([&bits] { return wordpar::random_excursions_test(bits); });
+  jobs.push_back(
+      [&bits] { return wordpar::random_excursions_variant_test(bits); });
+  if (options_.include_slow) {
+    jobs.push_back([&bits] { return wordpar::rank_test(bits); });
+    jobs.push_back([&bits] { return wordpar::dft_test(bits); });
     jobs.push_back(
-        [&bits] { return wordpar::approximate_entropy_test(bits); });
-    jobs.push_back([&bits] { return wordpar::random_excursions_test(bits); });
+        [&bits] { return wordpar::non_overlapping_template_test(bits); });
     jobs.push_back(
-        [&bits] { return wordpar::random_excursions_variant_test(bits); });
-    if (options_.include_slow) {
-      jobs.push_back([&bits] { return wordpar::rank_test(bits); });
-      jobs.push_back([&bits] { return wordpar::dft_test(bits); });
-      jobs.push_back(
-          [&bits] { return wordpar::non_overlapping_template_test(bits); });
-      jobs.push_back(
-          [&bits] { return wordpar::overlapping_template_test(bits); });
-      jobs.push_back([&bits] { return wordpar::universal_test(bits); });
-      jobs.push_back(
-          [&bits] { return wordpar::linear_complexity_test(bits); });
-    }
+        [&bits] { return wordpar::overlapping_template_test(bits); });
+    jobs.push_back([&bits] { return wordpar::universal_test(bits); });
+    jobs.push_back([&bits] { return wordpar::linear_complexity_test(bits); });
   }
 
   BatteryReport report;

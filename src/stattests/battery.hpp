@@ -2,11 +2,11 @@
 // paper's n_NIST search — the minimal XOR compression rate such that the
 // compressed output passes every applicable test (Table 1's n_NIST column).
 //
-// The battery is a two-level parallel engine. Level 1 selects the counting
-// kernels: the bit-serial reference (sp800_22.hpp) or the word-parallel
-// kernels (sp800_22_wordpar.hpp), which are bit-identical by construction.
-// Level 2 optionally schedules the independent tests across a
-// BatteryExecutor thread pool. Every engine produces the same report.
+// The battery is a two-level parallel engine. Level 1 is the word-parallel
+// counting kernels (sp800_22_wordpar.hpp), checked bit for bit against a
+// tests-only bit-serial oracle. Level 2 optionally schedules the
+// independent tests across a BatteryExecutor thread pool. Both engines
+// produce the same report.
 #pragma once
 
 #include <optional>
@@ -34,10 +34,9 @@ struct [[nodiscard]] BatteryReport {
 
 class TestBattery {
  public:
-  /// Kernel family / scheduling choice. All engines return bit-identical
-  /// reports (same p-value doubles); see sp800_22_wordpar.hpp.
+  /// Scheduling choice. Both engines run the word-parallel kernels and
+  /// return bit-identical reports (same p-value doubles).
   enum class Engine {
-    kScalar,        ///< bit-serial reference kernels, run sequentially
     kWordParallel,  ///< word-parallel kernels, run sequentially
     kThreaded,      ///< word-parallel kernels across a BatteryExecutor pool
   };

@@ -1,7 +1,8 @@
 // Shared gates and statistic functions for the SP 800-22 suite. See the
 // header for the bit-identity contract: every floating-point step of every
-// test lives here, in one translation unit, so the scalar and word-parallel
-// counting kernels cannot diverge in their p-values.
+// test after the counting kernels lives here, in one translation unit, so
+// the word-parallel kernels and the tests-only bit-serial oracle cannot
+// diverge in their p-values.
 #include "stattests/sp800_22_detail.hpp"
 
 #include <cmath>
@@ -446,6 +447,17 @@ TestResult universal_from_sum(const UniversalRow& row, double sum,
       universal_statistic_from_sum(sum, k, row.big_l, row.expected,
                                    row.variance)
           .p_value);
+  return r;
+}
+
+TestResult dft_from_counts(std::size_t n, std::size_t below) {
+  TestResult r;
+  r.name = "dft";
+  const double n0 = 0.95 * static_cast<double>(n / 2);
+  const double n1 = static_cast<double>(below);
+  const double d =
+      (n1 - n0) / std::sqrt(static_cast<double>(n) * 0.95 * 0.05 / 4.0);
+  r.p_values.push_back(std::erfc(std::fabs(d) / std::sqrt(2.0)));
   return r;
 }
 

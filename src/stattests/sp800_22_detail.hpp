@@ -4,30 +4,33 @@
 //
 //   1. a *counting kernel* that reduces the bit sequence to small integer
 //      summaries (ones counts, transition counts, per-block longest runs,
-//      pattern histograms, ...). Two interchangeable kernel families exist:
-//      the bit-serial reference loops in sp800_22_*.cpp and the word-
-//      parallel kernels in sp800_22_wordpar*.cpp;
+//      pattern histograms, ...). The word-parallel kernels in
+//      sp800_22_wordpar*.cpp are the implementation; the tests-only
+//      bit-serial oracle (tests/sp800_22_oracle.hpp) restates each one a
+//      bit at a time;
 //
 //   2. the *statistic functions* declared here, which map those integer
 //      summaries to chi-square / erfc / igamc p-values.
 //
 // The statistic functions are deliberately defined out-of-line in one
-// translation unit (sp800_22_detail.cpp): both kernel families execute the
-// same machine code on the same integers, which makes the word-parallel
-// engine bit-identical to the scalar reference by construction — equal
-// counts imply equal doubles, not merely close ones.
+// translation unit (sp800_22_detail.cpp): the kernels and the oracle
+// execute the same machine code on the same integers, so the production
+// kernels are checked against the oracle bit for bit — equal counts imply
+// equal doubles, not merely close ones.
 //
 // Everything in stat::detail is an internal contract between the kernel
-// files; it is not part of the public battery API.
+// files (and the oracle); it is not part of the public battery API.
 #pragma once
 
 #include <array>
+#include <complex>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
-#include "stattests/sp800_22.hpp"
+#include "common/bitstream.hpp"
+#include "stattests/sp800_22_wordpar.hpp"
 #include "stattests/test_result.hpp"
 
 namespace trng::stat::detail {
@@ -35,8 +38,8 @@ namespace trng::stat::detail {
 // ---- applicability gates -------------------------------------------------
 //
 // Each gate returns the fully-formed inapplicable TestResult when the input
-// does not meet the test's prerequisites (so both kernel families report
-// byte-identical notes), or nullopt when the test should run.
+// does not meet the test's prerequisites (so the kernels and the oracle
+// report byte-identical notes), or nullopt when the test should run.
 
 std::optional<TestResult> gate_frequency(std::size_t n, Gating gating);
 std::optional<TestResult> gate_runs(std::size_t n, Gating gating);
@@ -130,6 +133,13 @@ UniversalStatistic universal_statistic_from_sum(double sum, std::size_t k,
                                                 unsigned big_l,
                                                 double expected,
                                                 double variance);
+
+/// X = the FFT of the +-1 image of the largest power-of-two prefix of
+/// `bits` (length n = X.size()); empty for an empty input.
+std::vector<std::complex<double>> dft_spectrum(const common::BitStream& bits);
+/// `below`: moduli |X_j|, j < n / 2, under the 95% threshold
+/// T = sqrt(log(1/0.05) n).
+TestResult dft_from_counts(std::size_t n, std::size_t below);
 
 TestResult rank_from_counts(std::size_t big_n, std::size_t f_full,
                             std::size_t f_minus1);

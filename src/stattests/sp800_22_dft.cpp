@@ -4,12 +4,15 @@
 // largest power of two <= n (iterative radix-2 FFT) instead of an arbitrary-
 // length DFT; trailing bits beyond the power-of-two boundary are ignored.
 // The statistic is computed for the truncated length, so the test remains
-// exact — it just examines slightly fewer bits.
+// exact — it just examines slightly fewer bits. The FFT yields the
+// below-threshold count; the p-value comes from sp800_22_detail.cpp like
+// every other test's.
 #include <cmath>
 #include <complex>
 #include <vector>
 
-#include "stattests/sp800_22.hpp"
+#include "stattests/sp800_22_detail.hpp"
+#include "stattests/sp800_22_wordpar.hpp"
 
 namespace trng::stat {
 
@@ -42,14 +45,10 @@ void fft_in_place(std::vector<std::complex<double>>& a) {
 
 }  // namespace
 
-TestResult dft_test(const common::BitStream& bits) {
-  TestResult r;
-  r.name = "dft";
-  if (bits.size() < 1000) {
-    r.applicable = false;
-    r.note = "requires n >= 1000";
-    return r;
-  }
+namespace detail {
+
+std::vector<std::complex<double>> dft_spectrum(const common::BitStream& bits) {
+  if (bits.empty()) return {};
   // Largest power of two <= size.
   std::size_t n = 1;
   while (n * 2 <= bits.size()) n *= 2;
@@ -59,21 +58,26 @@ TestResult dft_test(const common::BitStream& bits) {
     x[i] = std::complex<double>(bits[i] ? 1.0 : -1.0, 0.0);
   }
   fft_in_place(x);
+  return x;
+}
 
+}  // namespace detail
+
+namespace wordpar {
+
+TestResult dft_test(const common::BitStream& bits) {
+  if (auto gated = detail::gate_dft(bits.size())) return *gated;
+  const auto x = detail::dft_spectrum(bits);
+  const std::size_t n = x.size();
   const double threshold =
       std::sqrt(std::log(1.0 / 0.05) * static_cast<double>(n));
-  const std::size_t half = n / 2;
   std::size_t below = 0;
-  for (std::size_t j = 0; j < half; ++j) {
+  for (std::size_t j = 0; j < n / 2; ++j) {
     if (std::abs(x[j]) < threshold) ++below;
   }
-  const double n0 = 0.95 * static_cast<double>(half);
-  const double n1 = static_cast<double>(below);
-  const double d =
-      (n1 - n0) /
-      std::sqrt(static_cast<double>(n) * 0.95 * 0.05 / 4.0);
-  r.p_values.push_back(std::erfc(std::fabs(d) / std::sqrt(2.0)));
-  return r;
+  return detail::dft_from_counts(n, below);
 }
+
+}  // namespace wordpar
 
 }  // namespace trng::stat

@@ -2,7 +2,7 @@
 // block frequency, runs, longest run, cumulative sums, random excursions
 // (+ variant), rank. See sp800_22_wordpar.hpp for the bit-identity
 // contract; every kernel here reduces the stream to the same integers the
-// scalar reference produces and hands them to sp800_22_detail.cpp.
+// bit-serial oracle produces and hands them to sp800_22_detail.cpp.
 #include <algorithm>
 #include <array>
 #include <bit>
@@ -311,10 +311,10 @@ TestResult random_excursions_variant_test(const common::BitStream& bits) {
 int gf2_rank_rowechelon(const std::uint64_t* rows, int nrows) {
   // Pivot rows indexed by leading (highest set) bit position. Inserting a
   // row costs one XOR per already-found pivot above its leading bit —
-  // against the reference kernel's per-column pivot search plus full-matrix
-  // sweep, this touches each row only until it dies or lands. The echelon
-  // basis spans the same row space, so the rank (all the chi-square math
-  // consumes) is identical to stat::gf2_rank's.
+  // against Gauss-Jordan's per-column pivot search plus full-matrix sweep,
+  // this touches each row only until it dies or lands. The echelon basis
+  // spans the same row space, so the rank (all the chi-square math
+  // consumes) is the rank of the matrix.
   std::uint64_t pivot[64] = {};
   int rank = 0;
   for (int r = 0; r < nrows; ++r) {
@@ -341,8 +341,8 @@ TestResult rank_test(const common::BitStream& bits) {
   std::uint64_t rows[kM];
   for (std::size_t m = 0; m < big_n; ++m) {
     for (std::size_t i = 0; i < kM; ++i) {
-      // The scalar kernel builds row |= 1 << j from bits[... + j]: exactly
-      // the LSB-first 32-bit window at the row's offset.
+      // Row column j is bit j of the row (row |= 1 << j from bits[... + j]):
+      // exactly the LSB-first 32-bit window at the row's offset.
       rows[i] = bits.word_at(m * kBitsPerMatrix + i * kM) & 0xFFFFFFFFULL;
     }
     const int rank = gf2_rank_rowechelon(rows, static_cast<int>(kM));
@@ -353,10 +353,6 @@ TestResult rank_test(const common::BitStream& bits) {
     }
   }
   return detail::rank_from_counts(big_n, f_full, f_minus1);
-}
-
-TestResult dft_test(const common::BitStream& bits) {
-  return stat::dft_test(bits);
 }
 
 }  // namespace trng::stat::wordpar

@@ -7,6 +7,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "stattests/sp800_22_detail.hpp"
@@ -42,12 +43,12 @@ std::uint32_t bit_reverse(std::uint32_t v, unsigned m) {
 }
 
 /// Counts of all overlapping m-bit patterns with cyclic extension, indexed
-/// MSB-first exactly like the scalar pattern_counts: windows are extracted
-/// LSB-first in one word_at read each, tallied, then the histogram is
-/// permuted by per-value bit reversal. The permutation is a bijection, so
-/// the MSB-indexed counts — and therefore the summation order inside
-/// psi_squared_from_counts / phi_from_counts — match the scalar kernel
-/// exactly.
+/// by the MSB-first pattern value as Section 2.11.4 reads it: windows are
+/// extracted LSB-first in one word_at read each, tallied, then the
+/// histogram is permuted by per-value bit reversal. The permutation is a
+/// bijection, so the MSB-indexed counts — and therefore the summation order
+/// inside psi_squared_from_counts / phi_from_counts — match a bit-serial
+/// MSB-first window exactly.
 std::vector<std::size_t> pattern_counts_words(const common::BitStream& bits,
                                               unsigned m) {
   if (m == 0) return {};
@@ -100,19 +101,16 @@ TestResult approximate_entropy_test(const common::BitStream& bits, unsigned m,
   return detail::approximate_entropy_from_phis(n, m, phi_m, phi_m1);
 }
 
-TestResult universal_test(const common::BitStream& bits) {
-  const std::size_t n = bits.size();
-  if (auto gated = detail::gate_universal(n)) return *gated;
-  const detail::UniversalRow* row = detail::universal_row(n);
-  const unsigned big_l = row->big_l;
-  const std::size_t q = std::size_t{10} << big_l;
-  const std::size_t blocks = n / big_l;
-  const std::size_t k = blocks - q;
-  // Block values are read LSB-first here versus MSB-first in the scalar
-  // kernel — a bit-reversal relabeling of the table index. The statistic
-  // only depends on distances between equal block values, and relabeling
-  // is a bijection, so every distance (and the order they are summed in)
-  // is identical to the scalar path.
+namespace {
+
+/// Accumulated log2 distance sum over blocks [q, blocks) of `big_l` bits
+/// (Section 2.9.4), with blocks [0, q) initializing the table. Block values
+/// are read LSB-first, a bit-reversal relabeling of the spec's MSB-first
+/// table index. The statistic only depends on distances between equal
+/// block values, and relabeling is a bijection, so every distance (and the
+/// order they are summed in) is the spec's.
+double distance_log_sum(const common::BitStream& bits, unsigned big_l,
+                        std::size_t q, std::size_t blocks) {
   const std::uint64_t mask = (1ULL << big_l) - 1;
   std::vector<std::size_t> last_seen(std::size_t{1} << big_l, 0);
   for (std::size_t b = 0; b < q; ++b) {
@@ -124,7 +122,38 @@ TestResult universal_test(const common::BitStream& bits) {
     sum += std::log2(static_cast<double>(b + 1 - last_seen[v]));
     last_seen[v] = b + 1;
   }
+  return sum;
+}
+
+}  // namespace
+
+TestResult universal_test(const common::BitStream& bits) {
+  const std::size_t n = bits.size();
+  if (auto gated = detail::gate_universal(n)) return *gated;
+  const detail::UniversalRow* row = detail::universal_row(n);
+  const unsigned big_l = row->big_l;
+  const std::size_t q = std::size_t{10} << big_l;  // initialization blocks
+  const std::size_t blocks = n / big_l;
+  const std::size_t k = blocks - q;  // test blocks
+  const double sum = distance_log_sum(bits, big_l, q, blocks);
   return detail::universal_from_sum(*row, sum, k);
+}
+
+UniversalStatistic universal_statistic(const common::BitStream& bits,
+                                       unsigned big_l, std::size_t q,
+                                       double expected, double variance) {
+  if (big_l == 0 || big_l > 16) {
+    throw std::invalid_argument("universal_statistic: L must be in [1, 16]");
+  }
+  const std::size_t blocks = bits.size() / big_l;
+  if (blocks <= q) {
+    throw std::invalid_argument(
+        "universal_statistic: need more than Q complete blocks");
+  }
+  const std::size_t k = blocks - q;
+  const double sum = distance_log_sum(bits, big_l, q, blocks);
+  return detail::universal_statistic_from_sum(sum, k, big_l, expected,
+                                              variance);
 }
 
 TestResult non_overlapping_template_test(const common::BitStream& bits,
@@ -140,9 +169,10 @@ TestResult non_overlapping_template_test(const common::BitStream& bits,
   // Per chunk of 64 window positions: build the m shifted-stream words
   // S[j] (bit q of S[j] = stream bit base+q+j) once, then each template's
   // overlapping-match mask is an AND of S[j] or ~S[j] per template bit.
-  // The scalar fill/reset loop takes overlapping matches greedily left to
-  // right with the next accepted match >= m positions later, which is the
-  // same selection the greedy scan over the match mask makes.
+  // Section 2.7.4's scan (slide one bit on a miss, jump m bits past a hit)
+  // takes matches greedily left to right with the next accepted match >= m
+  // positions later, which is the selection the greedy scan over the match
+  // mask makes.
   std::vector<std::size_t> next_ok(templates.size());
   std::vector<std::size_t> count(templates.size());
   std::array<std::uint64_t, 16> s_words{};
@@ -250,8 +280,8 @@ std::size_t berlekamp_massey_words(const common::BitStream& bits,
       continue;
     }
     t = c;
-    // c ^= b << m_shift, truncated to len bits (the scalar loop only flips
-    // c[j + m_shift] for j + m_shift < len).
+    // c ^= b << m_shift, truncated to len bits (the connection polynomial
+    // has degree < len: only c[j + m_shift] with j + m_shift < len flips).
     const std::size_t ws = m_shift >> 6;
     const unsigned bs = static_cast<unsigned>(m_shift & 63);
     for (std::size_t j = nw; j-- > ws;) {
@@ -287,3 +317,27 @@ TestResult linear_complexity_test(const common::BitStream& bits,
 }
 
 }  // namespace trng::stat::wordpar
+
+namespace trng::stat {
+
+std::vector<std::uint32_t> aperiodic_templates(unsigned m) {
+  if (m == 0 || m > 20) {
+    throw std::invalid_argument("aperiodic_templates: m must be in [1, 20]");
+  }
+  std::vector<std::uint32_t> out;
+  const std::uint32_t count = 1u << m;
+  for (std::uint32_t b = 0; b < count; ++b) {
+    bool aperiodic = true;
+    // b (MSB-first template of length m) must not match any proper shift of
+    // itself: for shift s, the first m-s bits must differ somewhere from
+    // the last m-s bits.
+    for (unsigned s = 1; s < m && aperiodic; ++s) {
+      const std::uint32_t mask = (1u << (m - s)) - 1u;
+      if (((b >> s) & mask) == (b & mask)) aperiodic = false;
+    }
+    if (aperiodic) out.push_back(b);
+  }
+  return out;
+}
+
+}  // namespace trng::stat

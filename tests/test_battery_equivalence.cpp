@@ -1,21 +1,27 @@
-// The word-parallel battery's correctness contract: for any input, every
-// wordpar:: kernel returns a TestResult bit-identical to its scalar
-// reference — same p-value doubles, same applicable flag, same note — and
-// the threaded engine returns the same report as the sequential ones.
-// This suite checks the contract over every source in core/source_registry
-// plus degenerate and non-default-parameter inputs; lint rule TL008 keeps
-// it in sync with the kernel list.
+// The battery's correctness contract: for any input, every wordpar::
+// kernel returns a TestResult bit-identical to the bit-serial oracle in
+// sp800_22_oracle.hpp — same p-value doubles, same applicable flag, same
+// note — and the threaded engine returns the same report as the sequential
+// one. This suite checks the contract over every source in
+// core/source_registry plus degenerate and non-default-parameter inputs,
+// and checks the FFT behind the DFT test against a naive O(n^2) transform;
+// lint rule TL008 keeps it in sync with the kernel list.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <complex>
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/source_registry.hpp"
 #include "fpga/fabric.hpp"
+#include "sp800_22_oracle.hpp"
 #include "stattests/battery.hpp"
-#include "stattests/sp800_22.hpp"
+#include "stattests/sp800_22_detail.hpp"
 #include "stattests/sp800_22_wordpar.hpp"
 
 namespace trng::stat {
@@ -50,6 +56,31 @@ void expect_identical(const BatteryReport& ref, const BatteryReport& got) {
   }
 }
 
+/// The oracle battery: every test in TestBattery::run's fixed order. The
+/// DFT slot runs the production FFT, the DFT's only implementation;
+/// DftMatchesNaiveTransform below checks that against a naive transform.
+BatteryReport oracle_battery(const common::BitStream& bits) {
+  BatteryReport report;
+  report.results = {
+      oracle::frequency_test(bits),
+      oracle::block_frequency_test(bits),
+      oracle::runs_test(bits),
+      oracle::longest_run_test(bits),
+      oracle::cumulative_sums_test(bits),
+      oracle::serial_test(bits),
+      oracle::approximate_entropy_test(bits),
+      oracle::random_excursions_test(bits),
+      oracle::random_excursions_variant_test(bits),
+      oracle::rank_test(bits),
+      wordpar::dft_test(bits),
+      oracle::non_overlapping_template_test(bits),
+      oracle::overlapping_template_test(bits),
+      oracle::universal_test(bits),
+      oracle::linear_complexity_test(bits),
+  };
+  return report;
+}
+
 BatteryReport run_engine(const common::BitStream& bits,
                          TestBattery::Engine engine, unsigned threads = 0) {
   TestBattery::Options opt;
@@ -59,11 +90,9 @@ BatteryReport run_engine(const common::BitStream& bits,
 }
 
 void expect_engines_agree(const common::BitStream& bits) {
-  const auto scalar = run_engine(bits, TestBattery::Engine::kScalar);
-  expect_identical(scalar,
-                   run_engine(bits, TestBattery::Engine::kWordParallel));
-  expect_identical(scalar,
-                   run_engine(bits, TestBattery::Engine::kThreaded, 4));
+  const auto ref = oracle_battery(bits);
+  expect_identical(ref, run_engine(bits, TestBattery::Engine::kWordParallel));
+  expect_identical(ref, run_engine(bits, TestBattery::Engine::kThreaded, 4));
 }
 
 TEST(BatteryEquivalence, EveryRegistrySource) {
@@ -79,23 +108,21 @@ TEST(BatteryEquivalence, EveryRegistrySource) {
 
 TEST(BatteryEquivalence, LongStreamCoversUniversal) {
   const auto bits = random_bits(450000, 20260806);
-  const auto scalar = run_engine(bits, TestBattery::Engine::kScalar);
+  const auto ref = oracle_battery(bits);
   bool universal_applicable = false;
-  for (const auto& r : scalar.results) {
+  for (const auto& r : ref.results) {
     if (r.name == "universal") universal_applicable = r.applicable;
   }
   EXPECT_TRUE(universal_applicable);
-  expect_identical(universal_test(bits), wordpar::universal_test(bits));
-  expect_identical(scalar,
-                   run_engine(bits, TestBattery::Engine::kWordParallel));
-  expect_identical(scalar,
-                   run_engine(bits, TestBattery::Engine::kThreaded, 4));
+  expect_identical(oracle::universal_test(bits), wordpar::universal_test(bits));
+  expect_identical(ref, run_engine(bits, TestBattery::Engine::kWordParallel));
+  expect_identical(ref, run_engine(bits, TestBattery::Engine::kThreaded, 4));
 }
 
 TEST(BatteryEquivalence, DegenerateStreams) {
   // Empty, sub-word, word-boundary and all-ones inputs: the kernels'
   // head/tail masking and the gates' inapplicable notes must match the
-  // scalar reference exactly.
+  // oracle exactly.
   expect_engines_agree(common::BitStream{});
   for (const std::size_t n : {1u, 63u, 64u, 65u, 100u, 1000u, 4096u}) {
     SCOPED_TRACE(n);
@@ -110,36 +137,58 @@ TEST(BatteryEquivalence, NonDefaultParameters) {
   // The battery always runs the defaults; exercise each parameterized
   // kernel's off-default paths directly.
   const auto bits = random_bits(131072, 99);
-  expect_identical(block_frequency_test(bits, 4096),
+  expect_identical(oracle::block_frequency_test(bits, 4096),
                    wordpar::block_frequency_test(bits, 4096));
-  expect_identical(serial_test(bits, 5), wordpar::serial_test(bits, 5));
-  expect_identical(serial_test(bits, 2), wordpar::serial_test(bits, 2));
-  expect_identical(approximate_entropy_test(bits, 7),
+  expect_identical(oracle::serial_test(bits, 5), wordpar::serial_test(bits, 5));
+  expect_identical(oracle::serial_test(bits, 2), wordpar::serial_test(bits, 2));
+  expect_identical(oracle::approximate_entropy_test(bits, 7),
                    wordpar::approximate_entropy_test(bits, 7));
-  expect_identical(linear_complexity_test(bits, 1000),
+  expect_identical(oracle::linear_complexity_test(bits, 1000),
                    wordpar::linear_complexity_test(bits, 1000));
-  expect_identical(non_overlapping_template_test(bits, 8),
+  expect_identical(oracle::non_overlapping_template_test(bits, 8),
                    wordpar::non_overlapping_template_test(bits, 8));
-  expect_identical(overlapping_template_test(bits, 9),
+  expect_identical(oracle::overlapping_template_test(bits, 9),
                    wordpar::overlapping_template_test(bits, 9));
 }
 
 TEST(BatteryEquivalence, SpecExampleGating) {
   const auto bits = random_bits(100, 5);
-  expect_identical(frequency_test(bits, Gating::kSpecExample),
-                   wordpar::frequency_test(bits, Gating::kSpecExample));
-  expect_identical(block_frequency_test(bits, 10, Gating::kSpecExample),
-                   wordpar::block_frequency_test(bits, 10,
-                                                 Gating::kSpecExample));
-  expect_identical(runs_test(bits, Gating::kSpecExample),
-                   wordpar::runs_test(bits, Gating::kSpecExample));
-  expect_identical(cumulative_sums_test(bits, Gating::kSpecExample),
-                   wordpar::cumulative_sums_test(bits, Gating::kSpecExample));
-  expect_identical(serial_test(bits, 3, Gating::kSpecExample),
-                   wordpar::serial_test(bits, 3, Gating::kSpecExample));
-  expect_identical(
-      approximate_entropy_test(bits, 3, Gating::kSpecExample),
-      wordpar::approximate_entropy_test(bits, 3, Gating::kSpecExample));
+  const auto spec = Gating::kSpecExample;
+  expect_identical(oracle::frequency_test(bits, spec),
+                   wordpar::frequency_test(bits, spec));
+  expect_identical(oracle::block_frequency_test(bits, 10, spec),
+                   wordpar::block_frequency_test(bits, 10, spec));
+  expect_identical(oracle::runs_test(bits, spec),
+                   wordpar::runs_test(bits, spec));
+  expect_identical(oracle::cumulative_sums_test(bits, spec),
+                   wordpar::cumulative_sums_test(bits, spec));
+  expect_identical(oracle::serial_test(bits, 3, spec),
+                   wordpar::serial_test(bits, 3, spec));
+  expect_identical(oracle::approximate_entropy_test(bits, 3, spec),
+                   wordpar::approximate_entropy_test(bits, 3, spec));
+}
+
+TEST(BatteryEquivalence, UniversalStatisticExplicitParameters) {
+  // The Section 2.9.4 entry point shares the production distance sum; check
+  // fn, K and the p-value against the MSB-first oracle for every L it
+  // accepts (the worked example's L = 2, Q = 4 is in test_sp800_22_kat).
+  const auto bits = random_bits(200000, 29);
+  for (unsigned big_l = 1; big_l <= 16; ++big_l) {
+    SCOPED_TRACE(big_l);
+    const auto ref = oracle::universal_statistic(bits, big_l, 1000, 5.2, 2.9);
+    const auto got = wordpar::universal_statistic(bits, big_l, 1000, 5.2, 2.9);
+    EXPECT_EQ(ref.k, got.k);
+    EXPECT_EQ(ref.fn, got.fn);
+    EXPECT_EQ(ref.p_value, got.p_value);
+  }
+  const auto short_bits = random_bits(20, 29);
+  EXPECT_THROW((void)wordpar::universal_statistic(short_bits, 0, 4, 1.0, 1.0),
+               std::invalid_argument);
+  EXPECT_THROW((void)wordpar::universal_statistic(short_bits, 17, 4, 1.0, 1.0),
+               std::invalid_argument);
+  // 20 bits hold 10 blocks of L = 2: Q = 10 leaves no test block.
+  EXPECT_THROW((void)wordpar::universal_statistic(short_bits, 2, 10, 1.0, 1.0),
+               std::invalid_argument);
 }
 
 TEST(BatteryEquivalence, BerlekampMasseyWords) {
@@ -151,7 +200,7 @@ TEST(BatteryEquivalence, BerlekampMasseyWords) {
       std::vector<bool> block;
       block.reserve(len);
       for (std::size_t i = 0; i < len; ++i) block.push_back(bits[begin + i]);
-      EXPECT_EQ(berlekamp_massey(block),
+      EXPECT_EQ(oracle::berlekamp_massey(block),
                 wordpar::berlekamp_massey_words(bits, begin, len));
     }
   }
@@ -163,38 +212,110 @@ TEST(BatteryEquivalence, BerlekampMasseyWords) {
   std::vector<bool> trailing_one(201, false);
   trailing_one[200] = true;
   EXPECT_EQ(wordpar::berlekamp_massey_words(zeros, 0, 201),
-            berlekamp_massey(trailing_one));
+            oracle::berlekamp_massey(trailing_one));
 }
 
 TEST(BatteryEquivalence, FrequencyAndRunsAtWordBoundaries) {
   // Transition counting straddles word boundaries; sweep lengths around
   // multiples of 64 with patterned data to pin the boundary-pair logic.
+  const auto spec = Gating::kSpecExample;
   for (std::size_t n = 120; n <= 200; ++n) {
     common::BitStream alt;
     for (std::size_t i = 0; i < n; ++i) alt.push_back((i / 3) % 2 == 0);
-    expect_identical(runs_test(alt, Gating::kSpecExample),
-                     wordpar::runs_test(alt, Gating::kSpecExample));
-    expect_identical(frequency_test(alt, Gating::kSpecExample),
-                     wordpar::frequency_test(alt, Gating::kSpecExample));
-    expect_identical(cumulative_sums_test(alt, Gating::kSpecExample),
-                     wordpar::cumulative_sums_test(alt, Gating::kSpecExample));
+    expect_identical(oracle::runs_test(alt, spec),
+                     wordpar::runs_test(alt, spec));
+    expect_identical(oracle::frequency_test(alt, spec),
+                     wordpar::frequency_test(alt, spec));
+    expect_identical(oracle::cumulative_sums_test(alt, spec),
+                     wordpar::cumulative_sums_test(alt, spec));
   }
 }
 
 TEST(BatteryEquivalence, LongestRunAndRankKernels) {
   const auto bits = random_bits(40000, 17);
-  expect_identical(longest_run_test(bits), wordpar::longest_run_test(bits));
+  expect_identical(oracle::longest_run_test(bits),
+                   wordpar::longest_run_test(bits));
   const auto big = random_bits(40000, 18);
-  expect_identical(rank_test(big), wordpar::rank_test(big));
-  expect_identical(dft_test(big), wordpar::dft_test(big));
+  expect_identical(oracle::rank_test(big), wordpar::rank_test(big));
 }
 
 TEST(BatteryEquivalence, ExcursionsKernels) {
   const auto bits = random_bits(200000, 23);
-  expect_identical(random_excursions_test(bits),
+  expect_identical(oracle::random_excursions_test(bits),
                    wordpar::random_excursions_test(bits));
-  expect_identical(random_excursions_variant_test(bits),
+  expect_identical(oracle::random_excursions_variant_test(bits),
                    wordpar::random_excursions_variant_test(bits));
+}
+
+/// |X_j| for j < n / 2 by the defining sum X_j = sum_k x_k e^{-2 pi i jk/n}
+/// over the +-1 image of the first n bits: O(n^2), no FFT. The twiddle
+/// index jk is reduced mod n before the angle is formed, so every twiddle
+/// is accurate to an ulp.
+std::vector<double> naive_dft_moduli(const common::BitStream& bits,
+                                     std::size_t n) {
+  const double two_pi = 2.0 * std::acos(-1.0);
+  std::vector<double> cos_t(n), sin_t(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    const double angle =
+        two_pi * static_cast<double>(k) / static_cast<double>(n);
+    cos_t[k] = std::cos(angle);
+    sin_t[k] = std::sin(angle);
+  }
+  std::vector<double> moduli(n / 2);
+  for (std::size_t j = 0; j < n / 2; ++j) {
+    double re = 0.0, im = 0.0;
+    for (std::size_t k = 0; k < n; ++k) {
+      const double x = bits[k] ? 1.0 : -1.0;
+      const std::size_t t = (j * k) % n;
+      re += x * cos_t[t];
+      im -= x * sin_t[t];
+    }
+    moduli[j] = std::hypot(re, im);
+  }
+  return moduli;
+}
+
+TEST(BatteryEquivalence, DftMatchesNaiveTransform) {
+  // Power-of-two inputs and a 1500-bit input the FFT truncates to its
+  // 1024-bit prefix. Moduli agree to 1e-9 relative to max(|X_j|, 1) (bins
+  // near zero are held to 1e-9 absolute), and on inputs with no bin within
+  // that tolerance of the threshold T the below-T count — and so the whole
+  // TestResult — matches exactly.
+  constexpr double kRelTol = 1e-9;
+  struct Case {
+    std::size_t nbits;
+    std::size_t n;  ///< transform length: largest power of two <= nbits
+    std::uint64_t seed;
+  };
+  for (const Case c : {Case{1024, 1024, 31}, Case{2048, 2048, 32},
+                       Case{1500, 1024, 33}}) {
+    SCOPED_TRACE(c.nbits);
+    const auto bits = random_bits(c.nbits, c.seed);
+    const std::size_t n = c.n;
+    const auto ref = naive_dft_moduli(bits, n);
+    const auto spectrum = detail::dft_spectrum(bits);
+    ASSERT_EQ(spectrum.size(), n);
+    std::vector<double> got(n / 2);
+    for (std::size_t j = 0; j < got.size(); ++j) got[j] = std::abs(spectrum[j]);
+    for (std::size_t j = 0; j < ref.size(); ++j) {
+      EXPECT_LE(std::fabs(got[j] - ref[j]), kRelTol * std::max(ref[j], 1.0))
+          << "bin " << j;
+    }
+
+    // Section 2.6.4: T = sqrt(log(1/0.05) n).
+    const double threshold =
+        std::sqrt(std::log(1.0 / 0.05) * static_cast<double>(n));
+    std::size_t ref_below = 0, got_below = 0;
+    for (std::size_t j = 0; j < ref.size(); ++j) {
+      ASSERT_GT(std::fabs(ref[j] - threshold), kRelTol * threshold)
+          << "bin " << j << " is within tolerance of T; pick another seed";
+      ref_below += ref[j] < threshold ? 1 : 0;
+      got_below += got[j] < threshold ? 1 : 0;
+    }
+    EXPECT_EQ(ref_below, got_below);
+    expect_identical(detail::dft_from_counts(n, ref_below),
+                     wordpar::dft_test(bits));
+  }
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Equivalence suite for the bitsliced GF(2) rank kernel behind the
 // word-parallel SP 800-22 rank test: wordpar::gf2_rank_rowechelon must
-// return the same rank as the scalar stat::gf2_rank on every matrix, and
-// the whole wordpar rank_test must stay bit-identical to the scalar test
-// (counts-only structure: same rank per matrix => same category counts
-// => same p-value doubles). TL008 keeps this file in sync with the
+// return the same rank as the Gauss-Jordan oracle::gf2_rank on every
+// matrix, and the whole wordpar rank_test must stay bit-identical to the
+// oracle's (counts-only structure: same rank per matrix => same category
+// counts => same p-value doubles). TL008 keeps this file in sync with the
 // kernel declaration in sp800_22_wordpar.hpp.
 #include <gtest/gtest.h>
 
@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "stattests/sp800_22.hpp"
+#include "sp800_22_oracle.hpp"
 #include "stattests/sp800_22_wordpar.hpp"
 
 namespace trng::stat {
@@ -20,9 +20,9 @@ namespace {
 
 constexpr int kDim = 32;  // the rank test's matrix dimension
 
-/// Scalar reference rank for 32-bit-wide packed rows.
+/// Oracle rank for 32-bit-wide packed rows.
 int reference_rank(const std::vector<std::uint64_t>& rows) {
-  return gf2_rank(rows, kDim);
+  return oracle::gf2_rank(rows, kDim);
 }
 
 int echelon_rank(const std::vector<std::uint64_t>& rows) {
@@ -94,19 +94,19 @@ TEST(RankEquivalence, RandomMatricesAgreeWithScalar) {
 
 TEST(RankEquivalence, FewerRowsThanColumns) {
   // The kernel takes nrows explicitly; partial matrices must also agree
-  // (rank of the first k rows == scalar rank of those rows padded).
+  // (rank of the first k rows == oracle rank of those rows).
   common::Xoshiro256StarStar rng(99);
   for (int k = 1; k <= kDim; k += 5) {
     std::vector<std::uint64_t> rows(static_cast<std::size_t>(k));
     for (auto& r : rows) r = rng.next() & (~0ULL >> (64 - kDim));
     EXPECT_EQ(wordpar::gf2_rank_rowechelon(rows.data(), k),
-              gf2_rank(rows, kDim))
+              oracle::gf2_rank(rows, kDim))
         << "k = " << k;
   }
 }
 
 TEST(RankEquivalence, WholeRankTestBitIdentical) {
-  // End to end: the wordpar rank test and the scalar rank test must
+  // End to end: the wordpar rank test and the oracle rank test must
   // produce the same TestResult doubles on random streams of several
   // sizes (including below the applicability gate).
   common::Xoshiro256StarStar rng(55);
@@ -118,7 +118,7 @@ TEST(RankEquivalence, WholeRankTestBitIdentical) {
       bits.append_bits(rng.next(), 64);
     }
     bits = bits.slice(0, nbits);
-    const TestResult ref = rank_test(bits);
+    const TestResult ref = oracle::rank_test(bits);
     const TestResult got = wordpar::rank_test(bits);
     EXPECT_EQ(ref.name, got.name);
     EXPECT_EQ(ref.applicable, got.applicable);

@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
-#include "stattests/sp800_22.hpp"
+#include "stattests/sp800_22_wordpar.hpp"
 
-namespace trng::stat {
+namespace trng::stat::wordpar {
 namespace {
 
 /// Shared high-quality pseudo-random stream (passes the battery).
@@ -144,15 +148,18 @@ TEST(LongestRun, UsesAllThreeRegimes) {
 // ---- 2.5 rank ------------------------------------------------------------
 
 TEST(Gf2Rank, KnownMatrices) {
+  auto rank = [](std::vector<std::uint64_t> rows) {
+    return gf2_rank_rowechelon(rows.data(), static_cast<int>(rows.size()));
+  };
   // Identity has full rank.
   std::vector<std::uint64_t> identity(8);
   for (int i = 0; i < 8; ++i) identity[static_cast<std::size_t>(i)] = 1ULL << i;
-  EXPECT_EQ(gf2_rank(identity, 8), 8);
+  EXPECT_EQ(rank(identity), 8);
   // All-equal rows have rank 1; zero matrix rank 0.
-  EXPECT_EQ(gf2_rank({0b1011, 0b1011, 0b1011}, 4), 1);
-  EXPECT_EQ(gf2_rank({0, 0, 0}, 4), 0);
+  EXPECT_EQ(rank({0b1011, 0b1011, 0b1011}), 1);
+  EXPECT_EQ(rank({0, 0, 0}), 0);
   // Row 3 = row 1 xor row 2 -> rank 2.
-  EXPECT_EQ(gf2_rank({0b0011, 0b0101, 0b0110}, 4), 2);
+  EXPECT_EQ(rank({0b0011, 0b0101, 0b0110}), 2);
 }
 
 TEST(Rank, PassesRandomRejectsStructured) {
@@ -231,19 +238,21 @@ TEST(Universal, PassesRandomRejectsRepetitive) {
 // ---- 2.10 linear complexity -------------------------------------------------
 
 TEST(BerlekampMassey, KnownSequences) {
+  auto complexity = [](const char* bits) {
+    const auto stream = common::BitStream::from_string(bits);
+    return berlekamp_massey_words(stream, 0, stream.size());
+  };
   // All-zero block: L = 0. Single one at the end of n bits: L = n.
-  EXPECT_EQ(berlekamp_massey(std::vector<bool>(8, false)), 0u);
-  std::vector<bool> impulse(8, false);
-  impulse[7] = true;
-  EXPECT_EQ(berlekamp_massey(impulse), 8u);
+  EXPECT_EQ(complexity("00000000"), 0u);
+  EXPECT_EQ(complexity("00000001"), 8u);
   // Alternating 101010...: generated by x^2 recurrence -> L = 2.
-  std::vector<bool> alt;
-  for (int i = 0; i < 16; ++i) alt.push_back(i % 2 == 0);
-  EXPECT_EQ(berlekamp_massey(alt), 2u);
+  EXPECT_EQ(complexity("1010101010101010"), 2u);
   // Spec example (Section 2.10.8): 1101011110001 -> L = 4.
-  std::vector<bool> spec;
-  for (char c : std::string("1101011110001")) spec.push_back(c == '1');
-  EXPECT_EQ(berlekamp_massey(spec), 4u);
+  EXPECT_EQ(complexity("1101011110001"), 4u);
+  // The same blocks at a non-zero, word-straddling offset.
+  const auto padded = common::BitStream::from_string(
+      std::string(60, '1') + "1101011110001");
+  EXPECT_EQ(berlekamp_massey_words(padded, 60, 13), 4u);
 }
 
 TEST(LinearComplexity, PassesRandomRejectsLfsr) {
@@ -378,4 +387,4 @@ TEST_P(AllTestsPValues, PValuesAreProbabilities) {
 INSTANTIATE_TEST_SUITE_P(Suite, AllTestsPValues, ::testing::Range(0, 15));
 
 }  // namespace
-}  // namespace trng::stat
+}  // namespace trng::stat::wordpar

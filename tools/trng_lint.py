@@ -57,9 +57,10 @@ have historically gone silently wrong:
       Every kernel declared in a `wordpar` namespace in a header under
       src/stattests/ must be exercised by name in a tests/ file whose
       filename contains "equivalence". The word-parallel battery's whole
-      correctness story is bit-identity with the scalar reference
-      (tests/test_battery_equivalence.cpp); a kernel that nothing
-      compares against its reference is an unchecked rewrite of a
+      correctness story is bit-identity with the tests-only oracle
+      (tests/sp800_22_oracle.hpp, compared in
+      tests/test_battery_equivalence.cpp); a kernel that nothing
+      compares against its oracle is an unchecked rewrite of a
       statistical test.
 
 Suppressions
@@ -439,8 +440,8 @@ class KernelEquivalenceTest(Rule):
     name = "kernel-equivalence-test"
     doc = ("every kernel declared in a wordpar namespace in a header under "
            "src/stattests/ must be called by name in a tests/ file whose "
-           "name contains 'equivalence' (the scalar-reference bit-identity "
-           "suite)")
+           "name contains 'equivalence' (the bit-identity suite against the "
+           "tests-only oracle)")
 
     NAMESPACE_RE = re.compile(
         r"\bnamespace\s+(?:trng\s*::\s*stat\s*::\s*)?wordpar\b")
@@ -485,8 +486,8 @@ class KernelEquivalenceTest(Rule):
             findings.append((
                 _line_of(stripped, m.start(1)),
                 f"word-parallel kernel '{name}' is never exercised by any "
-                f"tests/*equivalence* file; add it to the scalar-reference "
-                f"equivalence suite"))
+                f"tests/*equivalence* file; compare it against the "
+                f"tests-only oracle in an equivalence suite"))
         return findings
 
 
