@@ -78,8 +78,9 @@ void ElementaryTrng::generate_into(std::uint64_t* words, common::Bits nbits) {
     for (std::size_t c = 0; c < chunk; ++c) {
       const Picoseconds jitter = sigma_acc * gauss[c];
       const double phase = (t_acc - jitter) / d0;
-      const auto toggles =
-          static_cast<long long>(std::floor(std::max(phase, 0.0)));
+      // The clamped phase is >= 0, so truncation is floor (and needs no
+      // libm call on baseline x86-64, which has no inline roundsd).
+      const auto toggles = static_cast<long long>(std::max(phase, 0.0));
       const std::size_t i = done + c;
       word |= static_cast<std::uint64_t>((toggles & 1) == 0) << (i & 63);
       if ((i & 63) == 63) {

@@ -185,6 +185,15 @@ Picoseconds PlatformMeasurement::measure_jitter_sigma(
     osc_a.reset(t0);
     osc_b.reset(t0);
     const Picoseconds ts = t0 + t_acc_ps;
+    // The shared supply answers queries up to two 1 us walk steps behind
+    // its newest one, so the pair advances in lock-step strides short
+    // enough that neither oscillator lags the other by that much; windows
+    // up to about one stride run as one advance each.
+    constexpr Picoseconds kStride = 1.5e6;
+    for (Picoseconds t = t0 + kStride; t < ts + 500.0; t += kStride) {
+      osc_a.advance_to(t);
+      osc_b.advance_to(t);
+    }
     osc_a.advance_to(ts + 500.0);
     osc_b.advance_to(ts + 500.0);
     // First edge of each line; an edge-free capture is skipped.

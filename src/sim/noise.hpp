@@ -12,9 +12,9 @@
 // bound when the non-white components are present.
 #pragma once
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
@@ -62,16 +62,19 @@ namespace detail {
 /// sin(x) via Cody-Waite argument reduction and an odd Taylor polynomial on
 /// [-pi/2, pi/2]. Absolute error < 1e-7 for |x| < 1e8, which modulates the
 /// supply tone (relative amplitude ~5e-5) by < 5e-12 — far below every other
-/// noise source in the simulation. Used instead of libm sin because the tone
-/// is evaluated once per simulated oscillator transition and libm's
-/// large-argument reduction dominates that budget.
+/// noise source in the simulation. Used instead of libm sin, whose
+/// large-argument reduction costs several times as much.
 inline double tone_sin(double x) {
   // Split pi so k * kPiHi is exact for |k| < 2^27 (kPiHi has 26 mantissa
   // bits): the reduction r = x - k*pi then loses no significance.
   constexpr double kInvPi = 0.3183098861837907;
   constexpr double kPiHi = 3.14159265160560607910;
   constexpr double kPiLo = 1.98418714791870343106e-09;
-  const double kd = std::nearbyint(x * kInvPi);
+  // Round to nearest (ties to even) by adding and subtracting 1.5 * 2^52:
+  // the sum's ulp is 1, so the hardware rounds it, with the same result as
+  // std::nearbyint for |x / pi| < 2^51 and without the libm call.
+  constexpr double kRoundShift = 6755399441055744.0;
+  const double kd = (x * kInvPi + kRoundShift) - kRoundShift;
   const auto k = static_cast<std::int64_t>(kd);
   const double r = (x - kd * kPiHi) - kd * kPiLo;
   const double r2 = r * r;
@@ -89,54 +92,142 @@ inline double tone_sin(double x) {
 
 }  // namespace detail
 
+/// The jitter one stage traversal adds on top of its static delay and the
+/// supply multiplier: y_i = sigma_w * g_i + f_i, white thermal noise plus
+/// the oscillator's AR(1) flicker state f_i = rho * f_{i-1} + c * h_i, with
+/// c = sqrt(1 - rho^2) * sigma_f, f_0 = 0 and g, h independent standard
+/// normals.
+///
+/// The y_i are jointly Gaussian, so they can be drawn one conditional at a
+/// time: given y_1..y_{i-1}, y_i is normal with mean rho * m and variance S,
+/// where m and P are the mean and variance of f_{i-1} given those y's. That
+/// is the Kalman filter of the flicker state:
+///
+///   P_pred = rho^2 P + c^2,   S = P_pred + sigma_w^2,   K = P_pred / S,
+///   y_i = rho m + sqrt(S) e_i,   m <- rho m + K sqrt(S) e_i,
+///   P <- (1 - K) P_pred,
+///
+/// with one standard normal e_i per transition where the two-draw form needs
+/// g_i and h_i. Every y_i has the same conditional law given the past in
+/// both forms, so the joint law of the whole sequence is the same. (P, S, K)
+/// do not depend on the draws; in double precision P reaches a fixed point
+/// (within about 10^5 transitions at the default noise), after which the
+/// divide and the square root are skipped. S = 0 (no white and no flicker
+/// noise) gives K = 0.
+class DelayJitter {
+ public:
+  DelayJitter(Picoseconds white_sigma_ps, double flicker_corr,
+              Picoseconds flicker_sigma_ps);
+
+  /// The next transition's jitter, from the standard normal `e`.
+  double next(double e) {
+    if (!converged_) update_gain();
+    const double y = rho_ * mean_ + sqrt_s_ * e;
+    mean_ = rho_ * mean_ + gain_ * e;
+    return y;
+  }
+
+  /// P, S and K of the latest transition.
+  double posterior_var() const { return var_; }
+  double innovation_var() const { return s_; }
+  double kalman_gain() const { return k_; }
+  /// True once P has reached its fixed point.
+  bool converged() const { return converged_; }
+
+ private:
+  void update_gain() {
+    const double pred = rho2_ * var_ + c2_;
+    s_ = pred + w2_;
+    k_ = s_ > 0.0 ? pred / s_ : 0.0;
+    sqrt_s_ = std::sqrt(s_);
+    gain_ = k_ * sqrt_s_;
+    const double var = (1.0 - k_) * pred;
+    converged_ = var == var_;
+    var_ = var;
+  }
+
+  double rho_;
+  double rho2_;
+  double c2_;  ///< c^2, the flicker innovation variance
+  double w2_;  ///< sigma_w^2
+  double mean_ = 0.0;  ///< m
+  double var_ = 0.0;   ///< P
+  double s_ = 0.0;
+  double k_ = 0.0;
+  double sqrt_s_ = 0.0;
+  double gain_ = 0.0;  ///< K sqrt(S)
+  bool converged_ = false;
+};
+
 /// Common-mode supply/global noise: every delay element on the die sees the
 /// same multiplicative modulation. Shared (by reference) between all
 /// oscillators so differential measurements cancel it — which is exactly why
 /// the paper's jitter measurement is differential (Section 5.1).
+///
+/// The multiplier is 1 + tone(t) + walk(t). The tone is a sinusoid of
+/// configured amplitude and frequency with a seeded phase. The walk takes a
+/// Gaussian step at every whole microsecond, W_0 = 0 and
+/// W_j = W_{j-1} + sigma * N_j, and is linear in between: on step k,
+/// [k, k+1) us, it runs from W_{k-1} to W_k. It is continuous, and it is a
+/// pure function of t for every t no more than two steps before the newest
+/// step queried, so oscillators sharing one supply see the same
+/// common-mode value at the same instant whatever order they query in.
 class SupplyNoise {
  public:
+  /// The walk on one step: walk(t) = slope * t + intercept from the step's
+  /// start up to `end`. A zero walk is one segment over all time.
+  struct WalkSegment {
+    double slope = 0.0;
+    double intercept = 0.0;
+    Picoseconds end = std::numeric_limits<double>::infinity();
+  };
+
   SupplyNoise(const NoiseConfig& config, std::uint64_t seed);
 
-  /// Delay multiplier at absolute time `t` (monotone queries advance the
-  /// random-walk state lazily; out-of-order queries within the current step
-  /// are fine). Inline: called once per simulated transition.
+  /// Delay multiplier at absolute time `t`. Draws walk steps up to t's
+  /// step; throws std::logic_error for a t older than the retained steps.
   double multiplier_at(Picoseconds t) {
-    // Advance the random walk to the step containing t. Linear interpolation
-    // between step values keeps the process continuous. With a zero step
-    // sigma the walk is identically zero, so the state advance is skipped
-    // (its draws feed no other consumer).
-    double walk = 0.0;
-    if (walk_sigma_ != 0.0) {
-      // t * (1/step) instead of t / step: one multiply per call on the
-      // per-transition path; the reciprocal is exact to 1 ulp.
-      const double t_steps = t * inv_step_ps_;
-      const auto step = static_cast<std::int64_t>(std::floor(t_steps));
-      while (current_step_ < step) {
-        walk_prev_ = walk_value_;
-        walk_value_ += walk_sigma_ * rng_.next_gaussian();
-        ++current_step_;
-      }
-      const double frac = t_steps - static_cast<double>(current_step_ - 1);
-      walk = walk_prev_ + (walk_value_ - walk_prev_) *
-                              std::min(std::max(frac, 0.0), 1.0);
-    }
-    // A zero-amplitude tone contributes exactly +/-0.0 to the sum below, so
-    // skipping the sine is bit-identical for that configuration.
-    const double tone =
-        amp_ == 0.0 ? 0.0 : amp_ * detail::tone_sin(omega_per_ps_ * t + phase_);
-    return 1.0 + tone + walk;
+    const WalkSegment seg = walk_segment(t);
+    return (1.0 + tone_at(t)) + (seg.slope * t + seg.intercept);
   }
+
+  /// The tone term amp * sin(omega * t + phase). A zero-amplitude tone is
+  /// exactly 0.0.
+  double tone_at(Picoseconds t) const {
+    return amp_ == 0.0 ? 0.0 : amp_ * detail::tone_sin(omega_per_ps_ * t + phase_);
+  }
+
+  /// The tone's quadrature term amp * cos(omega * t + phase), so that
+  /// (tone_at, tone_quadrature_at) is the tone's phasor at t.
+  double tone_quadrature_at(Picoseconds t) const {
+    constexpr double kHalfPi = 1.57079632679489661923;
+    return amp_ == 0.0
+               ? 0.0
+               : amp_ * detail::tone_sin(omega_per_ps_ * t + phase_ + kHalfPi);
+  }
+
+  /// Tone angular frequency in rad/ps.
+  double omega_per_ps() const { return omega_per_ps_; }
+
+  /// The walk's segment on the step containing `t`, drawing steps up to it.
+  /// Throws std::logic_error for a t older than the retained steps.
+  WalkSegment walk_segment(Picoseconds t);
 
  private:
   double amp_;
   double omega_per_ps_;  ///< 2*pi*f in rad/ps
   double phase_;
   double walk_sigma_;
-  Picoseconds step_ps_ = 1.0e6;  ///< 1 us random-walk update step
-  double inv_step_ps_ = 1.0e-6;  ///< reciprocal of step_ps_
-  std::int64_t current_step_ = 0;
-  double walk_value_ = 0.0;
-  double walk_prev_ = 0.0;
+  static constexpr Picoseconds kStepPs = 1.0e6;  ///< 1 us walk step
+  /// Step values kept: queries may reach kWalkHistory - 2 steps back.
+  static constexpr int kWalkHistory = 4;
+  std::int64_t newest_step_ = 0;  ///< index of the newest drawn W_j
+  /// W_j for the kWalkHistory newest j, at index j mod kWalkHistory; the
+  /// initial zeros stand for W_j = 0 at j <= 0.
+  double walk_[kWalkHistory] = {};
+  double& walk_value(std::int64_t j) {
+    return walk_[static_cast<std::uint64_t>(j) % kWalkHistory];
+  }
   common::Xoshiro256StarStar rng_;
 };
 

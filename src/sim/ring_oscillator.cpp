@@ -7,16 +7,48 @@
 
 namespace trng::sim {
 
+namespace {
+
+/// Transitions between two anchors of the tone phasor to tone_sin: bounds
+/// the rounding the rotations accumulate.
+constexpr int kToneAnchorInterval = 64;
+
+/// Phase steps the rotation polynomial covers; a larger step re-anchors
+/// instead. The default 1.1 MHz tone steps about 3.5e-3 rad per stage; the
+/// repo's largest step is about 0.11 rad (the 33.43 MHz attack tone over
+/// one ~500 ps stage).
+constexpr double kMaxToneStep = 0.125;  // 2^-3
+
+/// Rotates the phasor (s, c) = a * (sin x, cos x) by d, |d| <= kMaxToneStep:
+/// (s, c) <- (s + s * cos_m1 + c * sin_d, c + c * cos_m1 - s * sin_d), with
+/// sin_d = sin d and cos_m1 = cos d - 1 as Taylor polynomials in u = d^2 in
+/// Estrin form (short dependency chains). They stop where the first omitted
+/// terms, d^11/11! and d^12/12!, are below 2^-53 (< 3e-18) over the range.
+inline void rotate(double& s, double& c, double d) {
+  const double u = d * d;
+  const double u2 = u * u;
+  const double sin_d =
+      d + (d * u) * ((-1.6666666666666666e-01 + u * 8.3333333333333332e-03) +
+                     u2 * (-1.9841269841269841e-04 + u * 2.7557319223985893e-06));
+  const double cos_m1 =
+      u * ((-0.5 + u * 4.1666666666666664e-02) +
+           u2 * ((-1.3888888888888889e-03 + u * 2.4801587301587302e-05) +
+                 u2 * -2.7557319223985888e-07));
+  const double s_next = s + (s * cos_m1 + c * sin_d);
+  c = c + (c * cos_m1 - s * sin_d);
+  s = s_next;
+}
+
+}  // namespace
+
 RingOscillator::RingOscillator(std::vector<Picoseconds> stage_delays,
                                Picoseconds white_sigma_ps,
                                const NoiseConfig& noise, SupplyNoise* supply,
                                std::uint64_t seed,
                                Picoseconds history_window_ps)
     : stage_delays_(std::move(stage_delays)),
-      white_sigma_(white_sigma_ps * noise.white_sigma_scale),
-      flicker_coeff_(std::sqrt(1.0 - noise.flicker_corr * noise.flicker_corr) *
-                     noise.flicker_sigma_ps),
-      noise_(noise),
+      jitter_(white_sigma_ps * noise.white_sigma_scale, noise.flicker_corr,
+              noise.flicker_sigma_ps),
       supply_(supply),
       rng_(seed),
       history_window_(history_window_ps) {
@@ -28,8 +60,7 @@ RingOscillator::RingOscillator(std::vector<Picoseconds> stage_delays,
       throw std::invalid_argument("RingOscillator: stage delays must be > 0");
     }
   }
-  toggles_.resize(stage_delays_.size());
-  value_.assign(stage_delays_.size(), 1);
+  stage_.resize(stage_delays_.size());
 }
 
 Picoseconds RingOscillator::mean_stage_delay() const {
@@ -44,154 +75,109 @@ Picoseconds RingOscillator::nominal_half_period() const {
   return sum;
 }
 
-double RingOscillator::take_gaussian() {
-  if (gauss_pos_ < gauss_len_) return gauss_buf_[gauss_pos_++];
-  return rng_.next_gaussian();
-}
-
-void RingOscillator::ensure_gaussians(std::size_t want) {
-  const std::size_t left = gauss_len_ - gauss_pos_;
-  if (left >= want) return;
-  if (gauss_pos_ > 0) {
-    std::copy(gauss_buf_.begin() + static_cast<std::ptrdiff_t>(gauss_pos_),
-              gauss_buf_.begin() + static_cast<std::ptrdiff_t>(gauss_len_),
-              gauss_buf_.begin());
-    gauss_len_ = left;
-    gauss_pos_ = 0;
-  }
-  if (gauss_buf_.size() < want) gauss_buf_.resize(want);
-  rng_.fill_gaussian(gauss_buf_.data() + gauss_len_, want - gauss_len_);
-  gauss_len_ = want;
-}
-
 void RingOscillator::reset(Picoseconds t0) {
-  for (auto& q : toggles_) q.clear();
-  std::fill(value_.begin(), value_.end(), static_cast<unsigned char>(1));
+  for (Stage& st : stage_) {
+    st.toggles.clear();
+    st.value = 1;
+  }
   running_ = true;
   now_ = t0;
   // ENABLE rises at t0: the NAND (stage 0) sees both inputs high and its
-  // output falls one stage delay later. Draws go through take_gaussian():
-  // a reset between batched advances must consume any pre-drawn block
-  // values first to stay on the scalar draw sequence.
+  // output falls one stage delay later.
   pending_stage_ = 0;
   const double mult = supply_ ? supply_->multiplier_at(t0) : 1.0;
-  flicker_state_ = noise_.flicker_corr * flicker_state_ +
-                   flicker_coeff_ * take_gaussian();
-  pending_time_ = t0 + stage_delays_[0] * mult +
-                  white_sigma_ * take_gaussian() + flicker_state_;
+  pending_time_ =
+      t0 + stage_delays_[0] * mult + jitter_.next(rng_.next_gaussian());
 }
 
-void RingOscillator::advance_to(Picoseconds t, AdvanceKernel kernel) {
+void RingOscillator::advance_to(Picoseconds t, AdvanceKernel /*kernel*/) {
   if (!running_) {
     throw std::logic_error("RingOscillator::advance_to: call reset() first");
   }
-  // Hoist loop-carried state into locals: the toggle push_back below may
+  if (supply_ != nullptr) {
+    advance_loop<true>(t);
+  } else {
+    advance_loop<false>(t);
+  }
+  now_ = t;
+  prune_history();
+}
+
+template <bool kSupply>
+void RingOscillator::advance_loop(Picoseconds t) {
+  // Loop-carried state lives in locals: the toggle push_back below may
   // write through pointers the compiler cannot prove distinct from *this,
-  // which would force a reload of every member each iteration. The
-  // arithmetic (and hence the random stream) is unchanged.
+  // which would force a reload of every member each iteration.
   const int nstages = stages();
-  const double corr = noise_.flicker_corr;
-  const double fcoeff = flicker_coeff_;
-  const double wsigma = white_sigma_;
   const Picoseconds* sd = stage_delays_.data();
-  std::vector<Picoseconds>* tg = toggles_.data();
-  unsigned char* val = value_.data();
-  double fs = flicker_state_;
+  Stage* stage = stage_.data();
+  DelayJitter jitter = jitter_;
+  common::Xoshiro256StarStar rng = rng_;
   Picoseconds pt = pending_time_;
   int ps = pending_stage_;
   std::uint64_t trans = transitions_;
-  // The supply's tone/walk state is likewise copied in and written back so
-  // multiplier_at runs entirely on locals; nobody else queries the shared
-  // supply while this loop runs, so the draw order it sees is unchanged.
-  SupplyNoise supply_local = supply_ ? *supply_ : SupplyNoise{{}, 0};
-  SupplyNoise* const sup = supply_ ? &supply_local : nullptr;
 
-  // Strategy dispatch. Both loop bodies run the identical per-transition
-  // arithmetic on the identical Gaussian stream, so which one executes is
-  // purely a speed decision (measured on the bench microharness):
-  //   * with a supply attached, the on-demand loop wins (~1.3x): each
-  //     transition's tone_sin/walk evaluation is a long serial dependency
-  //     chain through pt, and the out-of-order core executes the polar
-  //     Gaussian math for free in its shadow — pre-drawing the block first
-  //     serializes the two phases and forfeits that overlap;
-  //   * without a supply the transition chain is short and the block
-  //     pre-draw pipelines better (~1.1x).
-  // kReference always takes the on-demand loop (it is the pinned scalar
-  // implementation); kBatched picks by configuration.
-  if (kernel == AdvanceKernel::kReference || sup != nullptr) {
-    // On-demand loop: one transition at a time, each Gaussian drawn as
-    // needed (block leftovers first — see take_gaussian()).
-    common::Xoshiro256StarStar rng = rng_;
-    const double* gb = gauss_buf_.data();
-    std::size_t gpos = gauss_pos_;
-    const std::size_t gend = gauss_len_;
-    while (pt <= t) {
-      tg[static_cast<std::size_t>(ps)].push_back(pt);
-      val[static_cast<std::size_t>(ps)] ^= 1u;
-      ++trans;
+  // The supply multiplier at pt is (1 + tone) + walk without a libm call:
+  // the tone is the phasor (tone_s, tone_c), anchored to tone_sin on entry
+  // and every kToneAnchorInterval transitions and rotated by omega * delay
+  // in between; the walk is linear on its 1 us step, so it is re-derived
+  // only when pt crosses the step's end. Nobody else queries the shared
+  // supply while this loop runs.
+  double omega = 0.0;
+  double tone_s = 0.0;
+  double tone_c = 0.0;
+  int until_anchor = 0;
+  SupplyNoise::WalkSegment walk;
+  if constexpr (kSupply) {
+    omega = supply_->omega_per_ps();
+    walk = supply_->walk_segment(pt);
+  }
 
-      // Launch the transition into the next stage (wrap without the integer
-      // division a % would cost on this per-event path).
-      int next = ps + 1;
-      if (next == nstages) next = 0;
-      const double mult = sup ? sup->multiplier_at(pt) : 1.0;
-      fs = corr * fs +
-           fcoeff * (gpos < gend ? gb[gpos++] : rng.next_gaussian());
-      Picoseconds delay =
-          sd[next] * mult +
-          wsigma * (gpos < gend ? gb[gpos++] : rng.next_gaussian()) + fs;
-      // Physical floor: a gate cannot have non-positive propagation delay.
-      delay = std::max(delay, 0.05 * sd[next]);
-      ps = next;
-      pt += delay;
-    }
-    gauss_pos_ = gpos;
-    rng_ = rng;
-  } else {
-    // Block pre-draw loop (no supply, so the delay multiplier is exactly
-    // 1.0 and drops out): pre-draw the (flicker, white) jitter pairs for a
-    // whole block of upcoming transitions with fill_gaussian — value-for-
-    // value the same stream the on-demand loop draws — then run the
-    // identical per-transition arithmetic against the contiguous block.
-    // Unconsumed pairs persist in gauss_buf_ for the next kernel or reset.
-    const Picoseconds mean_delay = mean_stage_delay();
-    while (pt <= t) {
-      // Transitions left in (pt, t], estimated from the mean traversal
-      // time with headroom for jitter; clamped so one refill covers small
-      // advances and huge ones stay cache-resident.
-      const double est = (t - pt) / mean_delay + 4.0;
-      const std::size_t block =
-          2 * std::min<std::size_t>(
-                  std::max<std::size_t>(static_cast<std::size_t>(est), 16),
-                  4096);
-      ensure_gaussians(block);
-      const double* gb = gauss_buf_.data();
-      std::size_t gpos = gauss_pos_;
-      const std::size_t gend = gauss_len_;
-      while (pt <= t && gpos + 2 <= gend) {
-        tg[static_cast<std::size_t>(ps)].push_back(pt);
-        val[static_cast<std::size_t>(ps)] ^= 1u;
-        ++trans;
-
-        int next = ps + 1;
-        if (next == nstages) next = 0;
-        fs = corr * fs + fcoeff * gb[gpos];
-        Picoseconds delay = sd[next] + wsigma * gb[gpos + 1] + fs;
-        gpos += 2;
-        delay = std::max(delay, 0.05 * sd[next]);
-        ps = next;
-        pt += delay;
+  while (pt <= t) {
+    if constexpr (kSupply) {
+      if (until_anchor == 0) {
+        tone_s = supply_->tone_at(pt);
+        tone_c = supply_->tone_quadrature_at(pt);
+        until_anchor = kToneAnchorInterval;
       }
-      gauss_pos_ = gpos;
+      --until_anchor;
+    }
+    Stage& st = stage[static_cast<std::size_t>(ps)];
+    st.toggles.push_back(pt);
+    st.value ^= 1u;
+    ++trans;
+
+    // Launch the transition into the next stage (wrap without the integer
+    // division a % would cost on this per-event path).
+    int next = ps + 1;
+    if (next == nstages) next = 0;
+    // The stage delay times the multiplier (1 + tone) + walk, plus the
+    // jitter; summed as d + d * (tone + walk) so the tone's path to the
+    // next phase step is short.
+    const Picoseconds d = sd[next];
+    Picoseconds delay = d + jitter.next(rng.next_gaussian());
+    if constexpr (kSupply) {
+      delay += d * (tone_s + (walk.slope * pt + walk.intercept));
+    }
+    // Physical floor: a gate cannot have non-positive propagation delay.
+    delay = std::max(delay, 0.05 * d);
+    ps = next;
+    pt += delay;
+    if constexpr (kSupply) {
+      const double step = omega * delay;
+      if (std::fabs(step) <= kMaxToneStep) {
+        rotate(tone_s, tone_c, step);
+      } else {
+        until_anchor = 0;
+      }
+      if (pt >= walk.end) walk = supply_->walk_segment(pt);
     }
   }
-  if (supply_) *supply_ = supply_local;
-  flicker_state_ = fs;
+  jitter_ = jitter;
+  rng_ = rng;
   pending_time_ = pt;
   pending_stage_ = ps;
   transitions_ = trans;
-  now_ = t;
-  prune_history();
 }
 
 void RingOscillator::prune_history() {
@@ -202,10 +188,13 @@ void RingOscillator::prune_history() {
   // every reset and typically never prunes.
   constexpr std::size_t kPruneThreshold = 64;
   bool any_long = false;
-  for (const auto& q : toggles_) any_long = any_long || q.size() > kPruneThreshold;
+  for (const Stage& st : stage_) {
+    any_long = any_long || st.toggles.size() > kPruneThreshold;
+  }
   if (!any_long) return;
   const Picoseconds cutoff = now_ - history_window_;
-  for (auto& q : toggles_) {
+  for (Stage& st : stage_) {
+    auto& q = st.toggles;
     // Keep one toggle before the window so value_at can resolve the level
     // at the window's left edge. Same retention as the old per-element
     // pop_front loop, as one contiguous erase.
@@ -228,11 +217,11 @@ bool RingOscillator::value_at(int stage, Picoseconds t) const {
     throw std::logic_error(
         "RingOscillator::value_at: time before retained history window");
   }
-  const auto& q = toggles_[static_cast<std::size_t>(stage)];
+  const auto& q = stage_[static_cast<std::size_t>(stage)].toggles;
   // Current value was flipped by all retained toggles; undo those after t.
   const auto it = std::upper_bound(q.begin(), q.end(), t);
   const auto after_t = static_cast<std::size_t>(q.end() - it);
-  bool v = value_[static_cast<std::size_t>(stage)] != 0;
+  bool v = stage_[static_cast<std::size_t>(stage)].value != 0;
   if (after_t % 2 == 1) v = !v;
   return v;
 }
@@ -245,7 +234,7 @@ std::vector<Picoseconds> RingOscillator::edges_in(int stage, Picoseconds t0,
   if (t1 > now_) {
     throw std::logic_error("RingOscillator::edges_in: time not simulated yet");
   }
-  const auto& q = toggles_[static_cast<std::size_t>(stage)];
+  const auto& q = stage_[static_cast<std::size_t>(stage)].toggles;
   std::vector<Picoseconds> out;
   auto lo = std::lower_bound(q.begin(), q.end(), t0);
   auto hi = std::upper_bound(q.begin(), q.end(), t1);

@@ -9,15 +9,14 @@
 //
 // Every stage traversal adds:
 //   * the stage's static elaborated delay (process variation included),
-//   * a fresh white-noise Gaussian (the entropy-bearing jitter),
-//   * the oscillator's AR(1) flicker state,
-//   * the common-mode supply multiplier.
+//     scaled by the common-mode supply multiplier at the launch time,
+//   * the oscillator's delay jitter: fresh white noise (the entropy-bearing
+//     part) plus its AR(1) flicker state, drawn as one Gaussian per
+//     transition in the innovations form of DelayJitter.
 //
 // The simulator keeps a bounded history of recent toggle times per stage so
-// the TDC can reconstruct the waveform a delay-line-depth into the past.
-// Per-stage state is struct-of-arrays: contiguous vectors of toggle times,
-// one per stage, plus flat value/delay arrays — the layout the batched
-// advance kernel streams through.
+// the TDC can reconstruct the waveform a delay-line-depth into the past:
+// one contiguous vector of toggle times per stage.
 #pragma once
 
 #include <cstdint>
@@ -30,19 +29,8 @@
 
 namespace trng::sim {
 
-/// Which advance_to kernel to run. Both kernels execute the identical
-/// per-transition arithmetic on the identical Gaussian draw sequence
-/// (fill_gaussian's draw-order contract), so they produce bit-identical
-/// trajectories and may be interleaved freely on one oscillator:
-///   * kReference — the original one-transition-at-a-time loop, drawing
-///     each Gaussian on demand (the pinned scalar reference
-///     implementation);
-///   * kBatched   — the performance kernel: pre-draws whole blocks of
-///     (flicker, white) jitter pairs with fill_gaussian and advances many
-///     periods per refill when that is the faster strategy for the
-///     configuration, and falls back to the on-demand loop when it is not
-///     (see the dispatch comment in advance_to) — the choice is invisible
-///     in the trajectory.
+/// Kept for callers that name a kernel: both values run the same advance
+/// loop. (The enum goes with the next change that may edit those callers.)
 enum class AdvanceKernel { kReference, kBatched };
 
 class RingOscillator {
@@ -65,8 +53,8 @@ class RingOscillator {
   /// state persists across restarts (it is a property of the silicon).
   void reset(Picoseconds t0);
 
-  /// Simulates all transitions with arrival time <= t. The kernel choice
-  /// affects speed only: trajectories are bit-identical (see AdvanceKernel).
+  /// Simulates all transitions with arrival time <= t. Both kernel values
+  /// run the same loop.
   void advance_to(Picoseconds t, AdvanceKernel kernel = AdvanceKernel::kBatched);
 
   /// Output value of `stage` at time `t`. Requires advance_to(>= t) first
@@ -89,7 +77,7 @@ class RingOscillator {
     if (stage < 0 || stage >= stages()) {
       throw std::out_of_range("RingOscillator::toggle_history: bad stage");
     }
-    return toggles_[static_cast<std::size_t>(stage)];
+    return stage_[static_cast<std::size_t>(stage)].toggles;
   }
 
   /// Output value of `stage` at now() (after all retained toggles).
@@ -98,7 +86,7 @@ class RingOscillator {
     if (stage < 0 || stage >= stages()) {
       throw std::out_of_range("RingOscillator::current_value: bad stage");
     }
-    return value_[static_cast<std::size_t>(stage)] != 0;
+    return stage_[static_cast<std::size_t>(stage)].value != 0;
   }
 
   /// Total transitions simulated since construction (all stages).
@@ -108,48 +96,34 @@ class RingOscillator {
   Picoseconds now() const { return now_; }
 
  private:
+  /// The advance loop, specialised on whether a supply is attached.
+  template <bool kSupply>
+  void advance_loop(Picoseconds t);
   void prune_history();
-  /// Next Gaussian in stream order: pre-drawn block values first, then the
-  /// generator. Every Gaussian consumer inside the oscillator goes through
-  /// this (or through the kernels' hoisted equivalent), which is what makes
-  /// kernel interleaving bit-transparent.
-  double take_gaussian();
-  /// Compacts unconsumed pre-drawn values to the front of gauss_buf_ and
-  /// tops the buffer up to `want` values with fill_gaussian.
-  void ensure_gaussians(std::size_t want);
 
   std::vector<Picoseconds> stage_delays_;
-  Picoseconds white_sigma_;
-  /// sqrt(1 - corr^2) * flicker_sigma — the AR(1) innovation gain, hoisted
-  /// out of the per-transition loop (bit-identical to recomputing it).
-  double flicker_coeff_ = 0.0;
-  NoiseConfig noise_;
+  DelayJitter jitter_;  // persists across reset(), like the flicker state
   SupplyNoise* supply_;  // not owned; may be null
   common::Xoshiro256StarStar rng_;
   Picoseconds history_window_;
 
-  // Dynamic state (struct-of-arrays: one contiguous ascending time array
-  // per stage; vectors retain capacity across reset(), so restart-mode
-  // operation performs no steady-state allocation).
-  std::vector<std::vector<Picoseconds>> toggles_;  // per-stage toggle times
-  // Current output values; byte-backed (not vector<bool>) so the
-  // per-transition flip is a plain load/xor/store.
-  std::vector<unsigned char> value_;
+  // Dynamic per-stage state: the ascending toggle times (capacity is
+  // retained across reset(), so restart-mode operation performs no
+  // steady-state allocation) and the current output value, byte-backed so
+  // the per-transition flip is a plain load/xor/store. Each stage owns a
+  // cache line: the advance loop writes it every transition, and a line
+  // shared with another thread's hot data (a second producer's oscillator
+  // constructed next to this one) would bounce between cores.
+  struct alignas(64) Stage {
+    std::vector<Picoseconds> toggles;
+    unsigned char value = 1;
+  };
+  std::vector<Stage> stage_;
   int pending_stage_ = 0;          // stage whose output toggles next
   Picoseconds pending_time_ = 0.0; // when it toggles
   bool running_ = false;
   Picoseconds now_ = 0.0;
-  double flicker_state_ = 0.0;
   std::uint64_t transitions_ = 0;
-  // Pre-drawn Gaussian block (stream-order FIFO): values
-  // [gauss_pos_, gauss_len_) are drawn-but-unconsumed and MUST be consumed
-  // before rng_ is touched again, by whichever kernel (or reset()) runs
-  // next. The vector is grow-only storage — gauss_len_, not size(), bounds
-  // the valid values — so steady-state refills never resize (a resize
-  // would zero-fill the block just before fill_gaussian overwrites it).
-  std::vector<double> gauss_buf_;
-  std::size_t gauss_pos_ = 0;
-  std::size_t gauss_len_ = 0;
 };
 
 }  // namespace trng::sim

@@ -53,9 +53,8 @@ void SampleController::next_capture_into(Cycles accumulation_cycles,
     started_ = true;
   }
   const Picoseconds t_sample = schedule_.begin_conversion(accumulation_cycles);
-  // Whole-block sim advance: the batched SoA kernel pre-draws the jitter
-  // pairs for the full accumulation interval in one fill_gaussian block.
-  oscillator_.advance_to(t_sample + 500.0, AdvanceKernel::kBatched);
+  // One advance over the whole accumulation interval.
+  oscillator_.advance_to(t_sample + 500.0);
 
   const int taps = lines_.empty() ? 0 : lines_.front().taps();
   const int wpl = (taps + 63) / 64;

@@ -2,9 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <vector>
 
 #include "common/stats.hpp"
 #include "core/elementary.hpp"
+#include "server/sha256.hpp"
 
 namespace trng::core {
 namespace {
@@ -24,6 +29,28 @@ TEST(ElementaryTrng, ThroughputIsClockOverCycles) {
   ElementaryTrng t(480.0, 2.0, 800, 1);
   EXPECT_DOUBLE_EQ(t.throughput_bps(), 100.0e6 / 800.0);
   EXPECT_DOUBLE_EQ(t.accumulation_time_ps(), 8.0e6);
+}
+
+TEST(ElementaryTrng, AnalyticStreamMatchesTheRecordedDigest) {
+  // The registry's elementary source (t_A = 8 us) at a fixed seed: 2^20
+  // bits must hash to the value recorded when the analytic kernel still
+  // called std::floor, so the integer-cast rounding is pinned bit for bit.
+  ElementaryTrng trng(480.0, 2.0, 800, 2024);
+  std::vector<std::uint64_t> words(std::size_t{1} << 14);
+  trng.generate_into(words.data(), trng::common::Bits{std::uint64_t{1} << 20});
+  std::vector<std::uint8_t> bytes;
+  for (const std::uint64_t w : words) {
+    for (int b = 0; b < 8; ++b) bytes.push_back(static_cast<std::uint8_t>(w >> (8 * b)));
+  }
+  const auto digest = trng::server::Sha256::digest(bytes.data(), bytes.size());
+  std::string hex;
+  for (const std::uint8_t b : digest) {
+    char buf[3];
+    std::snprintf(buf, sizeof buf, "%02x", b);
+    hex += buf;
+  }
+  EXPECT_EQ(hex,
+            "33d3acb917e9868ea59754edd3290143bb558310718fc24d9f0134d8d3de82c4");
 }
 
 TEST(ElementaryTrng, GeneratesRequestedCount) {

@@ -61,6 +61,18 @@ TEST(PlatformMeasurement, LongWindowsOverestimateJitter) {
   EXPECT_GT(long_window, 2.3);
 }
 
+TEST(PlatformMeasurement, WindowsOfSeveralMicrosecondsAreMeasured) {
+  // Both oscillators share one supply, whose walk answers only queries
+  // near its newest one; a window several walk steps long must still run,
+  // and the flicker keeps inflating the estimate past 1 us.
+  fpga::Fabric fabric(fpga::DeviceGeometry{}, 42);
+  PlatformMeasurement pm(fabric, 7);
+  const Picoseconds one_us = pm.measure_jitter_sigma(100, 1.0e6);
+  Picoseconds four_us = 0.0;
+  ASSERT_NO_THROW(four_us = pm.measure_jitter_sigma(100, 4.0e6));
+  EXPECT_GT(four_us, one_us);
+}
+
 TEST(PlatformMeasurement, MeasureAllRoundTripsThroughModel) {
   fpga::Fabric fabric(fpga::DeviceGeometry{}, 42);
   PlatformMeasurement pm(fabric, 7);

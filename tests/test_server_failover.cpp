@@ -19,6 +19,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -33,10 +34,10 @@
 #include "sim/noise.hpp"
 
 // ThreadSanitizer and the (Debug) AddressSanitizer build slow the
-// simulated sources by an order of magnitude, to about 0.1 s per 2048-bit
-// block, which shifts every producer-side deadline in this test (clang
-// spells the predefines via __has_feature, gcc via __SANITIZE_THREAD__ /
-// __SANITIZE_ADDRESS__).
+// simulated sources by an order of magnitude, to some 0.05 to 0.1 s per
+// 2048-bit block, which shifts every producer-side deadline in this test
+// (clang spells the predefines via __has_feature, gcc via
+// __SANITIZE_THREAD__ / __SANITIZE_ADDRESS__).
 #if defined(__has_feature)
 #if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
 #define TRNG_TEST_SANITIZED 1
@@ -113,6 +114,28 @@ service::SourceFactory switched_factory(
   };
 }
 
+#if defined(TRNG_TEST_SANITIZED)
+// The sanitized reseed deadline: half the time the victim takes to make
+// `cooldown_blocks` attacked blocks, measured here because the sanitizers'
+// slowdown depends on the build, the host and the simulator's speed. The
+// fastest of a few blocks is taken, so a busy moment during the
+// measurement cannot stretch the deadline past the cooldown.
+std::uint64_t sanitized_reseed_timeout_ns(std::uint64_t cooldown_blocks) {
+  auto probe = switched_factory(std::make_shared<std::atomic<bool>>(true),
+                                1)(1, 17);
+  std::vector<std::uint64_t> block(2048 / 64);
+  auto fastest = std::chrono::nanoseconds::max();
+  for (int i = 0; i < 3; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    probe->generate_into(block.data(), Bits{2048});
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    fastest = std::min(
+        fastest, std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed));
+  }
+  return static_cast<std::uint64_t>(fastest.count()) * cooldown_blocks / 2;
+}
+#endif
+
 TEST(ServerFailover, HealthyShardUnaffectedVictimServesUntilSeedExpires) {
   auto attack_on = std::make_shared<std::atomic<bool>>(false);
 
@@ -132,8 +155,8 @@ TEST(ServerFailover, HealthyShardUnaffectedVictimServesUntilSeedExpires) {
   // within the (instrumentation-scaled) reseed deadline, and the victim
   // never starves into backpressure on slow/instrumented runs. So the
   // cooldown alone must outlast the reseed deadline below: 64 blocks take
-  // about 0.45 s in an optimised build (deadline 0.1 s) and 6 to 10 s
-  // under the sanitizers (deadline 4 s).
+  // about 0.45 s in an optimised build (deadline 0.1 s); under the
+  // sanitizers the deadline is half the measured cooldown.
   cfg.pool.producer.quarantine.cooldown_blocks = 64;
   cfg.pool.producer.quarantine.probation_blocks = 2;
   cfg.pool.ring_capacity_words = Words{256};
@@ -149,7 +172,8 @@ TEST(ServerFailover, HealthyShardUnaffectedVictimServesUntilSeedExpires) {
   cfg.conditioner.drbg.reseed_interval = 16;
   cfg.conditioner.seed_words = Words{16};
 #if defined(TRNG_TEST_SANITIZED)
-  cfg.conditioner.reseed_timeout_ns = 4'000'000'000;  // 4 s
+  cfg.conditioner.reseed_timeout_ns =
+      sanitized_reseed_timeout_ns(cfg.pool.producer.quarantine.cooldown_blocks);
 #else
   cfg.conditioner.reseed_timeout_ns = 100'000'000;  // 100 ms
 #endif
