@@ -1,46 +1,32 @@
-# Static-analysis ctest targets: the TRNG invariant linter, the semantic
-# analyzer and the clang-tidy sweep. Registered at the top level so they
-# run in every build tree (including sanitizer trees), independent of
-# TRNG_BUILD_TESTS.
+# Static-analysis ctest targets: the TRNG analyzer (lexical TL and
+# semantic SA rules) and the clang-tidy sweep. Registered at the top
+# level so they run in every build tree (including sanitizer trees),
+# independent of TRNG_BUILD_TESTS.
 #
-#   ctest -L lint   # trng_lint + semantic analyzer runs and self-tests
+#   ctest -L lint   # analyzer run and self-test, bench_diff tripwire
 #   ctest -L tidy   # clang-tidy over src/ (skips when clang-tidy is absent)
 
 find_package(Python3 COMPONENTS Interpreter QUIET)
 
 if(NOT Python3_Interpreter_FOUND)
   message(WARNING
-    "python3 not found: the trng_lint and trng_tidy ctest targets are not "
-    "registered in this build tree.")
+    "python3 not found: the trng_analyzer, trng_bench and trng_tidy ctest "
+    "targets are not registered in this build tree.")
   return()
 endif()
 
-add_test(NAME trng_lint.repo
-  COMMAND ${Python3_EXECUTABLE} ${CMAKE_SOURCE_DIR}/tools/trng_lint.py
-          --root ${CMAKE_SOURCE_DIR})
-set_tests_properties(trng_lint.repo PROPERTIES LABELS "lint")
-
-add_test(NAME trng_lint.selftest
-  COMMAND ${Python3_EXECUTABLE}
-          ${CMAKE_SOURCE_DIR}/tools/trng_lint_selftest.py)
-set_tests_properties(trng_lint.selftest PROPERTIES LABELS "lint")
-
-# Semantic analyzer (SA rules): compile_commands.json from this build tree
-# feeds per-TU flags to the libclang frontend when the bindings are
-# installed; the dependency-free lite frontend covers every other host, so
-# these two never skip.
+# The analyzer needs nothing beyond the Python standard library, so
+# neither test ever skips.
 add_test(NAME trng_analyzer.repo
   COMMAND ${Python3_EXECUTABLE}
           ${CMAKE_SOURCE_DIR}/tools/analyzer/analyze.py
-          --root ${CMAKE_SOURCE_DIR} -p ${CMAKE_BINARY_DIR})
+          --root ${CMAKE_SOURCE_DIR})
 set_tests_properties(trng_analyzer.repo PROPERTIES LABELS "lint")
 
 add_test(NAME trng_analyzer.selftest
   COMMAND ${Python3_EXECUTABLE}
           ${CMAKE_SOURCE_DIR}/tools/analyzer/selftest.py)
-set_tests_properties(trng_analyzer.selftest PROPERTIES
-  LABELS "lint"
-  SKIP_RETURN_CODE 77)
+set_tests_properties(trng_analyzer.selftest PROPERTIES LABELS "lint")
 
 # Benchmark regression tripwire: trng_bench.selftest proves the gate
 # trips on a perturbed baseline (always runs); trng_bench.diff compares a

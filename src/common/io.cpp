@@ -31,10 +31,10 @@ BitStream read_ascii_bits(const std::string& path) {
   char c;
   while (in.get(c)) {
     if (c == '0') {
-      // trng-lint: allow(TL006) -- ASCII parsing is inherently char-at-a-time
+      // trng-analyzer: allow(TL006) -- ASCII parsing is inherently char-at-a-time
       bits.push_back(false);
     } else if (c == '1') {
-      // trng-lint: allow(TL006) -- ASCII parsing is inherently char-at-a-time
+      // trng-analyzer: allow(TL006) -- ASCII parsing is inherently char-at-a-time
       bits.push_back(true);
     } else if (c != '\n' && c != '\r' && c != ' ' && c != '\t') {
       throw std::invalid_argument("read_ascii_bits: unexpected character");

@@ -58,7 +58,7 @@ common::BitStream VonNeumannPostProcessor::process(
   common::BitStream out;
   for (std::size_t i = 0; i < raw.size(); ++i) {
     bool bit;
-    // trng-lint: allow(TL006) -- von Neumann rejection's output length is data-dependent, so there is no packed-word batch to append
+    // trng-analyzer: allow(TL006) -- von Neumann rejection's output length is data-dependent, so there is no packed-word batch to append
     if (vn.feed(raw[i], bit)) out.push_back(bit);
   }
   return out;

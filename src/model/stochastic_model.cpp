@@ -73,7 +73,7 @@ double StochasticModel::xor_bias(double bias, unsigned np) {
   }
   // Piling-up lemma: b_pp = 2^(np-1) * b^np. Computed in the log domain so
   // np in the tens cannot underflow pairwise.
-  // trng-lint: allow(TL003) -- exact zero must short-circuit log2(0) = -inf
+  // trng-analyzer: allow(TL003) -- exact zero must short-circuit log2(0) = -inf
   if (bias == 0.0) return 0.0;
   const double log2b = std::log2(bias);
   return std::exp2(static_cast<double>(np - 1) +

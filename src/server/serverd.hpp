@@ -8,7 +8,7 @@
 //
 // The daemon owns the whole vertical slice: the pool, the per-shard
 // conditioning tier, the metrics, an optional AF_UNIX listener, and one
-// joined thread per client session (trng_lint TL007 confines raw threads
+// joined thread per client session (analyzer rule TL007 confines raw threads
 // to src/service/ and src/server/). Clients connect two ways:
 //
 //   connect_client()      — in-process socketpair; returns the client fd

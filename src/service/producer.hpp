@@ -5,7 +5,7 @@
 // The block pipeline (step()) is deliberately a plain synchronous function
 // so tests can drive the full generate -> screen -> quarantine -> admit
 // path deterministically without threads; start() merely runs step() in a
-// loop on an owned, always-joined thread (trng_lint TL007 confines raw
+// loop on an owned, always-joined thread (analyzer rule TL007 confines raw
 // std::thread to this layer).
 //
 // Reseed determinism: producer `i` derives its per-epoch source seeds from

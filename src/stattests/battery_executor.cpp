@@ -9,7 +9,7 @@ namespace trng::stat {
 
 BatteryExecutor::BatteryExecutor(unsigned threads) : threads_(threads) {
   if (threads_ == 0) {
-    // trng-lint: allow(TL007) -- pool sizing only; the workers themselves are created in run() below and always joined
+    // trng-analyzer: allow(TL007) -- pool sizing only; the workers themselves are created in run() below and always joined
     threads_ = std::thread::hardware_concurrency();
     if (threads_ == 0) threads_ = 1;
   }
@@ -43,7 +43,7 @@ std::vector<TestResult> BatteryExecutor::run(
     }
   };
   {
-    // trng-lint: allow(TL007) -- battery workers mirror the service-layer discipline: stack-owned handles, no detach, joined unconditionally below
+    // trng-analyzer: allow(TL007) -- battery workers mirror the service-layer discipline: stack-owned handles, no detach, joined unconditionally below
     std::vector<std::thread> pool;
     pool.reserve(nthreads);
     for (unsigned t = 0; t < nthreads; ++t) pool.emplace_back(worker);

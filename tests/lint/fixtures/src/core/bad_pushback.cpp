@@ -18,7 +18,7 @@ common::BitStream collect(int n) {
     out.push_back((i & 1) != 0);  // finding: per-bit loop
     counts.push_back(i);          // clean: not a BitStream
   }
-  // trng-lint: allow(TL006) -- fixture: justified bit-serial append
+  // trng-analyzer: allow(TL006) -- fixture: justified bit-serial append
   out.push_back(true);
   return out;
 }

@@ -1,6 +1,6 @@
-// Fixture: an allow() that matches no finding must surface as TL000 so
+// Fixture: an allow() that matches no finding must surface as SA000 so
 // stale suppressions cannot accumulate.
 double identity(double x) {
-  // trng-lint: allow(TL003) -- nothing here actually compares
+  // trng-analyzer: allow(TL003) -- nothing here actually compares
   return x;
 }

@@ -1,6 +1,6 @@
-// Fixture: an allow() without a "-- justification" must surface as TL000,
+// Fixture: an allow() without a "-- justification" must surface as SA000,
 // not silently suppress the finding.
 bool unjustified(double bias) {
-  // trng-lint: allow(TL003)
+  // trng-analyzer: allow(TL003)
   return bias == 0.0;
 }

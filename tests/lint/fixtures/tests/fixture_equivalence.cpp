@@ -1,3 +1,3 @@
 // TL008 fixture corpus: exercises exactly one of the two fixture kernels,
-// so the linter must flag the other one.
+// so the analyzer must flag the other one.
 void fixture() { (void)covered_kernel(1); }

@@ -1,20 +1,21 @@
-"""Semantic TRNG analyzer (SA rules).
+"""TRNG analyzer: the repository's one static-analysis tool.
 
-A compile_commands.json-driven companion to tools/trng_lint.py. Where the
-linter enforces lexical invariants (banned tokens, missing attributes),
-the analyzer reasons about *scopes and dataflow*: which lock guards are
-live at a call site, whether a condition_variable wait re-checks its
-predicate, whether a floating-point value can reach bit emission, and
-whether a bit count is used where a word count belongs.
+Two rule families run over one fact schema (tools/analyzer/facts.py):
 
-Two frontends produce one shared fact schema (tools/analyzer/facts.py):
+  TL rules  lexical invariants over the comment/string-stripped text —
+            banned tokens (nondeterministic RNGs, float, exact FP
+            literal compares), missing [[nodiscard]], layering (test
+            includes, thread and socket confinement), per-bit appends
+            and untested word-parallel kernels.
+  SA rules  scopes and dataflow — which lock guards are live at a call
+            site, whether a condition_variable wait re-checks its
+            predicate, whether a floating-point value can reach bit
+            emission, whether a bit count is used where a word count
+            belongs, plus the cross-TU lock-order and typestate rules.
 
-  frontend_clang  libclang (clang.cindex) AST walk — highest fidelity;
-                  used where the Python bindings are installed (CI).
-  frontend_lite   a self-contained tokenizer with brace/scope tracking —
-                  no dependencies beyond the standard library, so the
-                  rules run on any host (and back the selftest fixtures).
-
-Rules (tools/analyzer/rules.py) consume facts only, so both frontends
-feed the same rule code. See tools/analyzer/analyze.py for the CLI.
+One frontend (tools/analyzer/frontend_lite.py) builds the facts: a
+tokenizer with brace/scope tracking that needs nothing beyond the
+standard library. Rules live in tools/analyzer/rules.py; see
+tools/analyzer/analyze.py for the CLI and tools/analyzer/selftest.py for
+the fixture-driven self-test.
 """

@@ -1,25 +1,15 @@
 #!/usr/bin/env python3
-"""Semantic TRNG analyzer CLI.
+"""TRNG analyzer CLI.
 
-Drives the SA rules (tools/analyzer/rules.py) over the repository's
-sources. The file list and per-TU compile flags come from
-compile_commands.json when available (every CMake preset exports one and
-the build symlinks it to the repo root); without one the analyzer falls
-back to walking src/.
+Runs the lexical TL rules and the semantic SA rules
+(tools/analyzer/rules.py) over every source file under <root>/src.
 
-    python3 tools/analyzer/analyze.py --root .            # lite frontend
-    python3 tools/analyzer/analyze.py -p build --json     # machine output
-    python3 tools/analyzer/analyze.py --frontend clang    # require AST
+    python3 tools/analyzer/analyze.py                     # whole repo
+    python3 tools/analyzer/analyze.py --json              # machine output
     python3 tools/analyzer/analyze.py --only src/sim      # scoped sweep
+    python3 tools/analyzer/analyze.py --rules SA008,SA009 --dot lock.dot
 
-Frontends: `auto` (default) uses libclang per TU when the bindings are
-importable and falls back to the lite tokenizer otherwise — per file, so
-one unparsable TU degrades only itself. `clang` requires libclang and
-exits 77 (the ctest skip code) when it is unavailable, mirroring the
-clang-tidy wiring. `lite` forces the tokenizer.
-
-Exit codes: 0 clean, 1 unsuppressed findings, 2 usage/internal error,
-77 requested frontend unavailable (skip).
+Exit codes: 0 clean, 1 unsuppressed findings, 2 usage/internal error.
 """
 
 from __future__ import annotations
@@ -28,53 +18,19 @@ import argparse
 import collections
 import json
 import pathlib
-import shlex
 import sys
 
 if __package__ in (None, ""):
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
-    from analyzer import facts, frontend_clang, frontend_lite, rules
+    from analyzer import facts, frontend_lite, rules
 else:
-    from . import facts, frontend_clang, frontend_lite, rules
-
-SOURCE_SUFFIXES = {".cpp", ".hpp", ".cc", ".hh", ".cxx", ".h"}
-SKIP_EXIT = 77
-
-# Flags that matter for parsing; linker/diagnostic noise is dropped.
-_KEEP_FLAG_PREFIXES = ("-std=", "-I", "-D", "-isystem", "-f", "-W")
-
-
-def load_compile_commands(
-        compdb_dir: pathlib.Path) -> dict[pathlib.Path, list[str]]:
-    """file -> parse-relevant flags, from compile_commands.json."""
-    db = compdb_dir / "compile_commands.json"
-    if not db.is_file():
-        return {}
-    out: dict[pathlib.Path, list[str]] = {}
-    try:
-        entries = json.loads(db.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return {}
-    for entry in entries:
-        try:
-            file = pathlib.Path(entry["directory"], entry["file"]).resolve()
-        except KeyError:
-            continue
-        argv = entry.get("arguments") or shlex.split(entry.get("command", ""))
-        flags = []
-        for arg in argv[1:]:
-            if arg.startswith(_KEEP_FLAG_PREFIXES):
-                flags.append(arg)
-        out[file] = flags
-    return out
+    from . import facts, frontend_lite, rules
 
 
 def collect_files(root: pathlib.Path,
-                  compdb: dict[pathlib.Path, list[str]],
                   only: list[str] | None = None) -> list[pathlib.Path]:
-    """All analyzable sources under <root>/src. The compdb contributes
-    flags, not the file list: headers never appear in it, and the rules
-    must see headers (guard scopes and unit contracts live there).
+    """All analyzable sources under <root>/src, headers included (guard
+    scopes and unit contracts live there).
 
     `only` restricts the *reported* set, not the parsed set — callers
     filter after parsing so cross-TU context (annotations in headers
@@ -92,7 +48,7 @@ def collect_files(root: pathlib.Path,
                   f"exist under {root}", file=sys.stderr)
             raise SystemExit(2)
     return sorted(p for p in src.rglob("*")
-                  if p.is_file() and p.suffix in SOURCE_SUFFIXES)
+                  if p.is_file() and p.suffix in facts.SOURCE_SUFFIXES)
 
 
 def rel_matches(rel: pathlib.PurePosixPath, only: list[str]) -> bool:
@@ -100,35 +56,6 @@ def rel_matches(rel: pathlib.PurePosixPath, only: list[str]) -> bool:
     rel_str = rel.as_posix()
     return any(rel_str == p or rel_str.startswith(p.rstrip("/") + "/")
                for p in only)
-
-
-def parse_file(path: pathlib.Path, rel: pathlib.PurePosixPath,
-               frontend: str,
-               compdb: dict[pathlib.Path, list[str]]) -> facts.TUFacts:
-    tu = None
-    if frontend in ("auto", "clang") and frontend_clang.available():
-        try:
-            tu = frontend_clang.parse(path, rel,
-                                      compdb.get(path.resolve()))
-        except frontend_clang.FrontendError as exc:
-            if frontend == "clang":
-                print(f"trng_analyzer: clang frontend failed on {rel}: "
-                      f"{exc}; falling back to lite", file=sys.stderr)
-            tu = None
-    if tu is None:
-        tu = frontend_lite.parse(path, rel)
-    return tu
-
-
-def analyze_file(path: pathlib.Path, rel: pathlib.PurePosixPath,
-                 frontend: str,
-                 compdb: dict[pathlib.Path, list[str]],
-                 repo: rules.RepoContext | None = None
-                 ) -> list[rules.Finding]:
-    tu = parse_file(path, rel, frontend, compdb)
-    raw_lines = path.read_text(
-        encoding="utf-8", errors="replace").splitlines()
-    return rules.check_tu(tu, raw_lines, repo)
 
 
 def print_summary(findings: list[rules.Finding], nfiles: int,
@@ -156,17 +83,11 @@ def print_summary(findings: list[rules.Finding], nfiles: int,
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
-        description="Semantic TRNG analyzer (SA rules)")
+        description="TRNG analyzer (lexical TL and semantic SA rules)")
     parser.add_argument("--root", type=pathlib.Path,
                         default=pathlib.Path(
                             __file__).resolve().parent.parent.parent,
                         help="repository root; <root>/src is analyzed")
-    parser.add_argument("-p", "--compdb", type=pathlib.Path, default=None,
-                        help="directory containing compile_commands.json "
-                             "(defaults to --root)")
-    parser.add_argument("--frontend", choices=("auto", "clang", "lite"),
-                        default="auto",
-                        help="AST frontend selection (default: auto)")
     parser.add_argument("--only", action="append", default=None,
                         metavar="PREFIX",
                         help="report findings only for files under this "
@@ -207,16 +128,8 @@ def main(argv: list[str]) -> int:
                   f"{', '.join(sorted(known))}", file=sys.stderr)
             return 2
 
-    if args.frontend == "clang" and not frontend_clang.available():
-        print("trng_analyzer: clang python bindings not available; "
-              "skipping (install python3-clang + libclang to enable the "
-              "AST frontend, or run with --frontend auto/lite)",
-              file=sys.stderr)
-        return SKIP_EXIT
-
     root = args.root.resolve()
-    compdb = load_compile_commands((args.compdb or root).resolve())
-    files = collect_files(root, compdb, args.only)
+    files = collect_files(root, args.only)
 
     # Pass 1: parse every TU. Annotations (locking contracts, atomic
     # roles) live in headers but govern accesses in other TUs, so the
@@ -225,7 +138,7 @@ def main(argv: list[str]) -> int:
     tus: list[facts.TUFacts] = []
     for path in files:
         rel = pathlib.PurePosixPath(path.relative_to(root).as_posix())
-        tus.append(parse_file(path, rel, args.frontend, compdb))
+        tus.append(frontend_lite.parse(path, rel))
     repo = rules.build_repo_context(tus)
 
     # Pass 2: rules per TU against the shared context, reported only
@@ -235,10 +148,7 @@ def main(argv: list[str]) -> int:
     findings: list[rules.Finding] = []
     timings: dict[str, float] = {}
     for tu in scoped:
-        raw_lines = tu.path.read_text(
-            encoding="utf-8", errors="replace").splitlines()
-        findings.extend(rules.check_tu(tu, raw_lines, repo,
-                                       rule_ids=rule_ids,
+        findings.extend(rules.check_tu(tu, repo, rule_ids=rule_ids,
                                        timings=timings))
 
     if args.dot is not None:

@@ -1,21 +1,20 @@
-"""Shared fact schema for the semantic TRNG analyzer.
+"""Fact schema for the TRNG analyzer.
 
-A frontend (libclang or the dependency-free lite tokenizer) reduces one
-translation unit to a `TUFacts` value; the rules in rules.py consume
-facts only and never look at the frontend. Every fact carries a 1-based
-line number in the original file so findings and suppressions line up
-with what the developer sees.
+The frontend (frontend_lite.py) reduces one translation unit to a
+`TUFacts` value; the rules in rules.py consume facts only and never
+look at the frontend. Every fact carries a 1-based line number in the
+original file so findings and suppressions line up with what the
+developer sees.
 
 The schema is deliberately small: it holds exactly what the SA rules
 need (guard scopes, condition_variable waits with their loop context,
 call sites, variable declarations and assignments; member-field accesses
 and atomic operations with their memory orders for the concurrency
 protocol rules SA005/SA006; annotation facts for declared locking intent
-and atomic roles), plus the comment/string-stripped text for the
-pattern-shaped parts of SA002/SA007.
+and atomic roles), plus the raw and comment/string-stripped texts the
+lexical TL rules and the pattern-shaped parts of SA002/SA007 read.
 
-Annotation grammar (raw-comment facts, shared verbatim by both
-frontends so they can never disagree about declared intent):
+Annotation grammar (raw-comment facts):
 
     // trng-analyzer: guards(<field>, <mutex>)
         Class-level locking contract: every access to member <field>
@@ -39,6 +38,8 @@ from __future__ import annotations
 import dataclasses
 import pathlib
 import re
+
+SOURCE_SUFFIXES = {".cpp", ".hpp", ".cc", ".hh", ".cxx", ".h"}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -79,10 +80,6 @@ class Call:
     line: int
     offset: int          # character offset into the stripped text
     args: tuple[str, ...]
-    callee_qual: str | None = None
-    # ^ resolved `Class::name` of the callee when the frontend can name
-    #   it semantically (libclang via cursor.referenced); None means the
-    #   interprocedural pass falls back to name heuristics (lite).
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,8 +107,8 @@ class Assign:
 class FieldAccess:
     """A read or write of a trailing-underscore member field inside a
     function body (the repository's naming convention makes member state
-    recognizable in both frontends). Accesses through another object
-    (`other.field_`) are not recorded: a guard held here says nothing
+    recognizable without type information). Accesses through another
+    object (`other.field_`) are not recorded: a guard held here says nothing
     about that object's state."""
     name: str
     line: int
@@ -174,9 +171,9 @@ class FuncDef:
 
     `qual` is `Class::name` for methods (the innermost owning class for
     in-class definitions, the `X::` qualifier for out-of-class ones —
-    namespaces are deliberately excluded so both frontends produce the
-    same spelling), the bare name for free functions, and a synthetic
-    `<lambda...>` for lambdas. `kind` is "fn", "lambda" or "anon";
+    namespaces are deliberately excluded so both spellings agree), the
+    bare name for free functions, and a synthetic `<lambda...>` for
+    lambdas. `kind` is "fn", "lambda" or "anon";
     anonymous spans exist so facts inside them detach from the enclosing
     function (a deferred callback does not run under the caller's
     locks), but they are never call-resolution targets."""
@@ -192,6 +189,7 @@ class FuncDef:
 class TUFacts:
     path: pathlib.Path
     rel: pathlib.PurePosixPath
+    raw: str             # the file text as read
     stripped: str        # comment/string-stripped source, newlines kept
     guards: list[Guard] = dataclasses.field(default_factory=list)
     waits: list[WaitCall] = dataclasses.field(default_factory=list)
@@ -207,7 +205,6 @@ class TUFacts:
         default_factory=list)
     classes: list[ClassSpan] = dataclasses.field(default_factory=list)
     funcs: list[FuncDef] = dataclasses.field(default_factory=list)
-    frontend: str = "lite"   # which frontend produced these facts
 
     def decl_types(self) -> dict[str, str]:
         """Last-writer-wins name -> type map (adequate for TU-local use)."""
@@ -216,9 +213,9 @@ class TUFacts:
 
 def strip_comments_and_strings(text: str) -> str:
     """Replaces comment and string-literal contents with spaces, keeping
-    newlines so offsets still map to the original line numbers. Same
-    algorithm as tools/trng_lint.py (kept dependency-free on purpose:
-    the analyzer package must import without the linter on sys.path)."""
+    newlines so offsets still map to the original line numbers. Handles
+    //, /* */, "..." and '...' with escapes; raw string literals are
+    treated as ordinary strings (the repository has none)."""
     out = []
     i, n = 0, len(text)
     state = "code"
@@ -282,9 +279,8 @@ def line_of(text: str, offset: int) -> int:
 # ------------------------------------------------------- shared scanners
 #
 # Annotation parsing, atomic-declaration detection and memory-order
-# classification are text-shaped, not AST-shaped: both frontends call
-# these helpers verbatim so they can never disagree about declared
-# intent or about which operations are atomic protocol ops.
+# classification are text-shaped, not AST-shaped: they read the raw and
+# stripped texts directly.
 
 ATOMIC_ROLES = ("counter", "gauge", "flag", "index-producer",
                 "index-consumer")
@@ -356,12 +352,12 @@ def _order_of(arg: str | None) -> str | None:
     return m.group(1) if m else None
 
 
-def scan_annotations(tu: TUFacts, raw: str) -> None:
+def scan_annotations(tu: TUFacts) -> None:
     """Fills tu.atomic_decls and tu.guard_annots from the raw (comments
     intact) and stripped texts. An atomic(<role>) marker binds to a
     declaration on the same line or the line directly below the marker's
     line (the repo style puts annotations above the member)."""
-    raw_lines = raw.splitlines()
+    raw_lines = tu.raw.splitlines()
     stripped_lines = tu.stripped.splitlines()
 
     role_at = {}         # line number -> role text
@@ -411,11 +407,8 @@ def derive_atomic_ops(tu: TUFacts) -> None:
 # --------------------------------------------- shared structure scanner
 #
 # Class spans and function-definition spans are likewise text-shaped:
-# both frontends call scan_structure verbatim so the interprocedural
-# pass (call graph, lock graph, typestate spans) sees the same function
-# inventory regardless of frontend. The libclang frontend still adds
-# semantic callee resolution on top (Call.callee_qual); the spans
-# themselves are deliberately derived from one algorithm.
+# scan_structure gives the interprocedural pass (call graph, lock
+# graph, typestate spans) its function inventory.
 
 _CLASS_HEAD_RE = re.compile(
     r"(?<!enum\s)\b(?:class|struct)\s+([A-Za-z_]\w*)"
@@ -553,8 +546,7 @@ def scan_structure(tu: TUFacts) -> None:
             k -= 1
         if k >= 1 and text[k] == ":" and text[k - 1] == ":":
             q, _ = _ident_before(text, k - 1)
-            # CamelCase = class; lowercase qualifiers are namespaces,
-            # which the clang frontend also skips.
+            # CamelCase = class; lowercase qualifiers are namespaces.
             if q and q[0].isupper():
                 cls = q
         if cls is None:

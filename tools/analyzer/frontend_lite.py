@@ -1,13 +1,13 @@
-"""Dependency-free frontend: tokenizer + brace/scope tracking.
+"""The analyzer's frontend: tokenizer + brace/scope tracking.
 
-Produces the same `TUFacts` schema as the libclang frontend from nothing
-but the file text. It is deliberately conservative: a C++ parser it is
-not, but the constructs the SA rules care about (scoped lock guards,
-condition_variable waits, call expressions, declarations, assignment
-statements) are all statement-shaped, and brace matching over
-comment/string-stripped text recovers their scopes reliably for the
-style this repository enforces (clang-format, no macros generating
-braces).
+Produces the `TUFacts` schema (facts.py) from nothing but the file
+text, with no dependency beyond the standard library. It is
+deliberately conservative: a C++ parser it is not, but the constructs
+the SA rules care about (scoped lock guards, condition_variable waits,
+call expressions, declarations, assignment statements) are all
+statement-shaped, and brace matching over comment/string-stripped text
+recovers their scopes reliably for the style this repository enforces
+(clang-format, no macros generating braces).
 
 Known approximations, shared with the rule docs:
   - Member declarations in *other* headers are invisible; receiver
@@ -239,13 +239,10 @@ def _immediate_loop_cond(text: str, call_off: int) -> str | None:
 
 # --------------------------------------------------------------- frontend
 
-def parse(path: pathlib.Path, rel: pathlib.PurePosixPath,
-          text: str | None = None) -> facts.TUFacts:
-    raw = text if text is not None else path.read_text(
-        encoding="utf-8", errors="replace")
+def parse(path: pathlib.Path, rel: pathlib.PurePosixPath) -> facts.TUFacts:
+    raw = path.read_text(encoding="utf-8", errors="replace")
     stripped = facts.strip_comments_and_strings(raw)
-    tu = facts.TUFacts(path=path, rel=rel, stripped=stripped,
-                       frontend="lite")
+    tu = facts.TUFacts(path=path, rel=rel, raw=raw, stripped=stripped)
     spans = _block_spans(stripped)
     func_spans = _function_spans(stripped)
 
@@ -344,7 +341,7 @@ def parse(path: pathlib.Path, rel: pathlib.PurePosixPath,
             tu.field_accesses.append(facts.FieldAccess(
                 name=m.group(1), line=facts.line_of(stripped, off)))
 
-    facts.scan_annotations(tu, raw)
+    facts.scan_annotations(tu)
     facts.scan_structure(tu)
     facts.derive_atomic_ops(tu)
     return tu

@@ -4,12 +4,10 @@ graph for the SA008/SA009 rules.
 Built once per analyzer run from every TU's facts (the same two-pass
 `RepoContext` flow the per-access rules use — pass 1 parses all TUs,
 pass 2 runs rules), so cycles that only close across translation units
-are visible. The model is frontend-agnostic: function spans come from
-the shared `facts.scan_structure` scanner, and call resolution prefers
-the libclang frontend's semantic `Call.callee_qual` when present,
-falling back to qualified-name heuristics (receiver declaration types,
-receiver-name/class-name affinity, own-class methods, repo-unique
-names) for the lite frontend. Resolution is deliberately
+are visible. Function spans come from the `facts.scan_structure`
+scanner, and call resolution uses qualified-name heuristics (receiver
+declaration types, receiver-name/class-name affinity, own-class
+methods, repo-unique names). Resolution is deliberately
 under-approximate: an ambiguous callee resolves to nothing rather than
 to everything, so the lock graph never grows edges from guesses.
 
@@ -114,7 +112,6 @@ class Model:
     def __init__(self, tus):
         self.tus = list(tus)
         self.funcs: list[_Func] = []
-        self.by_qual: dict[str, list[_Func]] = {}
         self.by_name: dict[str, list[_Func]] = {}
         self.lambda_by_tu_name: dict[tuple[str, str], list[_Func]] = {}
         self.mutex_members: dict[str, set[str]] = {}
@@ -143,7 +140,6 @@ class Model:
                 self.funcs.append(f)
                 per_tu.append(f)
                 if fd.kind == "fn" and fd.name:
-                    self.by_qual.setdefault(fd.qual, []).append(f)
                     self.by_name.setdefault(fd.name, []).append(f)
                 elif fd.kind == "lambda" and fd.name:
                     self.lambda_by_tu_name.setdefault(
@@ -233,8 +229,6 @@ class Model:
     def resolve(self, call, caller: _Func) -> list[_Func]:
         if call.callee in _WAITISH:
             return []
-        if call.callee_qual is not None:
-            return self.by_qual.get(call.callee_qual, [])
         name = call.callee
         lam = self.lambda_by_tu_name.get((caller.rel, name))
         if lam:

@@ -1,4 +1,70 @@
-"""SA rules: semantic invariants over the shared fact schema.
+"""The analyzer's rules, all over the shared fact schema (facts.py).
+
+TL rules are lexical: regex passes over the comment/string-stripped
+text (`TUFacts.stripped`). They guard the ways the reproduction's
+numbers (Eq. 3 bin masses, the Eq. 5 entropy bound, the Eq. 8
+improvement factor) have historically gone silently wrong, plus the
+layering the library depends on.
+
+  TL001 nondeterministic-rng
+      No std::rand/srand, std::random_device, time()-seeding or wall-clock
+      reads anywhere in src/ except src/common/rng.{cpp,hpp}. Every
+      simulation must be exactly reproducible from its explicit seed; a
+      single random_device() hidden in a constructor makes a failing
+      entropy estimate unreproducible.
+
+  TL002 float-type
+      No `float` in src/model/ or src/stattests/. The entropy-bound
+      numerics (Gaussian tail sums, chi-square survival functions) lose
+      the paper's claimed precision in single precision; everything is
+      double end to end.
+
+  TL003 fp-literal-equality
+      No ==/!= against a floating-point literal in src/model/ or
+      src/stattests/. Exact comparison against computed FP values is
+      almost always a bug in the estimator code; the rare legitimate
+      exact-zero guard carries a justified suppression.
+
+  TL004 nodiscard-result
+      Every estimator / health-test result type (struct or class named
+      *Result, *Report, *Outcome, *Verdict, *Assessment) must be declared
+      [[nodiscard]]. Dropping a health-test verdict on the floor is the
+      TRNG equivalent of ignoring an error code.
+
+  TL005 test-include
+      src/ must not #include anything from tests/. Production code that
+      reaches into the test tree inverts the dependency graph and breaks
+      standalone library builds.
+
+  TL006 per-bit-pushback
+      No BitStream::push_back on named BitStream objects in src/ outside
+      src/common/bitstream.{cpp,hpp} (the container's own implementation).
+      Hot paths assemble packed words and append_words() them; a per-bit
+      push_back loop silently reintroduces the bit-at-a-time datapath.
+      Genuinely bit-serial algorithms (ASCII parsers, von Neumann
+      rejection) carry a justified suppression.
+
+  TL007 thread-confinement
+      No .detach() anywhere in src/, and no raw std::thread/std::jthread
+      outside src/service/ and src/server/. Those two layers own their
+      worker threads and always join them; a detached thread outlives
+      the rings and metrics it references.
+
+  TL008 kernel-equivalence-test
+      Every kernel declared in a `wordpar` namespace in a header under
+      src/stattests/ must be exercised by name in a tests/ file whose
+      filename contains "equivalence". The word-parallel battery's
+      correctness story is bit-identity with the tests-only oracle
+      (tests/sp800_22_oracle.hpp); a kernel that nothing compares
+      against its oracle is an unchecked rewrite of a statistical test.
+
+  TL009 socket-confinement
+      No BSD socket calls (socket, socketpair, bind, listen, accept,
+      connect, send*, recv*) in src/ outside src/server/. The entropy
+      daemon owns the transport; a socket opened from the core or model
+      layers would make the hermetic simulation library network-facing.
+
+SA rules are semantic: they read the scope, call and dataflow facts.
 
   SA001 condvar-discipline
       Every condition_variable wait must either use the predicate
@@ -68,8 +134,18 @@
       Counts and verdicts are fine; words are not. This is the
       paper's raw-vs-conditioned boundary as a compile-time check.
 
-Suppressions use the same line-scoped justified-marker contract as
-trng_lint:  // trng-analyzer: allow(SA001) -- why this one is fine
+  SA008 lock-order / SA009 typestate-protocol
+      Interprocedural rules over the cross-TU model in interproc.py; see
+      the rule classes below.
+
+A finding is suppressed by a marker on the same line or the line
+immediately above:
+
+    // trng-analyzer: allow(TL003) -- exact zero is the documented sentinel
+
+The ` -- justification` part is mandatory; an allow() without one, or
+one that matches no finding, is itself a finding (SA000). Suppressions
+are deliberately line-scoped: there is no file- or rule-level switch.
 """
 
 from __future__ import annotations
@@ -82,7 +158,8 @@ import time
 from . import facts
 
 ALLOW_RE = re.compile(
-    r"//\s*trng-analyzer:\s*allow\(\s*(SA\d{3})\s*\)\s*(?:--\s*(\S.*))?")
+    r"//\s*trng-analyzer:\s*allow\(\s*((?:TL|SA)\d{3})\s*\)"
+    r"\s*(?:--\s*(\S.*))?")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -173,6 +250,277 @@ class Rule:
     def check(self, tu: facts.TUFacts,
               repo: RepoContext) -> list[tuple[int, str]]:
         raise NotImplementedError
+
+
+# ------------------------------------------------------------- TL rules
+
+FP_LITERAL = r"(?:\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
+
+
+class PatternRule(Rule):
+    """Findings are regex matches over the stripped text."""
+
+    patterns: list[tuple[re.Pattern, str]] = []
+
+    def check(self, tu, repo):
+        return [(facts.line_of(tu.stripped, m.start()), message)
+                for pattern, message in self.patterns
+                for m in pattern.finditer(tu.stripped)]
+
+
+class NondeterministicRng(PatternRule):
+    rule_id = "TL001"
+    name = "nondeterministic-rng"
+    doc = ("no std::rand/srand, std::random_device, time()-seeding or "
+           "wall-clock reads outside src/common/rng.{cpp,hpp}")
+    patterns = [
+        (re.compile(r"\bs?rand\s*\("),
+         "C rand()/srand() is banned; use trng::common::Xoshiro256StarStar"),
+        (re.compile(r"\bstd::rand\b"),
+         "std::rand is banned; use trng::common::Xoshiro256StarStar"),
+        (re.compile(r"\brandom_device\b"),
+         "std::random_device breaks simulation determinism; seeds must be "
+         "explicit (see src/common/rng.hpp)"),
+        (re.compile(r"\btime\s*\(\s*(?:NULL|nullptr|0)?\s*\)"),
+         "time()-based seeding breaks simulation determinism"),
+        (re.compile(r"\b(?:system_clock|steady_clock|high_resolution_clock)"
+                    r"\s*::\s*now\b"),
+         "wall-clock reads in library code break simulation determinism; "
+         "timing belongs in bench/"),
+    ]
+
+    def applies_to(self, rel):
+        if str(rel) in ("src/common/rng.cpp", "src/common/rng.hpp"):
+            return False
+        return _under(rel, "src/")
+
+
+class FloatType(PatternRule):
+    rule_id = "TL002"
+    name = "float-type"
+    doc = "no `float` in src/model/ or src/stattests/ (numerics are double)"
+    patterns = [
+        (re.compile(r"\bfloat\b"),
+         "single-precision float is banned in entropy-bound numerics; "
+         "use double"),
+    ]
+
+    def applies_to(self, rel):
+        return _under(rel, "src/model/", "src/stattests/")
+
+
+class FpLiteralEquality(PatternRule):
+    rule_id = "TL003"
+    name = "fp-literal-equality"
+    doc = ("no ==/!= against a floating-point literal in src/model/ or "
+           "src/stattests/")
+    patterns = [
+        (re.compile(r"[=!]=\s*" + FP_LITERAL),
+         "exact ==/!= against a floating-point literal; compare with a "
+         "tolerance or justify the exact sentinel"),
+        (re.compile(FP_LITERAL + r"\s*[=!]=(?!=)"),
+         "exact ==/!= against a floating-point literal; compare with a "
+         "tolerance or justify the exact sentinel"),
+    ]
+
+    def applies_to(self, rel):
+        return _under(rel, "src/model/", "src/stattests/")
+
+
+class NodiscardResult(Rule):
+    rule_id = "TL004"
+    name = "nodiscard-result"
+    doc = ("struct/class *Result, *Report, *Outcome, *Verdict, *Assessment "
+           "definitions must be [[nodiscard]]")
+
+    DEF_RE = re.compile(
+        r"(?<![\w:])(?:struct|class)\s+"
+        r"(?P<attrs>(?:\[\[[^\]]*\]\]\s*)*)"
+        r"(?P<name>[A-Za-z_]\w*(?:Result|Report|Outcome|Verdict|Assessment))"
+        r"\s*(?:final\s*)?(?::[^;{}]*)?\{")
+
+    def applies_to(self, rel):
+        return _under(rel, "src/")
+
+    def check(self, tu, repo):
+        return [(facts.line_of(tu.stripped, m.start()),
+                 f"result type '{m.group('name')}' must be declared "
+                 f"[[nodiscard]] so callers cannot drop a verdict")
+                for m in self.DEF_RE.finditer(tu.stripped)
+                if "nodiscard" not in m.group("attrs")]
+
+
+class TestInclude(Rule):
+    rule_id = "TL005"
+    name = "test-include"
+    doc = "src/ must not #include anything from tests/"
+
+    # Include paths are string contents, which the stripped text blanks,
+    # so this rule matches on the raw lines.
+    INCLUDE_RE = re.compile(r'#\s*include\s*["<]([^">]+)[">]')
+
+    def applies_to(self, rel):
+        return _under(rel, "src/")
+
+    def check(self, tu, repo):
+        findings = []
+        for lineno, line in enumerate(tu.raw.splitlines(), start=1):
+            m = self.INCLUDE_RE.search(line)
+            if not m:
+                continue
+            inc = m.group(1)
+            if inc.startswith("tests/") or "../tests" in inc \
+                    or inc.startswith("test_snippets/"):
+                findings.append((
+                    lineno,
+                    f"'#include \"{inc}\"' pulls the test tree into src/; "
+                    f"move the shared code under src/"))
+        return findings
+
+
+class PerBitPushBack(Rule):
+    rule_id = "TL006"
+    name = "per-bit-pushback"
+    doc = ("no BitStream::push_back on named BitStream objects in src/ "
+           "outside src/common/bitstream.{cpp,hpp}; assemble words and "
+           "append_words() instead")
+
+    # Pass 1: names bound to BitStream objects (locals, members, reference
+    # parameters). Scanning declarations keeps the rule from firing on
+    # push_back calls against unrelated containers.
+    DECL_RE = re.compile(
+        r"\b(?:common::)?BitStream\b\s*&?\s*([A-Za-z_]\w*)\b")
+
+    def applies_to(self, rel):
+        if str(rel) in ("src/common/bitstream.cpp",
+                        "src/common/bitstream.hpp"):
+            return False
+        return _under(rel, "src/")
+
+    def check(self, tu, repo):
+        names = {m.group(1) for m in self.DECL_RE.finditer(tu.stripped)}
+        if not names:
+            return []
+        # Pass 2: per-bit appends through any of those names.
+        alt = "|".join(sorted(re.escape(n) for n in names))
+        call_re = re.compile(r"\b(?:" + alt + r")\s*\.\s*push_back\s*\(")
+        return [(facts.line_of(tu.stripped, m.start()),
+                 "per-bit BitStream::push_back in library code; build "
+                 "packed words and append_words() them (or implement "
+                 "generate_into), or justify the bit-serial loop with a "
+                 "suppression")
+                for m in call_re.finditer(tu.stripped)]
+
+
+class ThreadConfinement(Rule):
+    rule_id = "TL007"
+    name = "thread-confinement"
+    doc = ("no .detach() anywhere in src/ and no raw std::thread/"
+           "std::jthread outside src/service/ and src/server/; those two "
+           "layers own their worker threads and always join them")
+
+    # .detach() is banned everywhere in src/ (service included): a detached
+    # thread outlives the rings/metrics it references and cannot be joined
+    # at shutdown, which is exactly how use-after-free races get in.
+    DETACH_RE = re.compile(r"\.\s*detach\s*\(\s*\)")
+
+    # Matches the std::thread/std::jthread type itself; std::this_thread::*
+    # (sleep/yield helpers) intentionally does not match.
+    THREAD_RE = re.compile(r"\bstd\s*::\s*j?thread\b")
+
+    def applies_to(self, rel):
+        return _under(rel, "src/")
+
+    def check(self, tu, repo):
+        findings = [(facts.line_of(tu.stripped, m.start()),
+                     "detached threads cannot be joined at shutdown and "
+                     "outlive the state they reference; keep the handle "
+                     "and join it")
+                    for m in self.DETACH_RE.finditer(tu.stripped)]
+        if not _under(tu.rel, "src/service/", "src/server/"):
+            findings += [(facts.line_of(tu.stripped, m.start()),
+                          "raw std::thread outside src/service/ and "
+                          "src/server/; thread ownership is confined to "
+                          "those layers (Producer/EntropyPool, ServerDaemon "
+                          "sessions) so every worker is provably joined")
+                         for m in self.THREAD_RE.finditer(tu.stripped)]
+        return findings
+
+
+class KernelEquivalenceTest(Rule):
+    rule_id = "TL008"
+    name = "kernel-equivalence-test"
+    doc = ("every kernel declared in a wordpar namespace in a header under "
+           "src/stattests/ must be called by name in a tests/ file whose "
+           "name contains 'equivalence' (the bit-identity suite against the "
+           "tests-only oracle)")
+
+    NAMESPACE_RE = re.compile(
+        r"\bnamespace\s+(?:trng\s*::\s*stat\s*::\s*)?wordpar\b")
+    # A declaration line: return type(s), then the kernel name, then its
+    # parameter list. Anchored to line starts so parameter continuation
+    # lines do not match.
+    DECL_RE = re.compile(
+        r"^\s*(?:[\w:]+(?:\s*[&*])?\s+)+([a-z_]\w*)\s*\(", re.MULTILINE)
+
+    def __init__(self) -> None:
+        self._corpus_cache: dict[pathlib.Path, str] = {}
+
+    def applies_to(self, rel):
+        return _under(rel, "src/stattests/") and rel.suffix == ".hpp"
+
+    def _equivalence_corpus(self, root: pathlib.Path) -> str:
+        cached = self._corpus_cache.get(root)
+        if cached is None:
+            cached = "\n".join(
+                p.read_text(encoding="utf-8", errors="replace")
+                for p in sorted((root / "tests").rglob("*"))
+                if p.is_file() and p.suffix in facts.SOURCE_SUFFIXES
+                and "equivalence" in p.name)
+            self._corpus_cache[root] = cached
+        return cached
+
+    def check(self, tu, repo):
+        ns = self.NAMESPACE_RE.search(tu.stripped)
+        if not ns:
+            return []
+        root = tu.path.parents[len(tu.rel.parts) - 1]
+        corpus = self._equivalence_corpus(root)
+        findings = []
+        for m in self.DECL_RE.finditer(tu.stripped, ns.end()):
+            name = m.group(1)
+            if re.search(r"\b" + re.escape(name) + r"\s*\(", corpus):
+                continue
+            findings.append((
+                facts.line_of(tu.stripped, m.start(1)),
+                f"word-parallel kernel '{name}' is never exercised by any "
+                f"tests/*equivalence* file; compare it against the "
+                f"tests-only oracle in an equivalence suite"))
+        return findings
+
+
+class SocketConfinement(PatternRule):
+    rule_id = "TL009"
+    name = "socket-confinement"
+    doc = ("no BSD socket calls (socket/socketpair/bind/listen/accept/"
+           "connect/send*/recv*) in src/ outside src/server/; the daemon "
+           "owns the transport, the simulation library stays hermetic")
+
+    # Matches a bare or globally-qualified call — `bind(`, `::bind(` — but
+    # not `std::bind(`, `obj.connect(` or `ptr->accept(`: the optional `::`
+    # is consumed by the pattern, and the lookbehind rejects any word
+    # character, member access or further qualification in front of it.
+    patterns = [
+        (re.compile(
+            r"(?<![\w.>:])(?:::\s*)?"
+            r"(?:socket|socketpair|bind|listen|accept4?|connect|"
+            r"send(?:to|msg)?|recv(?:from|msg)?)\s*\("),
+         "BSD socket call outside src/server/; network transport is "
+         "confined to the daemon layer"),
+    ]
+
+    def applies_to(self, rel):
+        return _under(rel, "src/") and not _under(rel, "src/server/")
 
 
 # ----------------------------------------------------------------- SA001
@@ -777,11 +1125,11 @@ _FORMAT_SINKS = {"to_string", "format", "append_u64", "append_kv"}
 _COPY_DST_FIRST = {"memcpy", "memmove"}
 _COPY_DST_LAST = {"copy", "copy_n"}
 
-# The lite frontend cannot tell a function *declaration* from a call, so
+# The frontend cannot tell a function *declaration* from a call, so
 # `pop_some(std::uint64_t* out, ...)` arrives as a call whose first
 # "argument" is a parameter declaration. Its head identifier is then a
-# type or namespace, never a buffer — reject those so both frontends
-# seed identically.
+# type or namespace, never a buffer — reject those so parameter lists
+# never seed taint.
 _TYPE_HEADS = {"const", "constexpr", "std", "common", "trng", "core",
                "unsigned", "signed", "void", "bool", "char", "short",
                "int", "long", "float", "double", "auto", "size_t",
@@ -888,8 +1236,7 @@ class EntropyLeakTaint(Rule):
                 f"raw words must never leave the drawn-entropy path — "
                 f"log counts or verdicts instead")))
 
-        # Sink 2: stream inserts (text-based over the shared stripped
-        # view so both frontends agree by construction).
+        # Sink 2: stream inserts (text-based over the stripped view).
         for m in _STREAM_INSERT_RE.finditer(tu.stripped):
             recv = m.group(1)
             if recv not in _STREAM_NAMES and \
@@ -1203,6 +1550,15 @@ class TypestateProtocols(Rule):
 
 
 RULES: list[Rule] = [
+    NondeterministicRng(),
+    FloatType(),
+    FpLiteralEquality(),
+    NodiscardResult(),
+    TestInclude(),
+    PerBitPushBack(),
+    ThreadConfinement(),
+    KernelEquivalenceTest(),
+    SocketConfinement(),
     CondvarDiscipline(),
     UnitSafety(),
     FpTaint(),
@@ -1216,11 +1572,13 @@ RULES: list[Rule] = [
 
 
 def apply_suppressions(path: pathlib.Path, findings: list[Finding],
-                       raw_lines: list[str]) -> list[Finding]:
-    """Line-scoped justified suppressions, same contract as trng_lint:
-    a marker on the finding line or the line above suppresses it (the
-    finding is kept, flagged `suppressed`, for --json reporting); an
-    allow() without justification or matching finding is an SA000."""
+                       raw_lines: list[str],
+                       rule_ids: set[str] | None = None) -> list[Finding]:
+    """Line-scoped justified suppressions: a marker on the finding line
+    or the line above suppresses it (the finding is kept, flagged
+    `suppressed`, for --json reporting); an allow() without
+    justification or matching finding is an SA000. Under a `rule_ids`
+    subset, markers for rules that did not run are not judged."""
     out: list[Finding] = []
     used_markers: set[int] = set()
 
@@ -1250,7 +1608,8 @@ def apply_suppressions(path: pathlib.Path, findings: list[Finding],
             out.append(f)
 
     for lineno, (rule_id, _) in markers.items():
-        if lineno not in used_markers:
+        if lineno not in used_markers and \
+                (rule_ids is None or rule_id in rule_ids):
             out.append(Finding(
                 path, lineno, "SA000", "bad-suppression",
                 f"allow({rule_id}) marker does not match any finding on "
@@ -1258,7 +1617,7 @@ def apply_suppressions(path: pathlib.Path, findings: list[Finding],
     return out
 
 
-def check_tu(tu: facts.TUFacts, raw_lines: list[str],
+def check_tu(tu: facts.TUFacts,
              repo: RepoContext | None = None,
              rule_ids: set[str] | None = None,
              timings: dict[str, float] | None = None) -> list[Finding]:
@@ -1283,8 +1642,11 @@ def check_tu(tu: facts.TUFacts, raw_lines: list[str],
         for line, message in rule_findings:
             findings.append(Finding(tu.path, line, rule.rule_id,
                                     rule.name, message))
+    # Suppression markers live in comments, so they match raw lines.
+    raw_lines = tu.raw.splitlines()
     has_markers = any(ALLOW_RE.search(line) for line in raw_lines)
     if findings or has_markers:
-        findings = apply_suppressions(tu.path, findings, raw_lines)
+        findings = apply_suppressions(tu.path, findings, raw_lines,
+                                      rule_ids)
     findings.sort(key=lambda f: (f.line, f.rule))
     return findings
