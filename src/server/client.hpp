@@ -1,7 +1,7 @@
 // Client-side conveniences for the daemon protocol (session.hpp): frame a
 // draw or metrics request on an fd and read the response back. Used by
-// the tests, the examples and perf_microbench so none of them re-implement
-// the wire format.
+// the tests, the examples and perfbench's daemon_mix so none of them
+// re-implement the wire format.
 #pragma once
 
 #include <cstddef>
