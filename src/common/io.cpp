@@ -71,6 +71,19 @@ BitStream read_binary_bits(const std::string& path) {
     if (c == EOF) throw std::runtime_error("read_binary_bits: truncated header");
     count |= static_cast<std::uint64_t>(static_cast<unsigned char>(c)) << (8 * b);
   }
+  // The header is untrusted: a count beyond the bytes left in the file
+  // would otherwise reserve terabytes before the data loop notices.
+  const std::streampos data_start = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streampos data_end = in.tellg();
+  in.seekg(data_start);
+  if (data_start < 0 || data_end < data_start || !in) {
+    throw std::runtime_error("read_binary_bits: cannot size " + path);
+  }
+  const auto data_bytes = static_cast<std::uint64_t>(data_end - data_start);
+  if (count / 8 + (count % 8 != 0 ? 1 : 0) > data_bytes) {
+    throw std::runtime_error("read_binary_bits: truncated data");
+  }
   BitStream bits;
   bits.reserve(count);
   std::uint64_t remaining = count;

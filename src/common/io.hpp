@@ -24,6 +24,8 @@ BitStream read_ascii_bits(const std::string& path);
 void write_binary_bits(const BitStream& bits, const std::string& path);
 
 /// Reads the packed binary format written by write_binary_bits.
+/// Throws std::runtime_error on I/O failure, including a header that
+/// claims more bits than the file holds.
 BitStream read_binary_bits(const std::string& path);
 
 }  // namespace trng::common

@@ -188,90 +188,4 @@ DrbgStatus HashDrbg::generate(std::uint8_t* out, std::size_t nbytes,
   return DrbgStatus::kOk;
 }
 
-HmacDrbg::HmacDrbg(DrbgLimits limits, const std::uint8_t* entropy,
-                   std::size_t entropy_len, const std::uint8_t* nonce,
-                   std::size_t nonce_len, const std::uint8_t* personalization,
-                   std::size_t pers_len)
-    : limits_(limits) {
-  limits_.validate();
-  if (entropy == nullptr || entropy_len == 0) {
-    throw std::invalid_argument("HmacDrbg: entropy input is required");
-  }
-  // §10.1.2.3: Key = 0x00^32, V = 0x01^32, then Update(seed_material).
-  std::memset(key_, 0x00, sizeof(key_));
-  std::memset(v_, 0x01, sizeof(v_));
-  // Update takes one concatenated provided-data string; splice the three
-  // instantiate inputs into a contiguous pair for the two-part update().
-  if (nonce_len + pers_len == 0) {
-    update(entropy, entropy_len, nullptr, 0);
-  } else {
-    // Three logical parts but update() takes two: fold nonce ||
-    // personalization into one stack buffer (both are tiny).
-    std::uint8_t tail[128];
-    if (nonce_len + pers_len > sizeof(tail)) {
-      throw std::invalid_argument("HmacDrbg: nonce+personalization too long");
-    }
-    if (nonce_len > 0) std::memcpy(tail, nonce, nonce_len);
-    if (pers_len > 0) std::memcpy(tail + nonce_len, personalization, pers_len);
-    update(entropy, entropy_len, tail, nonce_len + pers_len);
-  }
-  reseed_counter_ = 1;
-}
-
-void HmacDrbg::update(const std::uint8_t* data1, std::size_t len1,
-                      const std::uint8_t* data2, std::size_t len2) {
-  // §10.1.2.2: K = HMAC(K, V || 0x00 || provided); V = HMAC(K, V); and if
-  // provided data is non-empty, repeat with 0x01.
-  const std::size_t provided = len1 + len2;
-  const std::size_t rounds = (provided > 0) ? 2 : 1;
-  for (std::size_t round = 0; round < rounds; ++round) {
-    HmacSha256 mac(key_, sizeof(key_));
-    mac.update(v_, sizeof(v_));
-    const std::uint8_t sep = static_cast<std::uint8_t>(round);
-    mac.update(&sep, 1);
-    if (len1 > 0) mac.update(data1, len1);
-    if (len2 > 0) mac.update(data2, len2);
-    mac.final(key_);
-    HmacSha256 vmac(key_, sizeof(key_));
-    vmac.update(v_, sizeof(v_));
-    vmac.final(v_);
-  }
-}
-
-void HmacDrbg::reseed(const std::uint8_t* entropy, std::size_t entropy_len,
-                      const std::uint8_t* additional, std::size_t add_len) {
-  if (entropy == nullptr || entropy_len == 0) {
-    throw std::invalid_argument("HmacDrbg: reseed entropy is required");
-  }
-  update(entropy, entropy_len, additional, add_len);
-  reseed_counter_ = 1;
-}
-
-DrbgStatus HmacDrbg::generate(std::uint8_t* out, std::size_t nbytes,
-                              const std::uint8_t* additional,
-                              std::size_t add_len) {
-  if (nbytes == 0 || nbytes > limits_.max_request_bytes) {
-    return DrbgStatus::kBadRequest;
-  }
-  if (reseed_counter_ > limits_.reseed_interval) {
-    return DrbgStatus::kReseedRequired;
-  }
-  if (additional != nullptr && add_len > 0) {
-    update(additional, add_len, nullptr, 0);
-  }
-  std::size_t produced = 0;
-  while (produced < nbytes) {
-    HmacSha256 mac(key_, sizeof(key_));
-    mac.update(v_, sizeof(v_));
-    mac.final(v_);
-    const std::size_t take =
-        (nbytes - produced < sizeof(v_)) ? nbytes - produced : sizeof(v_);
-    std::memcpy(out + produced, v_, take);
-    produced += take;
-  }
-  update(additional, (additional != nullptr) ? add_len : 0, nullptr, 0);
-  ++reseed_counter_;
-  return DrbgStatus::kOk;
-}
-
 }  // namespace trng::server

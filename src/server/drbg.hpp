@@ -1,18 +1,12 @@
-// SP 800-90A deterministic random bit generators over the in-repo SHA-256.
+// SP 800-90A deterministic random bit generator over the in-repo SHA-256.
 //
-// Two mechanisms:
-//
-//   HashDrbg — Hash_DRBG (SP 800-90A §10.1.1, SHA-256, seedlen = 440).
-//     The production conditioner mechanism: state is (V, C,
-//     reseed_counter), generate is one SHA-256 compression per 32 output
-//     bytes with no key schedule, and unlike CTR_DRBG it needs no block
-//     cipher — the repo has no AES, and a bit-banged AES would be both
-//     slow and a side-channel liability (see DESIGN.md §3.6).
-//
-//   HmacDrbg — HMAC_DRBG (SP 800-90A §10.1.2, SHA-256). Kept as the
-//     validation anchor: tests pin it against a NIST CAVP vector, which
-//     transitively proves the SHA-256 core and the shared
-//     request/reseed-accounting plumbing that HashDrbg also uses.
+// HashDrbg — Hash_DRBG (SP 800-90A §10.1.1, SHA-256, seedlen = 440) — is
+// the conditioner mechanism: state is (V, C, reseed_counter), generate is
+// one SHA-256 compression per 32 output bytes with no key schedule, and
+// unlike CTR_DRBG it needs no block cipher — the repo has no AES, and a
+// bit-banged AES would be both slow and a side-channel liability (see
+// DESIGN.md §3.6). Tests pin it against known-answer vectors minted from
+// an independent SP 800-90A reference.
 //
 // Reseed semantics follow the spec: reseed_counter starts at 1 after
 // (re)instantiation and increments per generate; once it exceeds
@@ -20,9 +14,9 @@
 // provides fresh entropy. Prediction resistance is the caller's contract
 // (conditioner.hpp): reseed immediately before the generate it applies to.
 //
-// Neither class gathers entropy itself — callers (the per-shard
-// conditioner) seed them exclusively from EntropyPool blocks, keeping the
-// whole tier deterministic for a fixed pool seed.
+// It gathers no entropy itself — callers (the per-shard conditioner) seed
+// it exclusively from EntropyPool blocks, keeping the whole tier
+// deterministic for a fixed pool seed.
 #pragma once
 
 #include <cstddef>
@@ -40,9 +34,9 @@ enum class DrbgStatus {
 
 const char* drbg_status_name(DrbgStatus status);
 
-/// Administrative limits shared by both mechanisms. Defaults are far
-/// below the spec ceilings (2^48 generates, 2^19 bits/request) — the
-/// conditioner tightens reseed_interval further for freshness.
+/// Administrative limits. Defaults are far below the spec ceilings (2^48
+/// generates, 2^19 bits/request) — the conditioner tightens
+/// reseed_interval further for freshness.
 struct DrbgLimits {
   std::uint64_t reseed_interval = 1u << 12;
   std::size_t max_request_bytes = 1u << 16;
@@ -94,38 +88,6 @@ class HashDrbg {
   DrbgLimits limits_;
   std::uint8_t v_[kSeedlenBytes];
   std::uint8_t c_[kSeedlenBytes];
-  std::uint64_t reseed_counter_;
-};
-
-/// HMAC_DRBG (SHA-256). Same request/reseed accounting as HashDrbg.
-class HmacDrbg {
- public:
-  HmacDrbg(DrbgLimits limits, const std::uint8_t* entropy,
-           std::size_t entropy_len, const std::uint8_t* nonce,
-           std::size_t nonce_len, const std::uint8_t* personalization = nullptr,
-           std::size_t pers_len = 0);
-
-  void reseed(const std::uint8_t* entropy, std::size_t entropy_len,
-              const std::uint8_t* additional = nullptr,
-              std::size_t add_len = 0);
-
-  [[nodiscard]] DrbgStatus generate(std::uint8_t* out, std::size_t nbytes,
-                                    const std::uint8_t* additional = nullptr,
-                                    std::size_t add_len = 0);
-
-  std::uint64_t reseed_counter() const { return reseed_counter_; }
-  bool needs_reseed() const {
-    return reseed_counter_ > limits_.reseed_interval;
-  }
-
- private:
-  /// HMAC_DRBG Update (§10.1.2.2) over up to two provided-data parts.
-  void update(const std::uint8_t* data1, std::size_t len1,
-              const std::uint8_t* data2, std::size_t len2);
-
-  DrbgLimits limits_;
-  std::uint8_t key_[32];
-  std::uint8_t v_[32];
   std::uint64_t reseed_counter_;
 };
 

@@ -137,33 +137,4 @@ std::array<std::uint8_t, Sha256::kDigestBytes> Sha256::digest(
   return out;
 }
 
-HmacSha256::HmacSha256(const std::uint8_t* key, std::size_t key_len) {
-  std::uint8_t block_key[Sha256::kBlockBytes] = {0};
-  if (key_len > Sha256::kBlockBytes) {
-    const auto digest = Sha256::digest(key, key_len);
-    std::memcpy(block_key, digest.data(), digest.size());
-  } else {
-    std::memcpy(block_key, key, key_len);
-  }
-  std::uint8_t ipad_key[Sha256::kBlockBytes];
-  for (std::size_t i = 0; i < Sha256::kBlockBytes; ++i) {
-    ipad_key[i] = static_cast<std::uint8_t>(block_key[i] ^ 0x36);
-    opad_key_[i] = static_cast<std::uint8_t>(block_key[i] ^ 0x5c);
-  }
-  inner_.update(ipad_key, sizeof(ipad_key));
-}
-
-void HmacSha256::update(const std::uint8_t* data, std::size_t len) {
-  inner_.update(data, len);
-}
-
-void HmacSha256::final(std::uint8_t out[kTagBytes]) {
-  std::uint8_t inner_digest[Sha256::kDigestBytes];
-  inner_.final(inner_digest);
-  Sha256 outer;
-  outer.update(opad_key_, sizeof(opad_key_));
-  outer.update(inner_digest, sizeof(inner_digest));
-  outer.final(out);
-}
-
 }  // namespace trng::server

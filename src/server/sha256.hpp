@@ -1,4 +1,4 @@
-// In-repo SHA-256 / HMAC-SHA-256 (FIPS 180-4, FIPS 198-1).
+// In-repo SHA-256 (FIPS 180-4).
 //
 // The DRBG conditioning tier (drbg.hpp) must be dependency-free and
 // bit-exact against the SP 800-90A specification, so the hash it is built
@@ -7,11 +7,10 @@
 // libcrypto happens to be installed would break the repo's determinism
 // guarantees (TL001 spirit: everything reproducible from explicit inputs).
 //
-// Scope: exactly what the DRBG needs — incremental hashing, a one-shot
-// digest helper, and keyed HMAC for the CAVP-anchored HMAC_DRBG. This is
-// a correctness-first scalar implementation; hashing is a per-reseed cost
-// amortized over thousands of generates, so it is nowhere near the hot
-// path (see DESIGN.md §3.6).
+// Scope: exactly what the DRBG needs — incremental hashing and a one-shot
+// digest helper. This is a correctness-first scalar implementation;
+// hashing is a per-reseed cost amortized over thousands of generates, so
+// it is nowhere near the hot path (see DESIGN.md §3.6).
 #pragma once
 
 #include <array>
@@ -47,22 +46,6 @@ class Sha256 {
   std::uint64_t total_bytes_ = 0;
   std::uint8_t buf_[kBlockBytes];
   std::size_t buf_len_ = 0;
-};
-
-/// Incremental HMAC-SHA-256 (FIPS 198-1). Construct with the key, update()
-/// with message parts, final() for the tag.
-class HmacSha256 {
- public:
-  static constexpr std::size_t kTagBytes = Sha256::kDigestBytes;
-
-  HmacSha256(const std::uint8_t* key, std::size_t key_len);
-
-  void update(const std::uint8_t* data, std::size_t len);
-  void final(std::uint8_t out[kTagBytes]);
-
- private:
-  std::uint8_t opad_key_[Sha256::kBlockBytes];
-  Sha256 inner_;
 };
 
 }  // namespace trng::server

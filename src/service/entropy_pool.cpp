@@ -1,5 +1,6 @@
 #include "service/entropy_pool.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 #include <utility>
@@ -24,19 +25,15 @@ EntropyPool::EntropyPool(SourceFactory make, PoolConfig config)
   config_.validate();
   rings_.reserve(config_.producers);
   producers_.reserve(config_.producers);
-  stripe_mu_.reserve(config_.producers);
   for (std::size_t i = 0; i < config_.producers; ++i) {
     rings_.push_back(std::make_unique<WordRing>(config_.ring_capacity_words));
-    stripe_mu_.push_back(std::make_unique<std::mutex>());
     producers_.push_back(std::make_unique<Producer>(
         i, make, config_.stream_seed_base + i, config_.producer, *rings_[i],
         metrics_.producer(i)));
     metrics_.set_label(i, producers_[i]->source_info().name);
     producers_[i]->set_admit_callback([this] {
-      // Empty critical section: pairs with the consumer's drain-then-wait
-      // under data_mu_ so a push between its drain and its wait cannot be
-      // missed (the notify is ordered after the consumer releases the
-      // mutex by entering the wait).
+      // Empty critical section: pairs with the consumer's take-then-wait
+      // under data_mu_ (see blocking_draw()).
       { std::lock_guard<std::mutex> lk(data_mu_); }
       data_cv_.notify_all();
     });
@@ -60,85 +57,60 @@ void EntropyPool::stop() {
   data_cv_.notify_all();  // unblocks consumers; rings now only drain
 }
 
-bool EntropyPool::any_ring_nonempty() const {
+common::Words EntropyPool::take(std::size_t shard, std::uint64_t* words,
+                                common::Words nwords) {
+  const std::size_t n = rings_.size();
+  const bool every = shard == kEveryShard;
+  const std::size_t start =
+      every ? shard_cursor_.fetch_add(1, std::memory_order_relaxed) % n
+            : shard;
+  const std::size_t sweep = every ? n : 1;
+  common::Words delivered{0};
+  for (std::size_t k = 0; k < sweep && delivered < nwords; ++k) {
+    const std::size_t i = (start + k) % n;
+    const common::Words got =
+        rings_[i]->pop_some(words + delivered.count(), nwords - delivered);
+    if (got.is_zero()) continue;
+    delivered += got;
+    metrics_.producer(i).words_drawn.fetch_add(got.count(),
+                                               std::memory_order_relaxed);
+    metrics_.producer(i).ring_words.store(rings_[i]->size().count(),
+                                          std::memory_order_relaxed);
+  }
+  return delivered;
+}
+
+bool EntropyPool::has_words(std::size_t shard) const {
+  if (shard != kEveryShard) return !rings_[shard]->size().is_zero();
   for (const auto& ring : rings_) {
     if (!ring->size().is_zero()) return true;
   }
   return false;
 }
 
-common::Words EntropyPool::pop_shard_locked(std::size_t i, std::uint64_t* out,
-                                            common::Words nwords) {
-  const common::Words got = rings_[i]->pop_some(out, nwords);
-  if (!got.is_zero()) {
-    metrics_.producer(i).words_drawn.fetch_add(got.count(),
-                                               std::memory_order_relaxed);
-    metrics_.producer(i).ring_words.store(rings_[i]->size().count(),
-                                          std::memory_order_relaxed);
-  }
-  return got;
-}
-
-common::Words EntropyPool::drain_rings(std::uint64_t* words,
-                                       common::Words nwords) {
-  const std::size_t want = nwords.count();
-  const std::size_t n = rings_.size();
-  const std::size_t start =
-      shard_cursor_.fetch_add(1, std::memory_order_relaxed) % n;
-  std::size_t delivered = 0;
-  // Pass 1 — striped, work-stealing: sweep from a rotating start shard,
-  // try-locking each shard's consumer stripe. A busy stripe means another
-  // consumer is mid-pop on that ring, so steal from the next shard instead
-  // of convoying behind it. Keep sweeping while any shard yields words;
-  // stop after one full empty-handed sweep.
-  bool skipped_busy = false;
-  bool progressed = true;
-  while (delivered < want && progressed) {
-    progressed = false;
-    skipped_busy = false;
-    for (std::size_t k = 0; k < n && delivered < want; ++k) {
-      const std::size_t i = (start + k) % n;
-      std::unique_lock<std::mutex> stripe(*stripe_mu_[i], std::try_to_lock);
-      if (!stripe.owns_lock()) {
-        skipped_busy = true;
-        continue;
-      }
-      const common::Words got = pop_shard_locked(
-          i, words + delivered, common::Words{want - delivered});
-      if (!got.is_zero()) {
-        progressed = true;
-        delivered += got.count();
-      }
-    }
-  }
-  // Pass 2 — patient: only when pass 1 delivered nothing because every
-  // word in sight sat behind a busy stripe. Blocking on the stripe (pops
-  // never block, so the hold is bounded) guarantees a caller whose wait
-  // predicate saw a nonempty ring makes progress instead of spinning
-  // drain→wait→drain against a stripe another consumer holds.
-  if (delivered == 0 && skipped_busy) {
-    for (std::size_t k = 0; k < n && delivered < want; ++k) {
-      const std::size_t i = (start + k) % n;
-      std::unique_lock<std::mutex> stripe(*stripe_mu_[i]);
-      delivered +=
-          pop_shard_locked(i, words + delivered, common::Words{want - delivered})
-              .count();
-    }
-  }
-  return common::Words{delivered};
-}
-
-common::Words EntropyPool::draw(std::uint64_t* words, common::Words nwords) {
+common::Words EntropyPool::blocking_draw(std::size_t shard,
+                                         std::uint64_t* words,
+                                         common::Words nwords,
+                                         std::uint64_t deadline_ns) {
+  // Longest single condvar wait. A far deadline (draw() passes ~0) must
+  // not reach wait_for whole: the span would overflow steady_clock's
+  // signed time points and the wait would return at once, spinning. The
+  // loop re-checks the deadline after every wake, so clamping is free.
+  constexpr std::uint64_t kMaxWaitNs = 3'600'000'000'000ull;  // one hour
   metrics_.draws.fetch_add(1, std::memory_order_relaxed);
-  common::Words delivered = drain_rings(words, nwords);
+  common::Words delivered = take(shard, words, nwords);
   std::uint64_t waited_ns = 0;
   while (delivered < nwords) {
     std::unique_lock<std::mutex> lk(data_mu_);
-    // Re-check under the producers' notify mutex: a push that raced the
-    // drain above is visible here, and one that lands after this drain
-    // will block on data_mu_ until this thread is inside wait().
+    // Lost-wakeup argument. Producers push into a ring, then take data_mu_
+    // (empty critical section) and notify. This re-check runs under
+    // data_mu_, so a push that raced the unlocked take above is popped
+    // here, and one that lands later cannot notify until this thread has
+    // released data_mu_ by entering wait_for. The predicate re-reads the
+    // ring sizes and the stopped latch on every wake, so no notification
+    // is consumed without the state change behind it being seen.
     const common::Words got =
-        drain_rings(words + delivered.count(), nwords - delivered);
+        take(shard, words + delivered.count(), nwords - delivered);
     delivered += got;
     if (delivered >= nwords) break;
     if (stopped_.load(std::memory_order_acquire)) {
@@ -146,15 +118,14 @@ common::Words EntropyPool::draw(std::uint64_t* words, common::Words nwords) {
       if (got.is_zero()) break;
       continue;
     }
-    const std::uint64_t t0 = monotonic_ns();
-    // Predicate overload: every wakeup (notified or spurious) re-checks
-    // the shared state this wait is about — ring occupancy and the
-    // stopped flag — under data_mu_, so a consumer can neither sleep
-    // through a close() nor stay asleep holding a stale empty-rings view.
-    data_cv_.wait(lk, [this] {
-      return stopped_.load(std::memory_order_acquire) || any_ring_nonempty();
-    });
-    waited_ns += monotonic_ns() - t0;
+    const std::uint64_t now = monotonic_ns();
+    if (now >= deadline_ns) break;
+    data_cv_.wait_for(
+        lk, std::chrono::nanoseconds(std::min(deadline_ns - now, kMaxWaitNs)),
+        [&] {
+          return stopped_.load(std::memory_order_acquire) || has_words(shard);
+        });
+    waited_ns += monotonic_ns() - now;
   }
   if (waited_ns > 0) {
     metrics_.draw_wait_ns.fetch_add(waited_ns, std::memory_order_relaxed);
@@ -165,10 +136,14 @@ common::Words EntropyPool::draw(std::uint64_t* words, common::Words nwords) {
   return delivered;
 }
 
+common::Words EntropyPool::draw(std::uint64_t* words, common::Words nwords) {
+  return blocking_draw(kEveryShard, words, nwords, ~std::uint64_t{0});
+}
+
 common::Words EntropyPool::draw_nonblocking(std::uint64_t* words,
                                             common::Words nwords) {
   metrics_.draws.fetch_add(1, std::memory_order_relaxed);
-  const common::Words delivered = drain_rings(words, nwords);
+  const common::Words delivered = take(kEveryShard, words, nwords);
   metrics_.words_drawn.fetch_add(delivered.count(),
                                  std::memory_order_relaxed);
   if (delivered < nwords) {
@@ -185,55 +160,12 @@ common::Words EntropyPool::draw_from_shard(std::size_t shard,
   if (shard >= rings_.size()) {
     throw std::out_of_range("EntropyPool: shard index out of range");
   }
-  metrics_.draws.fetch_add(1, std::memory_order_relaxed);
-  WordRing& ring = *rings_[shard];
-  const std::uint64_t start_ns = monotonic_ns();
+  const std::uint64_t now = monotonic_ns();
   // Saturating add: a near-max timeout must not wrap into the past.
-  const std::uint64_t deadline = (timeout_ns > ~std::uint64_t{0} - start_ns)
+  const std::uint64_t deadline = (timeout_ns > ~std::uint64_t{0} - now)
                                      ? ~std::uint64_t{0}
-                                     : start_ns + timeout_ns;
-  common::Words delivered{0};
-  std::uint64_t waited_ns = 0;
-  const auto pop = [&]() {
-    // The stripe serializes this pop against concurrent drain_rings sweeps
-    // (WordRing's pop side is single-consumer). Held only across the pop,
-    // never across the wait below — a sleeping reseed must not convoy the
-    // pool's drain path. Lock order data_mu_ → stripe holds here too.
-    std::unique_lock<std::mutex> stripe(*stripe_mu_[shard]);
-    const common::Words got =
-        pop_shard_locked(shard, words + delivered.count(), nwords - delivered);
-    delivered += got;
-    return got;
-  };
-  pop();
-  while (delivered < nwords) {
-    std::unique_lock<std::mutex> lk(data_mu_);
-    // Same drain-under-the-notify-mutex argument as draw(): a push that
-    // raced the unlocked pop above is re-checked here.
-    const common::Words got = pop();
-    if (delivered >= nwords) break;
-    if (stopped_.load(std::memory_order_acquire)) {
-      if (got.is_zero()) break;
-      continue;
-    }
-    const std::uint64_t now = monotonic_ns();
-    if (now >= deadline) break;
-    // Predicate overload (see draw() for the lost-wakeup argument),
-    // bounded by the caller's deadline so a quarantined producer's empty
-    // ring cannot block a conditioner reseed forever.
-    data_cv_.wait_for(lk, std::chrono::nanoseconds(deadline - now), [&] {
-      return stopped_.load(std::memory_order_acquire) ||
-             !ring.size().is_zero();
-    });
-    waited_ns += monotonic_ns() - now;
-  }
-  if (waited_ns > 0) {
-    metrics_.draw_wait_ns.fetch_add(waited_ns, std::memory_order_relaxed);
-  }
-  metrics_.draw_wait_us.record(waited_ns / 1000);
-  metrics_.words_drawn.fetch_add(delivered.count(),
-                                 std::memory_order_relaxed);
-  return delivered;
+                                     : now + timeout_ns;
+  return blocking_draw(shard, words, nwords, deadline);
 }
 
 AdmitState EntropyPool::producer_state(std::size_t i) const {

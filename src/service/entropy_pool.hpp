@@ -108,38 +108,28 @@ class EntropyPool {
   WordRing& ring(std::size_t i) { return *rings_[i]; }
 
  private:
-  /// Sweeps the shards from a rotating start index and delivers whatever
-  /// is buffered, up to `nwords`. Two passes: a striped, non-blocking pass
-  /// that try-locks each shard's consumer stripe and steals from the next
-  /// shard when one is busy, then — only if nothing was delivered and a
-  /// stripe was skipped busy — a patient pass with blocking stripe locks,
-  /// so a caller whose wait predicate saw a nonempty ring cannot spin
-  /// against a stripe another consumer is mid-pop on.
-  common::Words drain_rings(std::uint64_t* words, common::Words nwords);
+  /// Passed as `shard` to take()/has_words()/blocking_draw(): every ring.
+  static constexpr std::size_t kEveryShard = ~std::size_t{0};
 
-  /// Pops up to `nwords` from ring `i` into `out` and updates that
-  /// producer's drawn/occupancy counters. Caller holds stripe_mu_[i]
-  /// (WordRing's pop side is single-consumer).
-  common::Words pop_shard_locked(std::size_t i, std::uint64_t* out,
-                                 common::Words nwords);
+  /// Pops up to `nwords` into `words` from ring `shard`, or — for
+  /// kEveryShard — in one sweep over all rings from a rotating start
+  /// index, and updates the drawn/occupancy counters of each ring popped.
+  common::Words take(std::size_t shard, std::uint64_t* words,
+                     common::Words nwords);
 
-  /// True when any producer ring has buffered words. Used as the condvar
-  /// wait predicate in draw(): together with `stopped_` it re-checks the
-  /// shared state the wait is about, so a notification can never be
-  /// consumed without the state change that prompted it being observed.
-  bool any_ring_nonempty() const;
+  /// True when a ring take(shard, ...) pops from has buffered words.
+  bool has_words(std::size_t shard) const;
+
+  /// The blocking draw behind draw() and draw_from_shard(): takes from
+  /// `shard` until `nwords` arrive, the pool is stopped and drained, or
+  /// monotonic_ns() reaches `deadline_ns`; meters the draw and its wait.
+  common::Words blocking_draw(std::size_t shard, std::uint64_t* words,
+                              common::Words nwords, std::uint64_t deadline_ns);
 
   PoolConfig config_;
   Metrics metrics_;
   std::vector<std::unique_ptr<WordRing>> rings_;
   std::vector<std::unique_ptr<Producer>> producers_;
-
-  /// One consumer stripe lock per ring: WordRing's lock-free pop side is
-  /// single-consumer, so the pool serializes poppers per shard here
-  /// instead of inside the ring. Lock order: data_mu_ before any stripe,
-  /// never the reverse; at most one stripe held at a time.
-  // trng-analyzer: lock-order(data_mu_, stripe_mu_)
-  std::vector<std::unique_ptr<std::mutex>> stripe_mu_;
 
   /// Round-robin fairness hint only: which ring a draw sweeps first.
   /// Losing an increment shifts the start shard, nothing more.
@@ -153,8 +143,11 @@ class EntropyPool {
   // trng-analyzer: atomic(flag)
   std::atomic<bool> stopped_{false};
 
-  /// Consumers wait here when every ring is empty; producers notify after
-  /// each admitted push (see draw() for the lost-wakeup argument).
+  /// Consumers wait here when their rings are empty; producers notify
+  /// after each admitted push (see blocking_draw() for the lost-wakeup
+  /// argument). Lock order: data_mu_ before a ring's mutex, never the
+  /// reverse.
+  // trng-analyzer: lock-order(data_mu_, WordRing::mu_)
   std::mutex data_mu_;
   std::condition_variable data_cv_;
 };

@@ -8,133 +8,82 @@
 
 namespace trng::service {
 
-WordRing::WordRing(common::Words capacity) : buf_(capacity.count()) {
+WordRing::WordRing(common::Words capacity)
+    : capacity_(capacity.count()), slots_(capacity.count()) {
   if (capacity.is_zero()) {
     throw std::invalid_argument("WordRing: capacity must be >= 1 word");
   }
 }
 
+std::size_t WordRing::push_locked(const std::uint64_t* words, std::size_t n) {
+  const std::size_t take = closed_ ? 0 : std::min(n, capacity_ - size_);
+  if (take == 0) return 0;
+  // Copy in at most two contiguous runs: up to the physical wrap point,
+  // then from slot 0.
+  const std::size_t tail = (head_ + size_) % capacity_;
+  const std::size_t first = std::min(take, capacity_ - tail);
+  std::memcpy(slots_.data() + tail, words, first * sizeof(std::uint64_t));
+  std::memcpy(slots_.data(), words + first,
+              (take - first) * sizeof(std::uint64_t));
+  size_ += take;
+  return take;
+}
+
 common::Words WordRing::try_push(const std::uint64_t* words, common::Words n) {
-  const std::size_t cap = buf_.size();
-  const std::size_t want = n.count();
-  std::uint64_t tail = tail_.load(std::memory_order_acquire);
-  std::size_t pushed = 0;
-  while (pushed < want) {
-    if (closed_.load(std::memory_order_acquire)) break;
-    std::size_t free_words = cap - static_cast<std::size_t>(tail - head_seen_);
-    if (free_words == 0) {
-      // Cached view is full: refresh the snapshot from the shared index
-      // (the only cross-cache-line read on this path) and re-check.
-      head_seen_ = head_.load(std::memory_order_acquire);
-      free_words = cap - static_cast<std::size_t>(tail - head_seen_);
-      if (free_words == 0) break;
-    }
-    const std::size_t take = std::min(free_words, want - pushed);
-    // Copy in at most two contiguous runs: up to the physical wrap point,
-    // then from slot 0.
-    const std::size_t slot = static_cast<std::size_t>(tail % cap);
-    const std::size_t first = std::min(take, cap - slot);
-    std::memcpy(buf_.data() + slot, words + pushed,
-                first * sizeof(std::uint64_t));
-    std::memcpy(buf_.data(), words + pushed + first,
-                (take - first) * sizeof(std::uint64_t));
-    tail += take;
-    // Publish: orders the word writes above before any consumer that
-    // acquires this index reads them.
-    tail_.store(tail, std::memory_order_release);
-    pushed += take;
-  }
-  return common::Words{pushed};
+  std::lock_guard<std::mutex> lk(mu_);
+  return common::Words{push_locked(words, n.count())};
 }
 
 common::Words WordRing::push(const std::uint64_t* words, common::Words n,
                              std::uint64_t* stall_ns) {
-  const std::size_t cap = buf_.size();  // fixed at construction
   const std::size_t want = n.count();
-  std::size_t pushed = try_push(words, n).count();
-  while (pushed < want && !closed_.load(std::memory_order_acquire)) {
+  std::unique_lock<std::mutex> lk(mu_);
+  std::size_t pushed = push_locked(words, want);
+  while (pushed < want && !closed_) {
     const std::uint64_t t0 = monotonic_ns();
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      // Predicate overload: every wakeup re-checks the state this wait is
-      // about — free space (head_ + capacity > tail_) or the close latch —
-      // so a pusher can neither sleep through a close() nor hold a stale
-      // full-ring view. pop_some's empty critical section on mu_ before
-      // its notify makes the head_ advance visible to a waiter that
-      // evaluated this predicate just before the pop landed.
-      space_cv_.wait(lk, [&] {
-        return closed_.load(std::memory_order_acquire) ||
-               head_.load(std::memory_order_acquire) + cap >
-                   tail_.load(std::memory_order_acquire);
-      });
-    }
+    // Predicate overload under mu_: pop_some and close() change the state
+    // under the same mutex before they notify, so a pusher can neither
+    // sleep through a close() nor hold a stale full-ring view.
+    space_cv_.wait(lk, [this] { return closed_ || size_ < capacity_; });
     if (stall_ns != nullptr) *stall_ns += monotonic_ns() - t0;
-    pushed += try_push(words + pushed, common::Words{want - pushed}).count();
+    pushed += push_locked(words + pushed, want - pushed);
   }
   return common::Words{pushed};
 }
 
 common::Words WordRing::pop_some(std::uint64_t* out, common::Words n) {
-  const std::size_t cap = buf_.size();
-  const std::size_t want = n.count();
-  std::uint64_t head = head_.load(std::memory_order_acquire);
-  std::size_t popped = 0;
-  while (popped < want) {
-    std::size_t avail = static_cast<std::size_t>(tail_seen_ - head);
-    if (avail == 0) {
-      // Cached view is empty: refresh the snapshot from the shared index
-      // (the only cross-cache-line read on this path) and re-check.
-      tail_seen_ = tail_.load(std::memory_order_acquire);
-      avail = static_cast<std::size_t>(tail_seen_ - head);
-      if (avail == 0) break;
-    }
-    const std::size_t take = std::min(avail, want - popped);
-    const std::size_t slot = static_cast<std::size_t>(head % cap);
-    const std::size_t first = std::min(take, cap - slot);
-    std::memcpy(out + popped, buf_.data() + slot,
-                first * sizeof(std::uint64_t));
-    std::memcpy(out + popped + first, buf_.data(),
+  std::size_t take = 0;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    take = std::min(n.count(), size_);
+    if (take == 0) return common::Words{0};
+    const std::size_t first = std::min(take, capacity_ - head_);
+    std::memcpy(out, slots_.data() + head_, first * sizeof(std::uint64_t));
+    std::memcpy(out + first, slots_.data(),
                 (take - first) * sizeof(std::uint64_t));
-    head += take;
-    // Recycle: orders the word reads above before the producer (which
-    // acquires this index) overwrites the freed slots.
-    head_.store(head, std::memory_order_release);
-    popped += take;
+    head_ = (head_ + take) % capacity_;
+    size_ -= take;
   }
-  if (popped > 0) {
-    // Lossless producer wakeup. A pusher that saw the ring full either
-    // (a) enters wait() before this thread takes mu_ — then the notify
-    // below reaches it, or (b) takes mu_ first — then its predicate
-    // re-evaluation is ordered after this thread's head_ store by the
-    // mutex hand-off and observes the freed space. An unlocked notify
-    // alone would leave a window between the pusher's predicate check and
-    // its sleep where this advance could be missed.
-    { std::lock_guard<std::mutex> lk(mu_); }
-    space_cv_.notify_all();
-  }
-  return common::Words{popped};
+  space_cv_.notify_all();
+  return common::Words{take};
 }
 
 common::Words WordRing::size() const {
-  // Head first: tail_ read second can only be newer, so the difference is
-  // a valid (possibly slightly stale) occupancy and never underflows.
-  const std::uint64_t head = head_.load(std::memory_order_acquire);
-  const std::uint64_t tail = tail_.load(std::memory_order_acquire);
-  return common::Words{tail >= head ? static_cast<std::size_t>(tail - head)
-                                    : 0};
+  std::lock_guard<std::mutex> lk(mu_);
+  return common::Words{size_};
 }
 
 void WordRing::close() {
-  closed_.store(true, std::memory_order_release);
-  // Empty critical section: same lossless-wakeup argument as pop_some —
-  // a pusher is either already in wait() (notified below) or re-checks
-  // its predicate after this mutex hand-off and sees the latch.
-  { std::lock_guard<std::mutex> lk(mu_); }
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    closed_ = true;
+  }
   space_cv_.notify_all();
 }
 
 bool WordRing::closed() const {
-  return closed_.load(std::memory_order_acquire);
+  std::lock_guard<std::mutex> lk(mu_);
+  return closed_;
 }
 
 }  // namespace trng::service

@@ -1,36 +1,16 @@
-// Bounded lock-free SPSC FIFO ring of packed 64-bit words — one per pool
-// producer.
+// Bounded FIFO ring of packed 64-bit words — one per pool producer.
 //
 // The ring is the hand-off point between a producer thread (health-gated
-// blocks of generator output) and the pool's consumer side. The fast path
-// is lock-free: free-running 64-bit producer/consumer indices published
-// with release stores and read with acquire loads, so a batched push and a
-// batched pop can proceed concurrently without ever touching a mutex.
-// Blocking push (backpressure: the producer stalls rather than dropping or
-// overwriting entropy that consumers have not drawn yet) is a thin condvar
-// wrapper over the lock-free try_push core; pop never blocks — the pool's
-// draw() handles cross-ring waiting so a single slow ring cannot stall a
-// consumer that other rings could serve.
-//
-// Memory-order argument (the SA006 `index-producer`/`index-consumer` roles
-// force every operation below to spell its order explicitly):
-//
-//   producer            writes buf_[tail_ % cap .. +take)      (plain)
-//                       tail_.store(tail + take, release)      (publish)
-//   consumer            tail_.load(acquire)                    (observe)
-//                       reads  buf_[head_ % cap .. +take)      (plain)
-//                       head_.store(head + take, release)      (recycle)
-//   producer            head_.load(acquire)                    (observe)
-//
-// The release/acquire pair on tail_ orders the producer's word writes
-// before the consumer's reads; the pair on head_ orders the consumer's
-// reads before the producer overwrites the recycled slots. Indices are
-// free-running (never wrap modulo capacity), so occupancy is simply
-// tail - head and capacity need not be a power of two. Each index lives on
-// its own cache line next to the owning side's *snapshot* of the opposite
-// index (head_seen_ / tail_seen_), which is refreshed only when the cached
-// view shows no room/data — the common case touches one shared line, not
-// two.
+// blocks of generator output) and the pool's consumer side. One mutex
+// guards the buffer, its head slot, its occupancy and the close latch, so
+// any number of threads may push and pop. The traffic is light (a few
+// thousand words per second at the paper's bit rate; DESIGN.md §3.2), so
+// one short critical section per batch costs nothing measurable. Blocking
+// push (backpressure: the producer stalls rather than dropping or
+// overwriting entropy that consumers have not drawn yet) waits on a
+// condvar for free space; pop never blocks — the pool's draw() handles
+// cross-ring waiting so a single slow ring cannot stall a consumer that
+// other rings could serve.
 //
 // Word granularity matches BitSource::generate_into: producers push whole
 // admitted blocks (a multiple of 64 bits), consumers draw packed words.
@@ -38,7 +18,6 @@
 // count cannot reach the ring without an explicit bits_to_words().
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -62,25 +41,22 @@ class WordRing {
   /// number of words actually enqueued — less than `n` only when the ring
   /// is closed mid-push (pool shutdown). If `stall_ns` is non-null it is
   /// incremented by the time spent blocked waiting for space.
-  /// Single producer: at most one thread may push at a time.
   common::Words push(const std::uint64_t* words, common::Words n,
                      std::uint64_t* stall_ns);
 
-  /// Lock-free core of push: enqueues up to `n` words without blocking;
-  /// returns the number enqueued — short when the ring fills or is closed.
-  /// Single producer: at most one thread may push at a time.
+  /// Enqueues up to `n` words without blocking; returns the number
+  /// enqueued — short when the ring fills or is closed.
   common::Words try_push(const std::uint64_t* words, common::Words n);
 
   /// Dequeues up to `n` words into `out` without blocking; returns the
   /// number of words delivered (zero when empty).
-  /// Single consumer: at most one thread may pop at a time (the pool
-  /// serializes poppers per ring with a consumer stripe lock).
   common::Words pop_some(std::uint64_t* out, common::Words n);
 
-  /// Words currently buffered (racy snapshot; never negative).
+  /// Words currently buffered (a snapshot: other threads may change it
+  /// as soon as it returns).
   common::Words size() const;
 
-  common::Words capacity() const { return common::Words{buf_.size()}; }
+  common::Words capacity() const { return common::Words{capacity_}; }
 
   /// Marks the ring closed and wakes any blocked pusher. Buffered words
   /// remain drawable; further pushes return immediately.
@@ -89,34 +65,23 @@ class WordRing {
   bool closed() const;
 
  private:
-  std::vector<std::uint64_t> buf_;
+  /// Copies up to `n` words in behind the buffered ones; returns how many
+  /// fit. Caller holds mu_.
+  std::size_t push_locked(const std::uint64_t* words, std::size_t n);
 
-  // ---- producer cache line ----
-  // Free-running count of words ever enqueued; slot = tail_ % capacity.
-  // Written only by the producer (release), read by the consumer
-  // (acquire). head_seen_ is the producer's private snapshot of head_,
-  // refreshed from the shared index only when the cached view shows a
-  // full ring.
-  // trng-analyzer: atomic(index-producer)
-  alignas(64) std::atomic<std::uint64_t> tail_{0};
-  std::uint64_t head_seen_ = 0;  ///< producer-confined snapshot of head_
-
-  // ---- consumer cache line ----
-  // Free-running count of words ever dequeued; slot = head_ % capacity.
-  // Written only by the (current) consumer (release), read by the
-  // producer (acquire). tail_seen_ is the consumer's snapshot of tail_,
-  // refreshed only when the cached view shows an empty ring. Consumer
-  // identity may change between pops (the pool's stripe lock hands the
-  // role across threads); the lock's ordering carries tail_seen_ across.
-  // trng-analyzer: atomic(index-consumer)
-  alignas(64) std::atomic<std::uint64_t> head_{0};
-  std::uint64_t tail_seen_ = 0;  ///< consumer-confined snapshot of tail_
-
-  // ---- close latch + blocking-push plumbing (cold path) ----
-  // trng-analyzer: atomic(flag)
-  alignas(64) std::atomic<bool> closed_{false};
-  std::mutex mu_;
-  std::condition_variable space_cv_;
+  const std::size_t capacity_;
+  mutable std::mutex mu_;
+  std::condition_variable space_cv_;  ///< pushers wait here for free space
+  // Declared locking contract (SA005): every pusher, popper and observer
+  // takes mu_, which is also what makes the space_cv_ handshake lossless.
+  // trng-analyzer: guards(slots_, mu_)
+  // trng-analyzer: guards(head_, mu_)
+  // trng-analyzer: guards(size_, mu_)
+  // trng-analyzer: guards(closed_, mu_)
+  std::vector<std::uint64_t> slots_;
+  std::size_t head_ = 0;  ///< slot of the oldest buffered word
+  std::size_t size_ = 0;  ///< words buffered
+  bool closed_ = false;
 };
 
 }  // namespace trng::service

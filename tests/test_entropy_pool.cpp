@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <ctime>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -199,10 +200,10 @@ TEST(ServiceRing, CloseMidBatchPushReturnsPartialCount) {
 
 // ---------------------------------------------------------- WordRing stress
 
-// SPSC torture: one producer pushing a monotone word sequence through a
-// tiny ring, one consumer popping ragged chunks. Any missed release/
-// acquire pairing shows up as a reordered/duplicated/lost word (and TSan
-// flags the unsynchronized buffer access under the tsan-service preset).
+// Torture: one producer pushing a monotone word sequence through a tiny
+// ring, one consumer popping ragged chunks. Any lost synchronization shows
+// up as a reordered/duplicated/lost word (and TSan flags the
+// unsynchronized buffer access under the tsan-service preset).
 TEST(ServiceRingStress, ConcurrentPushPopConservesWordsAndOrder) {
   constexpr std::uint64_t kTotal = 1 << 16;
   service::WordRing ring(Words{7});  // tiny + odd: constant wraps and stalls
@@ -234,11 +235,10 @@ TEST(ServiceRingStress, ConcurrentPushPopConservesWordsAndOrder) {
   EXPECT_EQ(ring.size(), Words{0});
 }
 
-// The pool hands the consumer role across threads under a stripe lock; the
-// ring itself only requires *at most one* popper at a time, not the same
-// thread forever. Two poppers alternating under a mutex must still observe
-// one gapless FIFO stream (the lock's ordering carries the consumer-side
-// cursor snapshot across the handoff).
+// Two poppers alternating under one test mutex must still observe one
+// gapless FIFO stream. The ring needs no outside lock; the mutex here only
+// guards the test's shared cursor `expect`, so that checking a popped
+// chunk against it and advancing it happen as one step.
 TEST(ServiceRingStress, ConsumerHandoffAcrossThreadsKeepsOrder) {
   constexpr std::uint64_t kTotal = 1 << 15;
   service::WordRing ring(Words{11});
@@ -254,12 +254,12 @@ TEST(ServiceRingStress, ConsumerHandoffAcrossThreadsKeepsOrder) {
     }
   });
 
-  std::mutex stripe;            // emulates EntropyPool's per-ring stripe
-  std::uint64_t expect = 0;     // shared FIFO cursor, guarded by stripe
+  std::mutex cursor_mu;
+  std::uint64_t expect = 0;  // shared FIFO cursor, guarded by cursor_mu
   auto popper = [&] {
     std::uint64_t out[5];
     for (;;) {
-      std::lock_guard<std::mutex> lk(stripe);
+      std::lock_guard<std::mutex> lk(cursor_mu);
       if (expect >= kTotal) return;
       const std::size_t got = ring.pop_some(out, Words{5}).count();
       for (std::size_t i = 0; i < got; ++i) {
@@ -274,6 +274,61 @@ TEST(ServiceRingStress, ConsumerHandoffAcrossThreadsKeepsOrder) {
   popper_b.join();
   producer.join();
   EXPECT_EQ(expect, kTotal);
+}
+
+// The pool pops one ring from any number of consumer threads with no lock
+// of its own around pop_some. One pusher, four poppers, a tiny odd ring:
+// every word must come out exactly once, and each popper must see its
+// words in strictly increasing order (TSan checks the rest under the
+// tsan-service preset).
+TEST(ServiceRingStress, ConcurrentPoppersNeedNoExternalLock) {
+  constexpr std::uint64_t kTotal = 1 << 15;
+  constexpr std::size_t kPoppers = 4;
+  service::WordRing ring(Words{7});
+
+  std::thread producer([&] {
+    std::uint64_t block[5];
+    std::uint64_t next = 0;
+    while (next < kTotal) {
+      const std::size_t n =
+          std::min<std::uint64_t>(1 + next % 5, kTotal - next);
+      for (std::size_t i = 0; i < n; ++i) block[i] = next + i;
+      ASSERT_EQ(ring.push(block, Words{n}, nullptr), Words{n});
+      next += n;
+    }
+  });
+
+  std::vector<std::vector<std::uint64_t>> seen(kPoppers);
+  std::atomic<std::uint64_t> popped{0};
+  std::vector<std::thread> poppers;
+  for (std::size_t p = 0; p < kPoppers; ++p) {
+    poppers.emplace_back([&, p] {
+      std::uint64_t out[3];
+      while (popped.load() < kTotal) {
+        const std::size_t got =
+            ring.pop_some(out, Words{1 + p % 3}).count();
+        if (got == 0) std::this_thread::yield();
+        seen[p].insert(seen[p].end(), out, out + got);
+        popped.fetch_add(got);
+      }
+    });
+  }
+  for (auto& t : poppers) t.join();
+  producer.join();
+
+  std::vector<std::uint64_t> all;
+  for (const auto& words : seen) {
+    for (std::size_t i = 1; i < words.size(); ++i) {
+      ASSERT_LT(words[i - 1], words[i]) << "a popper saw words out of order";
+    }
+    all.insert(all.end(), words.begin(), words.end());
+  }
+  std::sort(all.begin(), all.end());
+  ASSERT_EQ(all.size(), kTotal) << "words lost or duplicated";
+  for (std::uint64_t i = 0; i < kTotal; ++i) {
+    ASSERT_EQ(all[i], i) << "words lost or duplicated";
+  }
+  EXPECT_EQ(ring.size(), Words{0});
 }
 
 // --------------------------------------------------------------- Histogram
@@ -725,9 +780,9 @@ TEST(EntropyPool, ConcurrentConsumersSplitTheStreamWithoutLossOrDuplication) {
   EXPECT_EQ(per_producer_drawn, 2 * kPerConsumer);
 }
 
-// Heavier fan-out over the striped drain path: more consumers than shards
-// guarantees stripe contention, so the try-lock steal pass and the patient
-// second pass both run. Word conservation must survive the stealing.
+// Heavier fan-out over the drain path: more consumers than shards, so
+// several consumers pop the same ring at once. Word conservation must
+// survive the contention.
 TEST(EntropyPool, ManyConsumersStripedDrawConservesWords) {
   constexpr std::size_t kConsumers = 8;
   constexpr std::size_t kPerConsumer = 256;
@@ -771,8 +826,8 @@ TEST(EntropyPool, ManyConsumersStripedDrawConservesWords) {
 }
 
 // The conditioner's reseed path rides draw_from_shard: it must deliver
-// only the named shard's words (now via that shard's stripe lock) and
-// come back short on timeout instead of borrowing from healthy shards.
+// only the named shard's words and come back short on timeout instead of
+// borrowing from healthy shards.
 TEST(EntropyPool, DrawFromShardIsShardConfinedAndTimesOut) {
   service::PoolConfig cfg;
   cfg.producers = 2;
@@ -796,6 +851,45 @@ TEST(EntropyPool, DrawFromShardIsShardConfinedAndTimesOut) {
             Words{0});
   EXPECT_THROW(pool.draw_from_shard(2, words.data(), Words{1}, 0),
                std::out_of_range);
+}
+
+// A near-2^64 timeout (the conditioner's reseed_timeout_ns accepts one)
+// saturates to a deadline no wait can reach. The draw must sleep on the
+// empty shard until stop(), not spin on a wait_for whose span overflowed.
+TEST(EntropyPool, UnboundedShardTimeoutSleeps) {
+  service::PoolConfig cfg;
+  cfg.producers = 1;
+  cfg.producer = permissive_producer(512);
+  cfg.ring_capacity_words = Words{64};
+  // Never started: the shard stays empty until stop() releases the draw.
+  service::EntropyPool pool(registry_factory("str-virtex", 125), cfg);
+
+  const auto thread_cpu_ns = [] {
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return std::int64_t{ts.tv_sec} * 1'000'000'000 + ts.tv_nsec;
+  };
+  std::atomic<std::int64_t> cpu_ns{-1};
+  std::atomic<std::uint64_t> delivered{~std::uint64_t{0}};
+  std::thread consumer([&] {
+    std::vector<std::uint64_t> words(4);
+    const std::int64_t t0 = thread_cpu_ns();
+    delivered.store(
+        pool.draw_from_shard(0, words.data(), Words{4}, ~std::uint64_t{0})
+            .count());
+    cpu_ns.store(thread_cpu_ns() - t0);
+  });
+
+  const auto wall0 = std::chrono::steady_clock::now();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  pool.stop();
+  consumer.join();
+  const auto blocked_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                              std::chrono::steady_clock::now() - wall0)
+                              .count();
+  EXPECT_EQ(delivered.load(), 0u);
+  EXPECT_LT(cpu_ns.load(), blocked_ns / 10)
+      << "the drawing thread burned CPU while blocked on an empty shard";
 }
 
 TEST(EntropyPool, SnapshotJsonReflectsLiveCounters) {

@@ -1,8 +1,10 @@
 // Unit tests for the bit-sequence file interchange.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 
 #include "common/io.hpp"
 #include "common/rng.hpp"
@@ -81,6 +83,22 @@ TEST_F(IoTest, BinaryDetectsTruncation) {
   const auto size = std::filesystem::file_size(path);
   std::filesystem::resize_file(path, size - 1);
   EXPECT_THROW(read_binary_bits(path), std::runtime_error);
+}
+
+TEST_F(IoTest, BinaryRejectsOversizedHeader) {
+  // A header count far beyond the file's one data byte must fail as a
+  // truncated read, not as an allocation of the claimed size.
+  for (const std::uint64_t count : {std::uint64_t{1} << 47,
+                                    std::uint64_t{1} << 60}) {
+    const auto path = track(temp_path("oversized.dat"));
+    {
+      std::ofstream out(path, std::ios::binary);
+      for (int b = 0; b < 8; ++b) out.put(static_cast<char>(count >> (8 * b)));
+      out.put('\x5a');
+    }
+    EXPECT_THROW(read_binary_bits(path), std::runtime_error)
+        << "count = " << count;
+  }
 }
 
 TEST_F(IoTest, BinaryIsCompact) {
