@@ -151,16 +151,23 @@ DrbgStatus HashDrbg::generate(std::uint8_t* out, std::size_t nbytes,
     add_to_v(w, sizeof(w));
   }
   // Hashgen (§10.1.1.4 step 3): data = V; out ||= SHA(data); data = (data
-  // + 1) mod 2^seedlen.
+  // + 1) mod 2^seedlen. A 55-byte message fits one block, so the block is
+  // padded once — data ‖ 0x80 ‖ the 64-bit length 440 — and data is
+  // incremented in place in its first 55 bytes.
   {
-    std::uint8_t data[kSeedlenBytes];
-    std::memcpy(data, v_, kSeedlenBytes);
+    static_assert(kSeedlenBytes + 1 + 8 == Sha256::kBlockBytes);
+    std::uint8_t block[Sha256::kBlockBytes];
+    std::memcpy(block, v_, kSeedlenBytes);
+    block[kSeedlenBytes] = 0x80;
+    constexpr std::uint64_t kDataBits = kSeedlenBytes * 8;
+    for (std::size_t i = 0; i < 8; ++i) {
+      block[kSeedlenBytes + 1 + i] =
+          static_cast<std::uint8_t>(kDataBits >> (56 - 8 * i));
+    }
     std::size_t produced = 0;
     while (produced < nbytes) {
       std::uint8_t digest[Sha256::kDigestBytes];
-      Sha256 h;
-      h.update(data, kSeedlenBytes);
-      h.final(digest);
+      Sha256::digest_padded_block(block, digest);
       const std::size_t take = (nbytes - produced < sizeof(digest))
                                    ? nbytes - produced
                                    : sizeof(digest);
@@ -168,7 +175,7 @@ DrbgStatus HashDrbg::generate(std::uint8_t* out, std::size_t nbytes,
       produced += take;
       // data += 1 (big-endian increment).
       for (std::size_t i = kSeedlenBytes; i-- > 0;) {
-        if (++data[i] != 0) break;
+        if (++block[i] != 0) break;
       }
     }
   }

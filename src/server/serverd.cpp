@@ -51,7 +51,28 @@ void ServerDaemon::spawn_session_locked(int fd, std::uint16_t shard) {
   sessions_.push_back(std::move(handle));
 }
 
+void ServerDaemon::reap_finished_sessions() {
+  std::vector<SessionHandle> finished;
+  {
+    std::lock_guard<std::mutex> lk(sessions_mu_);
+    for (auto it = sessions_.begin(); it != sessions_.end();) {
+      if (it->session->finished()) {
+        finished.push_back(std::move(*it));
+        it = sessions_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+  // A concurrent stop() may have moved a thread out to join it itself.
+  for (SessionHandle& handle : finished) {
+    if (handle.thread.joinable()) handle.thread.join();
+  }
+  // ~Session closes each fd; stop() can no longer see these handles.
+}
+
 int ServerDaemon::connect_client() {
+  reap_finished_sessions();
   const std::size_t nshards = pool_.producers();
   std::lock_guard<std::mutex> lk(sessions_mu_);
   if (draining_.load(std::memory_order_acquire)) return -1;
@@ -69,6 +90,7 @@ int ServerDaemon::connect_client_to_shard(std::uint16_t shard) {
   if (shard >= pool_.producers()) {
     throw std::out_of_range("ServerDaemon: shard index out of range");
   }
+  reap_finished_sessions();
   std::lock_guard<std::mutex> lk(sessions_mu_);
   if (draining_.load(std::memory_order_acquire)) return -1;
   int sv[2];
@@ -122,6 +144,7 @@ void ServerDaemon::accept_loop() {
       if (errno == EINTR) continue;
       return;  // listener shut down (stop()) or hard error
     }
+    reap_finished_sessions();
     std::lock_guard<std::mutex> lk(sessions_mu_);
     if (draining_.load(std::memory_order_acquire)) {
       ::close(client);

@@ -100,6 +100,11 @@ class ServerDaemon {
 
  private:
   void spawn_session_locked(int fd, std::uint16_t shard);
+  /// Takes every finished session out of the table under sessions_mu_,
+  /// then joins its thread and closes its fd outside the lock. Called
+  /// before each new session, so the table, the fds and the exited
+  /// threads' stacks stay bounded by the live sessions.
+  void reap_finished_sessions();
   void accept_loop();
 
   struct SessionHandle {

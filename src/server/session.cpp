@@ -291,12 +291,14 @@ void Session::serve() {
     if (!ok) break;
   }
   // Signal EOF to the peer right away: the Session object (and with it
-  // the fd number) stays alive until the daemon reaps it in stop(), so a
-  // dropped connection must not look open to the client until then. The
-  // fd itself is closed only in ~Session, keeping the number reserved
-  // against reuse races with stop()'s own shutdown() call.
+  // the fd number) stays alive until the daemon reaps it (on its next
+  // connect, or in stop()), so a dropped connection must not look open to
+  // the client until then. The fd itself is closed only in ~Session,
+  // after the daemon has taken the session out of its table, keeping the
+  // number reserved against reuse races with stop()'s own shutdown() call.
   ::shutdown(fd_, SHUT_RDWR);
   metrics_.sessions_closed.fetch_add(1, std::memory_order_relaxed);
+  finished_.store(true, std::memory_order_release);
 }
 
 }  // namespace trng::server

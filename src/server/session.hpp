@@ -139,6 +139,10 @@ class Session {
   /// failure, or drained shutdown.
   void serve();
 
+  /// True once serve() is done with the session (its last act): the
+  /// thread touches the session no more and only needs joining.
+  bool finished() const { return finished_.load(std::memory_order_acquire); }
+
   std::size_t id() const { return id_; }
 
  private:
@@ -156,6 +160,8 @@ class Session {
   const std::atomic<bool>& draining_;
   TokenBucket bucket_;
   std::vector<std::uint8_t> payload_;  ///< reused draw scratch buffer
+  // trng-analyzer: atomic(flag)
+  std::atomic<bool> finished_{false};
 };
 
 }  // namespace trng::server

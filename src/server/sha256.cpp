@@ -2,10 +2,39 @@
 
 #include <cstring>
 
+#include "server/sha256_block.hpp"
+
 namespace trng::server {
 namespace {
 
-constexpr std::uint32_t kK[64] = {
+inline std::uint32_t rotr(std::uint32_t x, unsigned n) {
+  return (x >> n) | (x << (32u - n));
+}
+
+sha256_block::Fn resolve_block_fn() {
+#if TRNG_SHA256_SHANI
+  if (sha256_block::sha_ni_missing_feature() == nullptr) {
+    return sha256_block::sha_ni;
+  }
+#endif
+  return sha256_block::portable;
+}
+
+void store_digest(const std::uint32_t state[8],
+                  std::uint8_t out[Sha256::kDigestBytes]) {
+  for (std::size_t i = 0; i < 8; ++i) {
+    out[4 * i] = static_cast<std::uint8_t>(state[i] >> 24);
+    out[4 * i + 1] = static_cast<std::uint8_t>(state[i] >> 16);
+    out[4 * i + 2] = static_cast<std::uint8_t>(state[i] >> 8);
+    out[4 * i + 3] = static_cast<std::uint8_t>(state[i]);
+  }
+}
+
+}  // namespace
+
+namespace sha256_block {
+
+const std::uint32_t kRoundConstants[64] = {
     0x428a2f98u, 0x71374491u, 0xb5c0fbcfu, 0xe9b5dba5u, 0x3956c25bu,
     0x59f111f1u, 0x923f82a4u, 0xab1c5ed5u, 0xd807aa98u, 0x12835b01u,
     0x243185beu, 0x550c7dc3u, 0x72be5d74u, 0x80deb1feu, 0x9bdc06a7u,
@@ -21,26 +50,19 @@ constexpr std::uint32_t kK[64] = {
     0x90befffau, 0xa4506cebu, 0xbef9a3f7u, 0xc67178f2u,
 };
 
-inline std::uint32_t rotr(std::uint32_t x, unsigned n) {
-  return (x >> n) | (x << (32u - n));
+const std::uint32_t kInitialState[8] = {
+    0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u, 0xa54ff53au,
+    0x510e527fu, 0x9b05688cu, 0x1f83d9abu, 0x5be0cd19u,
+};
+
+Fn dispatched() {
+  // A function-local static: cpuid runs on the first call, never during
+  // static initialization.
+  static const Fn fn = resolve_block_fn();
+  return fn;
 }
 
-}  // namespace
-
-void Sha256::reset() {
-  state_[0] = 0x6a09e667u;
-  state_[1] = 0xbb67ae85u;
-  state_[2] = 0x3c6ef372u;
-  state_[3] = 0xa54ff53au;
-  state_[4] = 0x510e527fu;
-  state_[5] = 0x9b05688cu;
-  state_[6] = 0x1f83d9abu;
-  state_[7] = 0x5be0cd19u;
-  total_bytes_ = 0;
-  buf_len_ = 0;
-}
-
-void Sha256::process_block(const std::uint8_t block[kBlockBytes]) {
+void portable(std::uint32_t state[8], const std::uint8_t block[64]) {
   std::uint32_t w[64];
   for (std::size_t t = 0; t < 16; ++t) {
     w[t] = (std::uint32_t{block[4 * t]} << 24) |
@@ -56,12 +78,12 @@ void Sha256::process_block(const std::uint8_t block[kBlockBytes]) {
     w[t] = w[t - 16] + s0 + w[t - 7] + s1;
   }
 
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
   for (std::size_t t = 0; t < 64; ++t) {
     const std::uint32_t big_s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
     const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t t1 = h + big_s1 + ch + kK[t] + w[t];
+    const std::uint32_t t1 = h + big_s1 + ch + kRoundConstants[t] + w[t];
     const std::uint32_t big_s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
     const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
     const std::uint32_t t2 = big_s0 + maj;
@@ -74,14 +96,26 @@ void Sha256::process_block(const std::uint8_t block[kBlockBytes]) {
     b = a;
     a = t1 + t2;
   }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+}  // namespace sha256_block
+
+void Sha256::reset() {
+  std::memcpy(state_, sha256_block::kInitialState, sizeof(state_));
+  total_bytes_ = 0;
+  buf_len_ = 0;
+}
+
+void Sha256::process_block(const std::uint8_t block[kBlockBytes]) {
+  sha256_block::dispatched()(state_, block);
 }
 
 void Sha256::update(const std::uint8_t* data, std::size_t len) {
@@ -110,22 +144,30 @@ void Sha256::update(const std::uint8_t* data, std::size_t len) {
 }
 
 void Sha256::final(std::uint8_t out[kDigestBytes]) {
+  // FIPS 180-4 §5.1.1: 0x80, zeros up to 56 mod 64, the 64-bit bit length.
+  constexpr std::size_t kLenOffset = kBlockBytes - 8;
   const std::uint64_t bit_len = total_bytes_ * 8;
-  const std::uint8_t pad_one = 0x80;
-  update(&pad_one, 1);
-  const std::uint8_t zero = 0x00;
-  while (buf_len_ != 56) update(&zero, 1);
-  std::uint8_t len_be[8];
-  for (std::size_t i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  buf_[buf_len_++] = 0x80;
+  if (buf_len_ > kLenOffset) {
+    std::memset(buf_ + buf_len_, 0, kBlockBytes - buf_len_);
+    process_block(buf_);
+    buf_len_ = 0;
   }
-  update(len_be, 8);
+  std::memset(buf_ + buf_len_, 0, kLenOffset - buf_len_);
   for (std::size_t i = 0; i < 8; ++i) {
-    out[4 * i] = static_cast<std::uint8_t>(state_[i] >> 24);
-    out[4 * i + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
-    out[4 * i + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
-    out[4 * i + 3] = static_cast<std::uint8_t>(state_[i]);
+    buf_[kLenOffset + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
   }
+  process_block(buf_);
+  buf_len_ = 0;
+  store_digest(state_, out);
+}
+
+void Sha256::digest_padded_block(const std::uint8_t block[kBlockBytes],
+                                 std::uint8_t out[kDigestBytes]) {
+  std::uint32_t state[8];
+  std::memcpy(state, sha256_block::kInitialState, sizeof(state));
+  sha256_block::dispatched()(state, block);
+  store_digest(state, out);
 }
 
 std::array<std::uint8_t, Sha256::kDigestBytes> Sha256::digest(

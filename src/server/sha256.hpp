@@ -7,10 +7,13 @@
 // libcrypto happens to be installed would break the repo's determinism
 // guarantees (TL001 spirit: everything reproducible from explicit inputs).
 //
-// Scope: exactly what the DRBG needs — incremental hashing and a one-shot
-// digest helper. This is a correctness-first scalar implementation;
-// hashing is a per-reseed cost amortized over thousands of generates, so
-// it is nowhere near the hot path (see DESIGN.md §3.6).
+// Scope: exactly what the DRBG needs — incremental hashing, a one-shot
+// digest helper, and the digest of one already padded block. It is the
+// daemon's hot path: Hash_DRBG output costs one compression per 32 bytes
+// (DESIGN.md §3.6). The compression itself is one of two block functions
+// (sha256_block.hpp), chosen once per process by cpuid: the x86 SHA
+// extensions where the CPU has them (SHA, SSSE3, SSE4.1), else the portable
+// C++ one. Both give the same bits; the choice changes only the speed.
 #pragma once
 
 #include <array>
@@ -38,6 +41,11 @@ class Sha256 {
   /// One-shot convenience.
   static std::array<std::uint8_t, kDigestBytes> digest(
       const std::uint8_t* data, std::size_t len);
+
+  /// Digest of a message of at most 55 bytes whose FIPS 180-4 padding the
+  /// caller has already written into `block`: one compression from the IV.
+  static void digest_padded_block(const std::uint8_t block[kBlockBytes],
+                                  std::uint8_t out[kDigestBytes]);
 
  private:
   void process_block(const std::uint8_t block[kBlockBytes]);

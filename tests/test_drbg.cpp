@@ -2,12 +2,15 @@
 // SHA-256 (FIPS 180-4) and Hash_DRBG (SP 800-90A, the conditioner
 // mechanism).
 //
-// The SHA-256 answers are the FIPS 180-4 examples. The Hash_DRBG vectors
-// A–D are pinned cross-implementation constants minted from an
+// The SHA-256 answers are the FIPS 180-4 examples; they and every DRBG
+// vector run through the block function the process dispatched to. The
+// two block functions themselves (portable and SHA-NI,
+// server/sha256_block.hpp) are compared directly. The Hash_DRBG vectors
+// A–E are pinned cross-implementation constants minted from an
 // independent Python SP 800-90A reference, fed the entropy and nonce of
 // NIST CAVP drbgtestvectors (SHA-256, no_reseed, COUNT=0). They cover
 // instantiate/generate, personalization + additional input, explicit
-// reseed, and non-multiple-of-32 truncation.
+// reseed, non-multiple-of-32 truncation, and one maximum-size request.
 
 #include <gtest/gtest.h>
 
@@ -17,11 +20,15 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "server/drbg.hpp"
 #include "server/sha256.hpp"
+#include "server/sha256_block.hpp"
 
 namespace {
 
+namespace sha256_block = trng::server::sha256_block;
+using trng::common::Xoshiro256StarStar;
 using trng::server::DrbgLimits;
 using trng::server::DrbgStatus;
 using trng::server::HashDrbg;
@@ -61,20 +68,51 @@ const char* kNonceHex = "659ba96c601dc69fc902940805ec0ca8";
 
 // ---------------------------------------------------------------- SHA-256
 
+/// FIPS 180-4 digest of `msg`, padded here and compressed block by block
+/// with `fn` alone.
+std::string digest_via(sha256_block::Fn fn,
+                       const std::vector<std::uint8_t>& msg) {
+  std::vector<std::uint8_t> padded = msg;
+  padded.push_back(0x80);
+  while (padded.size() % Sha256::kBlockBytes != 56) padded.push_back(0);
+  const std::uint64_t bits = std::uint64_t{msg.size()} * 8;
+  for (int shift = 56; shift >= 0; shift -= 8) {
+    padded.push_back(static_cast<std::uint8_t>(bits >> shift));
+  }
+  std::uint32_t state[8];
+  std::memcpy(state, sha256_block::kInitialState, sizeof(state));
+  for (std::size_t off = 0; off < padded.size(); off += Sha256::kBlockBytes) {
+    fn(state, padded.data() + off);
+  }
+  std::uint8_t out[Sha256::kDigestBytes];
+  for (std::size_t i = 0; i < 8; ++i) {
+    for (std::size_t b = 0; b < 4; ++b) {
+      out[4 * i + b] = static_cast<std::uint8_t>(state[i] >> (24 - 8 * b));
+    }
+  }
+  return to_hex(out, sizeof(out));
+}
+
 TEST(DrbgSha256, Fips180_4KnownAnswers) {
-  EXPECT_EQ(
-      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-      sha256_hex(""));
-  EXPECT_EQ(
-      "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
-      sha256_hex("abc"));
-  EXPECT_EQ(
-      "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
-      sha256_hex("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"));
-  EXPECT_EQ(
-      "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
-      sha256_hex("abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn"
-                 "hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"));
+  // Through the dispatched block function, and through the portable one
+  // (the oracle) directly.
+  const char* const kCases[][2] = {
+      {"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {"abc",
+       "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+      {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+      {"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn"
+       "hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+       "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"},
+  };
+  for (const auto& [msg, expected] : kCases) {
+    const std::string text = msg;
+    EXPECT_EQ(expected, sha256_hex(text));
+    EXPECT_EQ(expected,
+              digest_via(sha256_block::portable,
+                         std::vector<std::uint8_t>(text.begin(), text.end())));
+  }
 }
 
 TEST(DrbgSha256, IncrementalMatchesOneShot) {
@@ -96,6 +134,48 @@ TEST(DrbgSha256, IncrementalMatchesOneShot) {
   h.final(incremental);
   EXPECT_EQ(to_hex(oneshot.data(), oneshot.size()),
             to_hex(incremental, sizeof(incremental)));
+}
+
+TEST(DrbgSha256, ShaNiBlockFunctionMatchesPortable) {
+#if TRNG_SHA256_SHANI
+  if (const char* missing = sha256_block::sha_ni_missing_feature()) {
+    GTEST_SKIP() << "CPU lacks " << missing
+                 << "; the SHA-NI block function cannot run here";
+  }
+  EXPECT_EQ(sha256_block::Fn{sha256_block::sha_ni},
+            sha256_block::dispatched());
+  Xoshiro256StarStar rng(0x5a256);
+  // Random chaining states and blocks, one compression each.
+  for (int trial = 0; trial < 20000; ++trial) {
+    std::uint32_t a[8], b[8];
+    for (std::size_t i = 0; i < 8; ++i) {
+      a[i] = b[i] = static_cast<std::uint32_t>(rng.next());
+    }
+    std::uint8_t block[Sha256::kBlockBytes];
+    for (std::size_t i = 0; i < sizeof(block); i += 8) {
+      const std::uint64_t word = rng.next();
+      std::memcpy(block + i, &word, sizeof(word));
+    }
+    sha256_block::portable(a, block);
+    sha256_block::sha_ni(b, block);
+    ASSERT_EQ(0, std::memcmp(a, b, sizeof(a))) << "trial " << trial;
+  }
+  // Whole digests of random messages of 0..300 bytes (1..6 blocks), and
+  // the Sha256 class's own padding against digest_via's.
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<std::uint8_t> msg(rng.next_below(301));
+    for (auto& byte : msg) byte = static_cast<std::uint8_t>(rng.next());
+    const std::string expected = digest_via(sha256_block::portable, msg);
+    ASSERT_EQ(expected, digest_via(sha256_block::sha_ni, msg))
+        << msg.size() << " bytes";
+    const auto digest = Sha256::digest(msg.data(), msg.size());
+    ASSERT_EQ(expected, to_hex(digest.data(), digest.size()))
+        << msg.size() << " bytes";
+  }
+#else
+  GTEST_SKIP() << "built without the SHA-NI block function (not an x86-64 "
+                  "target)";
+#endif
 }
 
 // ------------------------------------------------ Hash_DRBG pinned vectors
@@ -182,6 +262,63 @@ TEST(DrbgHash, VectorD_HashgenTruncation) {
       "ef508bbf7c13c3895cb646b4872cd3bc0e1d0f13da941b5144a86f3694396cf6"
       "fb",
       to_hex(out, sizeof(out)));
+}
+
+TEST(DrbgHash, VectorE_LongHashgen) {
+  // One maximum-size request: 65536 bytes, 2048 Hashgen blocks, so the
+  // in-place V + i increment carries out of the last byte of V eight
+  // times. Minted with this spec-literal Python Hash_DRBG (SP 800-90A
+  // §10.1.1.2 and §10.1.1.4, no additional input), which also reproduces
+  // vector A:
+  //
+  //   import hashlib
+  //   H = lambda b: hashlib.sha256(b).digest()
+  //   SEEDLEN = 440
+  //   def hash_df(m, nbits):
+  //       out = b""
+  //       c = 1
+  //       while len(out) * 8 < nbits:
+  //           out += H(bytes([c]) + nbits.to_bytes(4, "big") + m)
+  //           c += 1
+  //       return out[:nbits // 8]
+  //   def instantiate(e, n, p=b""):
+  //       v = hash_df(e + n + p, SEEDLEN)
+  //       return [v, hash_df(b"\x00" + v, SEEDLEN), 1]
+  //   def generate(s, nbytes):
+  //       v, c, rc = s
+  //       data, out = int.from_bytes(v, "big"), b""
+  //       while len(out) < nbytes:
+  //           out += H(data.to_bytes(55, "big"))
+  //           data = (data + 1) % 2**SEEDLEN
+  //       h = H(b"\x03" + v)
+  //       s[0] = ((int.from_bytes(v, "big") + int.from_bytes(h, "big") +
+  //                int.from_bytes(c, "big") + rc) % 2**SEEDLEN
+  //               ).to_bytes(55, "big")
+  //       s[2] = rc + 1
+  //       return out[:nbytes]
+  //   e = bytes.fromhex("ca851911349384bffe89de1cbdc46e68"
+  //                     "31e44d34a4fb935ee285dd14b71a7488")
+  //   n = bytes.fromhex("659ba96c601dc69fc902940805ec0ca8")
+  //   s = instantiate(e, n)
+  //   out = generate(s, 65536)
+  //   print(hashlib.sha256(out).hexdigest(), out[:32].hex(),
+  //         out[-32:].hex())
+  const auto entropy = from_hex(kEntropyHex);
+  const auto nonce = from_hex(kNonceHex);
+  HashDrbg drbg(DrbgLimits{}, entropy.data(), entropy.size(), nonce.data(),
+                nonce.size());
+  std::vector<std::uint8_t> out(std::size_t{1} << 16);
+  ASSERT_EQ(DrbgStatus::kOk, drbg.generate(out.data(), out.size()));
+  const auto digest = Sha256::digest(out.data(), out.size());
+  EXPECT_EQ(
+      "dff2b8d2c0269463c318ef5e6d54acae8229995cd6dabc33b2aafa48c4b10af0",
+      to_hex(digest.data(), digest.size()));
+  EXPECT_EQ(
+      "ef508bbf7c13c3895cb646b4872cd3bc0e1d0f13da941b5144a86f3694396cf6",
+      to_hex(out.data(), 32));
+  EXPECT_EQ(
+      "3345854d9b95edbf91bcf91a9c7574f46b1f9b485e38913893b9d5f7779acdd4",
+      to_hex(out.data() + out.size() - 32, 32));
 }
 
 // --------------------------------------------------- reseed-interval/PR

@@ -14,6 +14,7 @@
 #include <csignal>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -417,6 +418,46 @@ TEST(ServerDaemonTest, UnixSocketListenerServesExternalConnections) {
   daemon.stop();
   // stop() unlinked the socket: connecting again fails cleanly.
   EXPECT_LT(server::client::connect_unix(path), 0);
+}
+
+std::size_t open_fd_count() {
+  std::size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+TEST(ServerDaemonTest, ClosedSessionsAreReapedOnTheNextConnect) {
+  // Connection churn must not accumulate server-side fds (nor Session
+  // objects and exited threads): each connect reaps the sessions that
+  // have finished, on the socketpair and on the AF_UNIX accept path.
+  if (!std::filesystem::exists("/proc/self/fd")) {
+    GTEST_SKIP() << "no /proc/self/fd to count open fds";
+  }
+  const std::string path = "/tmp/trng_serverd_reap_" +
+                           std::to_string(::getpid()) + ".sock";
+  ServerDaemon daemon(registry_factory("str-virtex", 390), base_config(1));
+  daemon.start();
+  daemon.listen_unix(path);
+  const std::size_t before = open_fd_count();
+  constexpr int kConnections = 150;
+  for (int i = 0; i < 2 * kConnections; ++i) {
+    const int fd = (i < kConnections) ? daemon.connect_client()
+                                      : server::client::connect_unix(path);
+    ASSERT_GE(fd, 0);
+    const auto reply = server::client::draw(fd, 32);
+    ASSERT_TRUE(reply.ok);
+    ASSERT_EQ(reply.status, Status::kOk);
+    ::close(fd);
+  }
+  // Only sessions still winding down when the last connects came in can
+  // be left; without reaping every one of the 300 would hold its fd.
+  EXPECT_LT(open_fd_count(), before + 16);
+  daemon.stop();
+  EXPECT_EQ(daemon.metrics().sessions_closed.load(), 2u * kConnections);
 }
 
 TEST(ServerDaemonTest, ConnectUnixRejectsBadPaths) {
