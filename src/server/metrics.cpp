@@ -38,7 +38,9 @@ std::string ServerMetrics::snapshot_json(const service::Metrics& pool) const {
   append_kv(out, "metrics_requests",
             metrics_requests.load(std::memory_order_relaxed));
   append_kv(out, "shutdown_refusals",
-            shutdown_refusals.load(std::memory_order_relaxed), false);
+            shutdown_refusals.load(std::memory_order_relaxed));
+  append_kv(out, "accept_retries",
+            accept_retries.load(std::memory_order_relaxed), false);
   out += "}, \"shards\": [";
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     const ShardCounters& s = shards_[i];

@@ -99,6 +99,8 @@ class ServerMetrics {
   std::atomic<std::uint64_t> metrics_requests{0};
   // trng-analyzer: atomic(counter)
   std::atomic<std::uint64_t> shutdown_refusals{0};  ///< draws after stop()
+  // trng-analyzer: atomic(counter)
+  std::atomic<std::uint64_t> accept_retries{0};  ///< failed accepts retried
 
   /// One JSON object covering the daemon, every shard, every client slot,
   /// and (nested under "service") the pool's own snapshot.

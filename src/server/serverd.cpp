@@ -5,8 +5,10 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 namespace trng::server {
@@ -141,8 +143,17 @@ void ServerDaemon::accept_loop() {
   while (true) {
     const int client = ::accept(fd, nullptr, nullptr);
     if (client < 0) {
+      // stop() shuts the listener down after setting draining_; that is
+      // the only way out. Any other failure (EMFILE/ENFILE when the fd
+      // table is full, ENOBUFS/ENOMEM, ECONNABORTED) is metered, finished
+      // sessions are reaped to free their fds, and accept is retried after
+      // a short back-off, so the daemon serves again once fds free up.
+      if (draining_.load(std::memory_order_acquire)) return;
       if (errno == EINTR) continue;
-      return;  // listener shut down (stop()) or hard error
+      metrics_.accept_retries.fetch_add(1, std::memory_order_relaxed);
+      reap_finished_sessions();
+      std::this_thread::sleep_for(kAcceptBackoff);
+      continue;
     }
     reap_finished_sessions();
     std::lock_guard<std::mutex> lk(sessions_mu_);

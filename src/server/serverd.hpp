@@ -27,6 +27,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -106,6 +107,8 @@ class ServerDaemon {
   /// threads' stacks stay bounded by the live sessions.
   void reap_finished_sessions();
   void accept_loop();
+  /// Pause after a failed accept before retrying it.
+  static constexpr std::chrono::milliseconds kAcceptBackoff{5};
 
   struct SessionHandle {
     std::unique_ptr<Session> session;

@@ -23,7 +23,6 @@
 #pragma once
 
 #include <array>
-#include <complex>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -134,9 +133,10 @@ UniversalStatistic universal_statistic_from_sum(double sum, std::size_t k,
                                                 double expected,
                                                 double variance);
 
-/// X = the FFT of the +-1 image of the largest power-of-two prefix of
-/// `bits` (length n = X.size()); empty for an empty input.
-std::vector<std::complex<double>> dft_spectrum(const common::BitStream& bits);
+/// |X_j|^2 for j < n / 2, X = the DFT of the +-1 image of the largest
+/// power-of-two prefix of `bits` (length n = 2 * size()); empty for inputs
+/// shorter than 8 bits.
+std::vector<double> dft_power_spectrum(const common::BitStream& bits);
 /// `below`: moduli |X_j|, j < n / 2, under the 95% threshold
 /// T = sqrt(log(1/0.05) n).
 TestResult dft_from_counts(std::size_t n, std::size_t below);

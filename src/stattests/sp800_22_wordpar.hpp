@@ -13,8 +13,10 @@
 // masks for runs, byte lookup tables and chunk combining for longest-run/
 // cumulative-sums, skip-ahead walks for the excursions tests, packed L-bit
 // window extraction (BitStream::word_at) for serial/approximate-entropy/
-// universal/templates, and a word-packed Berlekamp–Massey for linear
-// complexity. The DFT is a radix-2 FFT on doubles.
+// universal/templates, one pass of m-bit windows into a histogram for the
+// non-overlapping templates, and Berlekamp–Massey on 64 blocks at once (one
+// block per bit of a word) for linear complexity. The DFT is a real-input
+// FFT on doubles: an n/2-point complex FFT plus a split step.
 //
 // The kernels only produce integer counts; the floating-point statistic is
 // computed by the shared functions in sp800_22_detail.cpp. The tests-only
@@ -143,8 +145,9 @@ TestResult random_excursions_test(const common::BitStream& bits);
 /// Inapplicable when J < 500.
 TestResult random_excursions_variant_test(const common::BitStream& bits);
 
-/// Word-packed Berlekamp–Massey over bits [begin, begin + len): linear
-/// complexity of the block (helper, exposed for unit testing).
+/// Linear complexity of the block of bits [begin, begin + len): the
+/// linear-complexity test's lane-parallel Berlekamp–Massey run on one block
+/// (helper, exposed for unit testing).
 std::size_t berlekamp_massey_words(const common::BitStream& bits,
                                    std::size_t begin, std::size_t len);
 

@@ -165,49 +165,30 @@ TestResult non_overlapping_template_test(const common::BitStream& bits,
   constexpr std::size_t kBlocks = 8;
   const std::size_t block_len = n / kBlocks;
   const auto templates = aperiodic_templates(tpl_len);
+  // One pass of LSB-first m-bit windows per block into a 2^m-entry
+  // histogram; template t's count is the bin of its bit-reversed value
+  // (window bit j is template bit m-1-j). Section 2.7.4's scan jumps m bits
+  // past a hit, so it counts non-overlapping matches, but an aperiodic
+  // template has no border — no proper prefix equals a suffix — so two of
+  // its matches can never overlap, and every match counts.
+  const std::uint64_t mask = (1ULL << tpl_len) - 1;
+  const std::size_t npos = block_len - tpl_len + 1;
   std::vector<std::array<std::size_t, kBlocks>> w(templates.size());
-  // Per chunk of 64 window positions: build the m shifted-stream words
-  // S[j] (bit q of S[j] = stream bit base+q+j) once, then each template's
-  // overlapping-match mask is an AND of S[j] or ~S[j] per template bit.
-  // Section 2.7.4's scan (slide one bit on a miss, jump m bits past a hit)
-  // takes matches greedily left to right with the next accepted match >= m
-  // positions later, which is the selection the greedy scan over the match
-  // mask makes.
-  std::vector<std::size_t> next_ok(templates.size());
-  std::vector<std::size_t> count(templates.size());
-  std::array<std::uint64_t, 16> s_words{};
+  std::vector<std::size_t> hist(std::size_t{1} << tpl_len);
   for (std::size_t b = 0; b < kBlocks; ++b) {
     const std::size_t base = b * block_len;
-    const std::size_t npos = block_len - tpl_len + 1;
-    std::fill(next_ok.begin(), next_ok.end(), 0);
-    std::fill(count.begin(), count.end(), 0);
+    std::fill(hist.begin(), hist.end(), 0);
     for (std::size_t cbase = 0; cbase < npos; cbase += 64) {
-      for (unsigned j = 0; j < tpl_len; ++j) {
-        s_words[j] = bits.word_at(base + cbase + j);
-      }
+      const std::uint64_t lo = bits.word_at(base + cbase);
+      const std::uint64_t hi = bits.word_at(base + cbase + 64) << 1;
       const std::size_t valid = std::min<std::size_t>(64, npos - cbase);
-      const std::uint64_t vmask =
-          valid == 64 ? ~0ULL : ((1ULL << valid) - 1);
-      for (std::size_t t = 0; t < templates.size(); ++t) {
-        const std::uint32_t tpl = templates[t];
-        std::uint64_t match = vmask;
-        for (unsigned j = 0; j < tpl_len && match != 0; ++j) {
-          // Window bit j must equal template bit m-1-j (MSB-first value).
-          match &= ((tpl >> (tpl_len - 1 - j)) & 1u) ? s_words[j]
-                                                     : ~s_words[j];
-        }
-        while (match != 0) {
-          const unsigned bit = static_cast<unsigned>(std::countr_zero(match));
-          match &= match - 1;
-          const std::size_t q = cbase + bit;
-          if (q >= next_ok[t]) {
-            ++count[t];
-            next_ok[t] = q + tpl_len;
-          }
-        }
+      for (unsigned k = 0; k < valid; ++k) {
+        ++hist[((lo >> k) | (hi << (63 - k))) & mask];
       }
     }
-    for (std::size_t t = 0; t < templates.size(); ++t) w[t][b] = count[t];
+    for (std::size_t t = 0; t < templates.size(); ++t) {
+      w[t][b] = hist[bit_reverse(templates[t], tpl_len)];
+    }
   }
   return detail::non_overlapping_template_from_counts(n, tpl_len, w);
 }
@@ -238,68 +219,96 @@ TestResult overlapping_template_test(const common::BitStream& bits,
   return detail::overlapping_template_from_counts(big_n, v);
 }
 
+namespace {
+
+/// Transposes a 64 x 64 bit matrix in place: afterwards bit b of a[k] is
+/// the former bit k of a[b].
+void transpose64(std::uint64_t* a) {
+  std::uint64_t m = 0x00000000FFFFFFFFULL;
+  for (unsigned j = 32; j != 0; j >>= 1, m ^= m << j) {
+    for (unsigned k = 0; k < 64; k = (k + j + 1) & ~j) {
+      const std::uint64_t t = ((a[k] >> j) ^ a[k + j]) & m;
+      a[k] ^= t << j;
+      a[k + j] ^= t;
+    }
+  }
+}
+
+/// Berlekamp–Massey on `lanes` <= 64 blocks of `len` bits at once, block b
+/// starting at bit begin + b * len and living in bit b of every word: the
+/// sequence, C and D = x^m B are arrays of 64-bit words indexed by
+/// coefficient, so one word operation steps all blocks. Writes block b's
+/// linear complexity to lengths[b].
+///
+/// Per step i, with d the discrepancy word: C ^= d & D in every block, and
+/// D becomes x * (C_old in blocks whose L grows, D_old elsewhere). D is
+/// stored at a moving offset into `dbuf`, so that multiplication by x is one
+/// decrement for all blocks. Both loops stop at the largest new L among the
+/// blocks with d = 1: deg C <= L, and deg x^m B <= i + 1 - L, which is at
+/// most the new L of a block that updates, so every coefficient above that
+/// bound is zero in C and D alike. Unused lanes hold all-zero blocks, whose
+/// discrepancy is always 0.
+void berlekamp_massey_lanes(const common::BitStream& bits, std::size_t begin,
+                            std::size_t len, unsigned lanes,
+                            std::size_t* lengths) {
+  // srev[len - 1 - i] = bit i of every block, so the discrepancy's s_{i-j},
+  // j = 0, 1, ..., are the contiguous words srev[len - 1 - i + j]. Bits a
+  // row reads past its block's end transpose into rows that are not kept.
+  std::vector<std::uint64_t> srev(len);
+  std::array<std::uint64_t, 64> rows{};
+  for (std::size_t i0 = 0; i0 < len; i0 += 64) {
+    for (unsigned b = 0; b < 64; ++b) {
+      rows[b] = b < lanes ? bits.word_at(begin + b * len + i0) : 0;
+    }
+    transpose64(rows.data());
+    const std::size_t count = std::min<std::size_t>(64, len - i0);
+    for (std::size_t k = 0; k < count; ++k) srev[len - 1 - (i0 + k)] = rows[k];
+  }
+
+  std::vector<std::uint64_t> c(len + 1, 0);
+  std::vector<std::uint64_t> dbuf(2 * len + 2, 0);
+  std::array<std::size_t, 64> l{};
+  c[0] = ~0ULL;  // C = 1
+  std::size_t off = len;
+  dbuf[off + 1] = ~0ULL;  // D = x * B with B = 1
+  std::size_t max_l = 0;
+  for (std::size_t i = 0; i < len; ++i) {
+    const std::uint64_t* s = &srev[len - 1 - i];
+    std::uint64_t d = 0;
+    const std::size_t top = std::min(max_l, i);
+    for (std::size_t j = 0; j <= top; ++j) d ^= c[j] & s[j];
+    if (d != 0) {
+      std::uint64_t grow = 0;
+      std::size_t hi = 0;
+      for (std::uint64_t w = d; w != 0; w &= w - 1) {
+        const unsigned b = static_cast<unsigned>(std::countr_zero(w));
+        const std::size_t lb = l[b];
+        const bool g = 2 * lb <= i;
+        const std::size_t lnew = g ? i + 1 - lb : lb;
+        l[b] = lnew;
+        grow |= static_cast<std::uint64_t>(g) << b;
+        hi = std::max(hi, lnew);
+      }
+      max_l = std::max(max_l, hi);
+      std::uint64_t* dv = &dbuf[off];
+      for (std::size_t j = 0; j <= hi; ++j) {
+        const std::uint64_t cj = c[j], ej = dv[j];
+        c[j] = cj ^ (ej & d);
+        dv[j] = (cj & grow) | (ej & ~grow);
+      }
+    }
+    --off;
+  }
+  for (unsigned b = 0; b < lanes; ++b) lengths[b] = l[b];
+}
+
+}  // namespace
+
 std::size_t berlekamp_massey_words(const common::BitStream& bits,
                                    std::size_t begin, std::size_t len) {
-  if (len == 0) return 0;
-  const std::size_t nw = (len + 63) / 64;
-  // Reversed block: srev bit x = block bit len-1-x, so the discrepancy's
-  // s_{i-j} terms for one c-word are a contiguous LSB-first window of srev.
-  std::vector<std::uint64_t> srev(nw + 1, 0);
-  for (std::size_t x = 0; x < len; ++x) {
-    if (bits[begin + len - 1 - x]) srev[x >> 6] |= 1ULL << (x & 63);
-  }
-  auto srev_word_at = [&srev](std::size_t pos) -> std::uint64_t {
-    const std::size_t k = pos >> 6;
-    const unsigned off = static_cast<unsigned>(pos & 63);
-    const std::uint64_t lo = k < srev.size() ? srev[k] : 0;
-    const std::uint64_t hi = k + 1 < srev.size() ? srev[k + 1] : 0;
-    return (lo >> off) | ((hi << 1) << (63 - off));
-  };
-
-  std::vector<std::uint64_t> c(nw, 0), b(nw, 0), t;
-  c[0] = b[0] = 1;
-  std::size_t l = 0;
-  std::size_t m_shift = 1;
-  for (std::size_t i = 0; i < len; ++i) {
-    // d = parity of sum_{j=0..l} c_j s_{i-j}; the j=0 term is s_i itself
-    // since c_0 = 1. Mask the last c-word to degree l so stray higher bits
-    // can never contribute (l <= i, so every s index stays in range).
-    unsigned acc = 0;
-    const std::size_t lwords = (l >> 6) + 1;
-    for (std::size_t tw = 0; tw < lwords; ++tw) {
-      std::uint64_t cw = c[tw];
-      if (tw == lwords - 1) {
-        cw &= ~0ULL >> (63 - static_cast<unsigned>(l & 63));
-      }
-      if (cw == 0) continue;
-      acc ^= static_cast<unsigned>(
-          std::popcount(cw & srev_word_at(len - 1 - i + (tw << 6))));
-    }
-    if ((acc & 1) == 0) {
-      ++m_shift;
-      continue;
-    }
-    t = c;
-    // c ^= b << m_shift, truncated to len bits (the connection polynomial
-    // has degree < len: only c[j + m_shift] with j + m_shift < len flips).
-    const std::size_t ws = m_shift >> 6;
-    const unsigned bs = static_cast<unsigned>(m_shift & 63);
-    for (std::size_t j = nw; j-- > ws;) {
-      std::uint64_t v = b[j - ws] << bs;
-      if (bs != 0 && j - ws > 0) v |= b[j - ws - 1] >> (64 - bs);
-      c[j] ^= v;
-    }
-    const unsigned tail = static_cast<unsigned>(len & 63);
-    if (tail != 0) c[nw - 1] &= ~0ULL >> (64 - tail);
-    if (2 * l <= i) {
-      l = i + 1 - l;
-      b = t;
-      m_shift = 1;
-    } else {
-      ++m_shift;
-    }
-  }
-  return l;
+  std::size_t length = 0;
+  berlekamp_massey_lanes(bits, begin, len, 1, &length);
+  return length;
 }
 
 TestResult linear_complexity_test(const common::BitStream& bits,
@@ -310,8 +319,10 @@ TestResult linear_complexity_test(const common::BitStream& bits,
   }
   const std::size_t big_n = n / block_len;
   std::vector<std::size_t> lengths(big_n, 0);
-  for (std::size_t b = 0; b < big_n; ++b) {
-    lengths[b] = berlekamp_massey_words(bits, b * block_len, block_len);
+  for (std::size_t b = 0; b < big_n; b += 64) {
+    const auto lanes =
+        static_cast<unsigned>(std::min<std::size_t>(64, big_n - b));
+    berlekamp_massey_lanes(bits, b * block_len, block_len, lanes, &lengths[b]);
   }
   return detail::linear_complexity_from_lengths(block_len, lengths);
 }

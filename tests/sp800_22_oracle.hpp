@@ -253,30 +253,37 @@ inline UniversalStatistic universal_statistic(const common::BitStream& bits,
 
 // ---- 2.10 linear complexity ------------------------------------------------
 
-/// Berlekamp–Massey over GF(2): linear complexity of a bit block.
+/// Berlekamp–Massey over GF(2): linear complexity of a bit block. Bits are
+/// held one per byte and walked through raw pointers, so the O(M^2) loops
+/// stay cheap at the gate's M = 5000 even in unoptimized sanitizer builds.
 inline std::size_t berlekamp_massey(const std::vector<bool>& block) {
   const std::size_t n = block.size();
-  std::vector<bool> c(n, false), b(n, false);
-  c[0] = b[0] = true;
+  const std::vector<std::uint8_t> bytes(block.begin(), block.end());
+  std::vector<std::uint8_t> c_poly(n, 0), b_poly(n, 0), t_poly(n, 0);
+  const std::uint8_t* s = bytes.data();
+  std::uint8_t* c = c_poly.data();
+  std::uint8_t* b = b_poly.data();
+  std::uint8_t* t = t_poly.data();
+  if (n > 0) c[0] = b[0] = 1;
   std::size_t l = 0;
+  std::size_t b_terms = 1;  // deg B < b_terms: B was saved with deg <= L
   std::size_t m_shift = 1;  // n - m in the classic formulation
   for (std::size_t i = 0; i < n; ++i) {
     // Discrepancy d = s_i + sum_{j=1..L} c_j * s_{i-j}.
-    bool d = block[i];
-    for (std::size_t j = 1; j <= l; ++j) {
-      if (c[j] && block[i - j]) d = !d;
-    }
-    if (!d) {
+    std::uint8_t d = s[i];
+    for (std::size_t j = 1; j <= l; ++j) d ^= c[j] & s[i - j];
+    if (d == 0) {
       ++m_shift;
       continue;
     }
-    const std::vector<bool> t = c;
-    for (std::size_t j = 0; j + m_shift < n; ++j) {
-      if (b[j]) c[j + m_shift] = !c[j + m_shift];
+    std::copy(c, c + n, t);
+    for (std::size_t j = 0; j < b_terms && j + m_shift < n; ++j) {
+      c[j + m_shift] ^= b[j];
     }
     if (2 * l <= i) {
+      std::swap(b, t);  // B = the C from before this step
+      b_terms = l + 1;
       l = i + 1 - l;
-      b = t;
       m_shift = 1;
     } else {
       ++m_shift;

@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <complex>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -215,6 +214,68 @@ TEST(BatteryEquivalence, BerlekampMasseyWords) {
             oracle::berlekamp_massey(trailing_one));
 }
 
+TEST(BatteryEquivalence, LinearComplexityLaneGroups) {
+  // Berlekamp–Massey runs 64 blocks per word: block counts around the lane
+  // groups (the last group partial), then block lengths around word
+  // boundaries up to the gate's M = 5000, each at the 200-block minimum.
+  for (const std::size_t blocks : {200u, 255u, 256u, 257u, 2097u}) {
+    SCOPED_TRACE(blocks);
+    const auto bits = random_bits(blocks * 500 + 37, 40 + blocks);
+    expect_identical(oracle::linear_complexity_test(bits),
+                     wordpar::linear_complexity_test(bits));
+  }
+  for (const std::size_t m : {500u, 501u, 1000u, 4999u, 5000u}) {
+    SCOPED_TRACE(m);
+    const auto bits = random_bits(200 * m + 11, 50 + m);
+    expect_identical(oracle::linear_complexity_test(bits, m),
+                     wordpar::linear_complexity_test(bits, m));
+  }
+  // One lane group mixing all-zero blocks (L = 0), blocks whose only one
+  // is the last bit (L = M) and random blocks; each block also goes through
+  // the one-block entry point against the oracle.
+  constexpr std::size_t kLen = 500;
+  const auto noise = random_bits(256 * kLen, 61);
+  common::BitStream mixed;
+  for (std::size_t b = 0; b < 256; ++b) {
+    for (std::size_t i = 0; i < kLen; ++i) {
+      const std::size_t kind = b % 3;
+      mixed.push_back(kind == 0   ? false
+                      : kind == 1 ? i == kLen - 1
+                                  : noise[b * kLen + i]);
+    }
+  }
+  expect_identical(oracle::linear_complexity_test(mixed),
+                   wordpar::linear_complexity_test(mixed));
+  std::vector<bool> block(kLen);
+  for (std::size_t b = 0; b < 6; ++b) {
+    SCOPED_TRACE(b);
+    for (std::size_t i = 0; i < kLen; ++i) block[i] = mixed[b * kLen + i];
+    EXPECT_EQ(oracle::berlekamp_massey(block),
+              wordpar::berlekamp_massey_words(mixed, b * kLen, kLen));
+  }
+}
+
+TEST(BatteryEquivalence, NonOverlappingTemplateEveryLength) {
+  // Every template length the battery's gate admits on 200 kbit (m = 2..10),
+  // on random bits and on a periodic stream dense in overlapping windows:
+  // 0^8 1 repeated, with an extra 0 every 50 periods to move the phase.
+  const auto bits = random_bits(200000, 71);
+  common::BitStream periodic;
+  for (std::size_t period = 0; periodic.size() < 200000; ++period) {
+    if (period % 50 == 49) periodic.push_back(false);
+    for (int i = 0; i < 8; ++i) periodic.push_back(false);
+    periodic.push_back(true);
+  }
+  for (unsigned m = 2; m <= 10; ++m) {
+    SCOPED_TRACE(m);
+    const auto ref = oracle::non_overlapping_template_test(bits, m);
+    EXPECT_TRUE(ref.applicable);
+    expect_identical(ref, wordpar::non_overlapping_template_test(bits, m));
+    expect_identical(oracle::non_overlapping_template_test(periodic, m),
+                     wordpar::non_overlapping_template_test(periodic, m));
+  }
+}
+
 TEST(BatteryEquivalence, FrequencyAndRunsAtWordBoundaries) {
   // Transition counting straddles word boundaries; sweep lengths around
   // multiples of 64 with patterned data to pin the boundary-pair logic.
@@ -276,27 +337,30 @@ std::vector<double> naive_dft_moduli(const common::BitStream& bits,
 }
 
 TEST(BatteryEquivalence, DftMatchesNaiveTransform) {
-  // Power-of-two inputs and a 1500-bit input the FFT truncates to its
-  // 1024-bit prefix. Moduli agree to 1e-9 relative to max(|X_j|, 1) (bins
-  // near zero are held to 1e-9 absolute), and on inputs with no bin within
-  // that tolerance of the threshold T the below-T count — and so the whole
-  // TestResult — matches exactly.
+  // Power-of-two inputs up to 8192 bits, inputs the FFT truncates to a
+  // power-of-two prefix (1500 -> 1024, 3000 -> 2048) and the n = 1000 gate
+  // boundary, whose transform length is 512. Moduli agree to 1e-9 relative
+  // to max(|X_j|, 1) (bins near zero are held to 1e-9 absolute), and on
+  // inputs with no bin within that tolerance of the threshold T the below-T
+  // count — and so the whole TestResult — matches exactly.
   constexpr double kRelTol = 1e-9;
   struct Case {
     std::size_t nbits;
     std::size_t n;  ///< transform length: largest power of two <= nbits
     std::uint64_t seed;
   };
-  for (const Case c : {Case{1024, 1024, 31}, Case{2048, 2048, 32},
-                       Case{1500, 1024, 33}}) {
+  for (const Case c :
+       {Case{1024, 1024, 31}, Case{2048, 2048, 32}, Case{1500, 1024, 33},
+        Case{4096, 4096, 34}, Case{8192, 8192, 35}, Case{3000, 2048, 36},
+        Case{1000, 512, 37}}) {
     SCOPED_TRACE(c.nbits);
     const auto bits = random_bits(c.nbits, c.seed);
     const std::size_t n = c.n;
     const auto ref = naive_dft_moduli(bits, n);
-    const auto spectrum = detail::dft_spectrum(bits);
-    ASSERT_EQ(spectrum.size(), n);
+    const auto power = detail::dft_power_spectrum(bits);
+    ASSERT_EQ(power.size(), n / 2);
     std::vector<double> got(n / 2);
-    for (std::size_t j = 0; j < got.size(); ++j) got[j] = std::abs(spectrum[j]);
+    for (std::size_t j = 0; j < got.size(); ++j) got[j] = std::sqrt(power[j]);
     for (std::size_t j = 0; j < ref.size(); ++j) {
       EXPECT_LE(std::fabs(got[j] - ref[j]), kRelTol * std::max(ref[j], 1.0))
           << "bin " << j;

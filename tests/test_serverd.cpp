@@ -7,10 +7,16 @@
 // selects them with the regex ^(Server|Drbg|Conditioner).
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstring>
@@ -458,6 +464,80 @@ TEST(ServerDaemonTest, ClosedSessionsAreReapedOnTheNextConnect) {
   EXPECT_LT(open_fd_count(), before + 16);
   daemon.stop();
   EXPECT_EQ(daemon.metrics().sessions_closed.load(), 2u * kConnections);
+}
+
+// With the fd table full, accept fails with EMFILE. The acceptor must back
+// off and retry (metering the failure), not return: once fds free up, the
+// next client is served. accept reserves its fd before it blocks, so the
+// first client, connected into the last free slot, is still accepted; the
+// acceptor's next accept is the one that meets the full table. The soft
+// RLIMIT_NOFILE and every hog fd are restored before the test returns.
+TEST(ServerDaemonTest, AcceptorSurvivesFdExhaustion) {
+  const std::string path = "/tmp/trng_serverd_emfile_" +
+                           std::to_string(::getpid()) + ".sock";
+  ServerDaemon daemon(registry_factory("str-virtex", 395), base_config(1));
+  daemon.start();
+  daemon.listen_unix(path);
+
+  struct FdExhaustion {
+    rlimit saved{};
+    std::vector<int> hogs;
+    FdExhaustion() {
+      ::getrlimit(RLIMIT_NOFILE, &saved);
+      int highest = 0;
+      for (const auto& entry :
+           std::filesystem::directory_iterator("/proc/self/fd")) {
+        highest = std::max(highest, std::stoi(entry.path().filename()));
+      }
+      rlimit low = saved;
+      low.rlim_cur = static_cast<rlim_t>(highest + 16);
+      ::setrlimit(RLIMIT_NOFILE, &low);
+      for (int fd; (fd = ::open("/dev/null", O_RDONLY)) >= 0;) {
+        hogs.push_back(fd);
+      }
+    }
+    void release(std::size_t count) {
+      for (; count > 0 && !hogs.empty(); --count) {
+        ::close(hogs.back());
+        hogs.pop_back();
+      }
+    }
+    ~FdExhaustion() {
+      release(hogs.size());
+      ::setrlimit(RLIMIT_NOFILE, &saved);
+    }
+  };
+
+  // A reply deadline, so a deaf daemon fails the test instead of hanging.
+  auto with_deadline = [](int fd) {
+    const timeval deadline{5, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &deadline, sizeof deadline);
+    return fd;
+  };
+  int first = -1;
+  {
+    FdExhaustion exhaustion;
+    ASSERT_EQ(errno, EMFILE);
+    ASSERT_FALSE(exhaustion.hogs.empty());
+    exhaustion.release(1);
+    first = with_deadline(server::client::connect_unix(path));
+    ASSERT_GE(first, 0);
+    for (int i = 0;
+         i < 400 && daemon.metrics().accept_retries.load() == 0; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    EXPECT_GT(daemon.metrics().accept_retries.load(), 0u);
+  }  // fds and the limit come back here
+
+  const int second = with_deadline(server::client::connect_unix(path));
+  ASSERT_GE(second, 0);
+  for (const int fd : {first, second}) {
+    const auto reply = server::client::draw(fd, 32);
+    EXPECT_TRUE(reply.ok);
+    EXPECT_EQ(reply.status, Status::kOk);
+    ::close(fd);
+  }
+  daemon.stop();
 }
 
 TEST(ServerDaemonTest, ConnectUnixRejectsBadPaths) {
