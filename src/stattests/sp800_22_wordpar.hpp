@@ -12,9 +12,10 @@
 // time: popcount for frequency/block-frequency, `w ^ (w >> 1)` transition
 // masks for runs, byte lookup tables and chunk combining for longest-run/
 // cumulative-sums, skip-ahead walks for the excursions tests, packed L-bit
-// window extraction (BitStream::word_at) for serial/approximate-entropy/
-// universal/templates, one pass of m-bit windows into a histogram for the
-// non-overlapping templates, and Berlekamp–Massey on 64 blocks at once (one
+// window extraction (BitStream::word_at) for universal/templates, one pass
+// of m-bit windows into a histogram for the non-overlapping templates and
+// for serial/approximate entropy (which sum their longest histogram down
+// to the shorter ones), and Berlekamp–Massey on 64 blocks at once (one
 // block per bit of a word) for linear complexity. The DFT is a real-input
 // FFT on doubles: an n/2-point complex FFT plus a split step.
 //

@@ -8,6 +8,7 @@
 #include <bit>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "stattests/sp800_22_detail.hpp"
@@ -42,35 +43,52 @@ std::uint32_t bit_reverse(std::uint32_t v, unsigned m) {
   return r >> (32 - m);
 }
 
-/// Counts of all overlapping m-bit patterns with cyclic extension, indexed
-/// by the MSB-first pattern value as Section 2.11.4 reads it: windows are
-/// extracted LSB-first in one word_at read each, tallied, then the
-/// histogram is permuted by per-value bit reversal. The permutation is a
-/// bijection, so the MSB-indexed counts — and therefore the summation order
-/// inside psi_squared_from_counts / phi_from_counts — match a bit-serial
-/// MSB-first window exactly.
-std::vector<std::size_t> pattern_counts_words(const common::BitStream& bits,
-                                              unsigned m) {
-  if (m == 0) return {};
+/// Counts of the n overlapping m-bit windows with cyclic extension,
+/// indexed by the MSB-first pattern value as Section 2.11.4 reads it. The
+/// windows that do not wrap are read LSB-first, 64 positions at a time
+/// from two word reads (as in the non-overlapping template kernel), and
+/// tallied; the histogram is then permuted in place by per-value bit
+/// reversal. The permutation is a bijection, so the MSB-indexed counts —
+/// and therefore the summation order inside psi_squared_from_counts /
+/// phi_from_counts — match a bit-serial MSB-first window exactly.
+std::vector<std::size_t> cyclic_window_histogram(const common::BitStream& bits,
+                                                 unsigned m) {
   const std::size_t n = bits.size();
   const std::uint64_t mask = (1ULL << m) - 1;
-  std::vector<std::size_t> counts_lsb(std::size_t{1} << m, 0);
-  const std::size_t non_wrapping = n >= m ? n - m + 1 : 0;
-  for (std::size_t i = 0; i < non_wrapping; ++i) {
-    ++counts_lsb[bits.word_at(i) & mask];
+  std::vector<std::size_t> hist(std::size_t{1} << m, 0);
+  const std::size_t npos = n >= m ? n - m + 1 : 0;
+  for (std::size_t cbase = 0; cbase < npos; cbase += 64) {
+    const std::uint64_t lo = bits.word_at(cbase);
+    const std::uint64_t hi = bits.word_at(cbase + 64) << 1;
+    const std::size_t valid = std::min<std::size_t>(64, npos - cbase);
+    for (unsigned k = 0; k < valid; ++k) {
+      ++hist[((lo >> k) | (hi << (63 - k))) & mask];
+    }
   }
-  for (std::size_t i = non_wrapping; i < n; ++i) {  // cyclic extension
+  for (std::size_t i = npos; i < n; ++i) {  // cyclic extension
     std::uint64_t v = 0;
     for (unsigned j = 0; j < m; ++j) {
       v |= static_cast<std::uint64_t>(bits[(i + j) % n] ? 1 : 0) << j;
     }
-    ++counts_lsb[v];
+    ++hist[v];
   }
-  std::vector<std::size_t> counts(counts_lsb.size());
-  for (std::size_t v = 0; v < counts_lsb.size(); ++v) {
-    counts[bit_reverse(static_cast<std::uint32_t>(v), m)] = counts_lsb[v];
+  for (std::size_t v = 0; v < hist.size(); ++v) {
+    const std::size_t r = bit_reverse(static_cast<std::uint32_t>(v), m);
+    if (r > v) std::swap(hist[v], hist[r]);
   }
-  return counts;
+  return hist;
+}
+
+/// Turns the m-bit histogram into the (m-1)-bit one, in place. With the
+/// cyclic extension the (m-1)-bit window at i is the m-bit window at i
+/// without its last bit, the lowest bit of the MSB-first value, so each
+/// shorter bin is the exact sum of an adjacent pair.
+void drop_last_bit(std::vector<std::size_t>& hist) {
+  const std::size_t half = hist.size() / 2;
+  for (std::size_t v = 0; v < half; ++v) {
+    hist[v] = hist[2 * v] + hist[2 * v + 1];
+  }
+  hist.resize(half);
 }
 
 }  // namespace
@@ -79,12 +97,13 @@ TestResult serial_test(const common::BitStream& bits, unsigned m,
                        Gating gating) {
   const std::size_t n = bits.size();
   if (auto gated = detail::gate_serial(n, m, gating)) return *gated;
-  const double psi_m =
-      detail::psi_squared_from_counts(n, pattern_counts_words(bits, m));
-  const double psi_m1 =
-      detail::psi_squared_from_counts(n, pattern_counts_words(bits, m - 1));
-  const double psi_m2 =
-      detail::psi_squared_from_counts(n, pattern_counts_words(bits, m - 2));
+  std::vector<std::size_t> hist = cyclic_window_histogram(bits, m);
+  const double psi_m = detail::psi_squared_from_counts(n, hist);
+  drop_last_bit(hist);
+  const double psi_m1 = detail::psi_squared_from_counts(n, hist);
+  drop_last_bit(hist);
+  // psi^2_0 = 0 by definition, the value of the oracle's empty histogram.
+  const double psi_m2 = m > 2 ? detail::psi_squared_from_counts(n, hist) : 0.0;
   return detail::serial_from_psis(m, psi_m, psi_m1, psi_m2);
 }
 
@@ -94,10 +113,10 @@ TestResult approximate_entropy_test(const common::BitStream& bits, unsigned m,
   if (auto gated = detail::gate_approximate_entropy(n, m, gating)) {
     return *gated;
   }
-  const double phi_m =
-      detail::phi_from_counts(n, pattern_counts_words(bits, m));
-  const double phi_m1 =
-      detail::phi_from_counts(n, pattern_counts_words(bits, m + 1));
+  std::vector<std::size_t> hist = cyclic_window_histogram(bits, m + 1);
+  const double phi_m1 = detail::phi_from_counts(n, hist);
+  drop_last_bit(hist);
+  const double phi_m = detail::phi_from_counts(n, hist);
   return detail::approximate_entropy_from_phis(n, m, phi_m, phi_m1);
 }
 

@@ -7,18 +7,23 @@
 // forms below restate each one a tap (or a ring) at a time, straight from
 // the paper's description, so the tests can check the word-level code
 // against them. Plus the test helpers that build packed captures from
-// '0'/'1' strings.
+// '0'/'1' strings, and the elementary TRNG's two per-bit kernels that the
+// Bernoulli(P1) kernel replaced (ElementaryReference).
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/baselines/sunar_trng.hpp"
+#include "core/bit_source.hpp"
 #include "core/extractor.hpp"
+#include "sim/accumulation.hpp"
+#include "sim/ring_oscillator.hpp"
 #include "sim/sampler.hpp"
 
 namespace trng::test {
@@ -164,6 +169,70 @@ class SunarReference {
   std::vector<double> phase_;
   std::vector<double> half_period_;
   std::vector<double> sig_step_;
+};
+
+/// core::ElementaryTrng a bit at a time, the way it sampled before it drew
+/// Bernoulli(P1) words: kGaussian draws one accumulated-jitter Gaussian per
+/// bit and reads its toggle parity (the stream AnalyticStreamMatches-
+/// TheRecordedDigest pins); kEventDriven runs the one-stage ring's full
+/// timing simulation, restarted from reset for every bit.
+class ElementaryReference : public core::BitSource {
+ public:
+  enum class Mode { kGaussian, kEventDriven };
+
+  ElementaryReference(Picoseconds d0_ps, Picoseconds sigma_ps,
+                      Cycles accumulation_cycles, std::uint64_t seed,
+                      Mode mode)
+      : d0_(d0_ps),
+        sigma_(sigma_ps),
+        cycles_(accumulation_cycles),
+        mode_(mode),
+        schedule_(constants::kSystemClockPeriodPs),
+        rng_(seed) {
+    if (mode_ == Mode::kEventDriven) {
+      osc_ = std::make_unique<sim::RingOscillator>(
+          std::vector<Picoseconds>{d0_}, sigma_,
+          sim::NoiseConfig::white_only(), nullptr, seed ^ 0xE1EULL);
+    }
+  }
+
+  void generate_into(std::uint64_t* words, common::Bits nbits) override {
+    const std::size_t n = nbits.count();
+    std::fill(words, words + (n + 63) / 64, 0);
+    const Picoseconds t_acc = schedule_.accumulation_time_ps(cycles_);
+    const Picoseconds sigma_acc = sigma_ * std::sqrt(t_acc / d0_);
+    for (std::size_t i = 0; i < n; ++i) {
+      bool bit;
+      if (mode_ == Mode::kEventDriven) {
+        osc_->reset(schedule_.cursor_ps());
+        const Picoseconds t_sample = schedule_.begin_conversion(cycles_);
+        osc_->advance_to(t_sample + 1.0);
+        bit = osc_->value_at(0, t_sample);
+      } else {
+        // From reset all-high the ring toggles at d0, 2*d0, ...; the clamped
+        // phase is >= 0, so truncation is floor. next_gaussian() draws in
+        // the order the word-packed kernel's fill_gaussian blocks did.
+        const double phase = (t_acc - sigma_acc * rng_.next_gaussian()) / d0_;
+        bit = (static_cast<long long>(std::max(phase, 0.0)) & 1) == 0;
+      }
+      words[i >> 6] |= static_cast<std::uint64_t>(bit) << (i & 63);
+    }
+  }
+
+  core::SourceInfo info() const override {
+    core::SourceInfo si;
+    si.name = "Elementary RO TRNG (reference)";
+    return si;
+  }
+
+ private:
+  Picoseconds d0_;
+  Picoseconds sigma_;
+  Cycles cycles_;
+  Mode mode_;
+  sim::AccumulationSchedule schedule_;
+  common::Xoshiro256StarStar rng_;
+  std::unique_ptr<sim::RingOscillator> osc_;  // kEventDriven only
 };
 
 }  // namespace trng::test

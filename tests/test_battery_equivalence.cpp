@@ -167,6 +167,46 @@ TEST(BatteryEquivalence, SpecExampleGating) {
                    wordpar::approximate_entropy_test(bits, 3, spec));
 }
 
+TEST(BatteryEquivalence, SerialAndApproximateEntropyHistograms) {
+  // Serial and approximate entropy count only their longest cyclic window
+  // histogram and sum it down to the shorter ones. Serial at m = 2 derives
+  // the empty m - 2 = 0 histogram; the default m = 16 needs n > 2^18 under
+  // strict gating, so that stream is longer than the battery's 128 Kibit.
+  const auto bits = random_bits((std::size_t{1} << 19) + 37, 17);
+  for (const unsigned m : {2u, 3u, 16u}) {
+    SCOPED_TRACE(m);
+    expect_identical(oracle::serial_test(bits, m),
+                     wordpar::serial_test(bits, m));
+  }
+  for (const unsigned m : {1u, 10u}) {
+    SCOPED_TRACE(m);
+    expect_identical(oracle::approximate_entropy_test(bits, m),
+                     wordpar::approximate_entropy_test(bits, m));
+  }
+  // Short streams under the spec-example gating: at n < m the gate
+  // answers; at n = m (serial) or m + 1 (approximate entropy) nearly every
+  // window wraps, and a few more bits put the wrap across a word boundary.
+  const auto spec = Gating::kSpecExample;
+  for (const unsigned m : {2u, 3u, 5u, 16u}) {
+    for (const std::size_t n : {std::size_t{m} - 1, std::size_t{m},
+                                std::size_t{m} + 1, std::size_t{m} + 63}) {
+      SCOPED_TRACE(testing::Message() << "serial m = " << m << ", n = " << n);
+      const auto shorter = random_bits(n, 1000 + n);
+      expect_identical(oracle::serial_test(shorter, m, spec),
+                       wordpar::serial_test(shorter, m, spec));
+    }
+  }
+  for (const unsigned m : {1u, 2u, 5u, 10u}) {
+    for (const std::size_t n : {std::size_t{m}, std::size_t{m} + 1,
+                                std::size_t{m} + 2, std::size_t{m} + 64}) {
+      SCOPED_TRACE(testing::Message() << "ApEn m = " << m << ", n = " << n);
+      const auto shorter = random_bits(n, 2000 + n);
+      expect_identical(oracle::approximate_entropy_test(shorter, m, spec),
+                       wordpar::approximate_entropy_test(shorter, m, spec));
+    }
+  }
+}
+
 TEST(BatteryEquivalence, UniversalStatisticExplicitParameters) {
   // The Section 2.9.4 entry point shares the production distance sum; check
   // fn, K and the p-value against the MSB-first oracle for every L it

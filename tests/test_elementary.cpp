@@ -9,6 +9,7 @@
 
 #include "common/stats.hpp"
 #include "core/elementary.hpp"
+#include "oracles.hpp"
 #include "server/sha256.hpp"
 
 namespace trng::core {
@@ -31,13 +32,10 @@ TEST(ElementaryTrng, ThroughputIsClockOverCycles) {
   EXPECT_DOUBLE_EQ(t.accumulation_time_ps(), 8.0e6);
 }
 
-TEST(ElementaryTrng, AnalyticStreamMatchesTheRecordedDigest) {
-  // The registry's elementary source (t_A = 8 us) at a fixed seed: 2^20
-  // bits must hash to the value recorded when the analytic kernel still
-  // called std::floor, so the integer-cast rounding is pinned bit for bit.
-  ElementaryTrng trng(480.0, 2.0, 800, 2024);
+// SHA-256 of the first 2^20 bits of `source`, as hex.
+std::string digest_of_2_20_bits(BitSource& source) {
   std::vector<std::uint64_t> words(std::size_t{1} << 14);
-  trng.generate_into(words.data(), trng::common::Bits{std::uint64_t{1} << 20});
+  source.generate_into(words.data(), trng::common::Bits{std::uint64_t{1} << 20});
   std::vector<std::uint8_t> bytes;
   for (const std::uint64_t w : words) {
     for (int b = 0; b < 8; ++b) bytes.push_back(static_cast<std::uint8_t>(w >> (8 * b)));
@@ -49,19 +47,38 @@ TEST(ElementaryTrng, AnalyticStreamMatchesTheRecordedDigest) {
     std::snprintf(buf, sizeof buf, "%02x", b);
     hex += buf;
   }
-  EXPECT_EQ(hex,
+  return hex;
+}
+
+TEST(ElementaryTrng, AnalyticStreamMatchesTheRecordedDigest) {
+  // The Gaussian-per-bit reference at the registry's elementary parameters
+  // (t_A = 8 us) and a fixed seed: 2^20 bits must hash to the value
+  // recorded when that kernel shipped, so the reference the law tests
+  // compare against is pinned bit for bit.
+  using test::ElementaryReference;
+  ElementaryReference reference(480.0, 2.0, 800, 2024,
+                                ElementaryReference::Mode::kGaussian);
+  EXPECT_EQ(digest_of_2_20_bits(reference),
             "33d3acb917e9868ea59754edd3290143bb558310718fc24d9f0134d8d3de82c4");
 }
 
+TEST(ElementaryTrng, BernoulliStreamMatchesTheRecordedDigest) {
+  // The shipped Bernoulli(P1) kernel at the same parameters and seed: pins
+  // P1's 64-bit threshold, the lane order and the word concatenation.
+  ElementaryTrng trng(480.0, 2.0, 800, 2024);
+  EXPECT_EQ(digest_of_2_20_bits(trng),
+            "665bac49f1958c71163720ecdac605c0252ce0aeb106408b435f843079015d90");
+}
+
 TEST(ElementaryTrng, GeneratesRequestedCount) {
-  ElementaryTrng t(480.0, 2.0, 10, 2, ElementaryTrng::Mode::kAnalytic);
+  ElementaryTrng t(480.0, 2.0, 10, 2);
   EXPECT_EQ(t.generate(trng::common::Bits{5000}).size(), 5000u);
 }
 
 TEST(ElementaryTrng, LowAccumulationIsNearlyDeterministic) {
   // At t_A = 10 ns, sigma_acc ~ 9 ps << d0 = 480 ps: the sampled value is
   // essentially fixed.
-  ElementaryTrng t(480.0, 2.0, 1, 3, ElementaryTrng::Mode::kAnalytic);
+  ElementaryTrng t(480.0, 2.0, 1, 3);
   const auto bits = t.generate(trng::common::Bits{2000});
   const double ones = bits.ones_fraction();
   EXPECT_TRUE(ones < 0.01 || ones > 0.99);
@@ -70,20 +87,20 @@ TEST(ElementaryTrng, LowAccumulationIsNearlyDeterministic) {
 TEST(ElementaryTrng, HighAccumulationApproachesFair) {
   // sigma_acc >> d0 (t_A such that sigma_acc ~ 3 * d0): P1 -> 0.5.
   // sigma_acc = 2 * sqrt(tA/480) >= 1440 -> tA ~ 2.5e8 ps = 2.5e4 cycles.
-  ElementaryTrng t(480.0, 2.0, 25000, 4, ElementaryTrng::Mode::kAnalytic);
+  ElementaryTrng t(480.0, 2.0, 25000, 4);
   const auto bits = t.generate(trng::common::Bits{20000});
   EXPECT_NEAR(bits.ones_fraction(), 0.5, 0.02);
 }
 
 TEST(ElementaryTrng, AnalyticMatchesEventDrivenDistribution) {
-  // Same parameters, different engines: the ones-fraction must agree within
-  // sampling error. Pick t_A where the outcome is genuinely random:
-  // sigma_acc ~ d0/2 -> tA = (120/2)^2*480 ~ 6.9e6 ps -> 691 cycles.
+  // The shipped kernel against the event-driven timing simulation of the
+  // same ring: the ones-fraction must agree within sampling error. Pick t_A
+  // where the outcome is genuinely random: sigma_acc ~ d0/2 ->
+  // tA = (120/2)^2*480 ~ 6.9e6 ps -> 691 cycles.
   constexpr Cycles kCycles = 691;
-  ElementaryTrng analytic(480.0, 2.0, kCycles, 5,
-                          ElementaryTrng::Mode::kAnalytic);
-  ElementaryTrng event(480.0, 2.0, kCycles, 6,
-                       ElementaryTrng::Mode::kEventDriven);
+  ElementaryTrng analytic(480.0, 2.0, kCycles, 5);
+  test::ElementaryReference event(480.0, 2.0, kCycles, 6,
+                                  test::ElementaryReference::Mode::kEventDriven);
   constexpr std::size_t kBits = 3000;
   const double pa = analytic.generate(trng::common::Bits{kBits}).ones_fraction();
   const double pe = event.generate(trng::common::Bits{kBits}).ones_fraction();
