@@ -21,8 +21,11 @@
 //
 // With --scrape <uds-path>, the monitor instead connects to a running
 // entropy_serverd AF_UNIX listener, requests its metrics over the framed
-// protocol, prints the "trng.server.metrics.v1" JSON (which embeds the
-// service snapshot) to stdout and exits — a one-shot external scraper.
+// protocol, prints the "trng.server.metrics.v2" JSON to stdout and exits
+// — a one-shot external scraper. The document carries the daemon-wide
+// request counters (requests, good draws, bytes served, refusals by
+// cause; the draw size limit is the conditioner's drbg.max_request_bytes),
+// one object per shard's DRBG, and the embedded service snapshot.
 //
 // TRNG_EXAMPLE_BITS scales phase 1's post-processed bit budget (default
 // 40000) so smoke tests and full runs share this binary.

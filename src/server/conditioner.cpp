@@ -14,15 +14,6 @@ constexpr char kPersonalization[] = "trng.server.hash-drbg.v1";
 
 }  // namespace
 
-const char* draw_status_name(Conditioner::DrawStatus status) {
-  switch (status) {
-    case Conditioner::DrawStatus::kOk: return "ok";
-    case Conditioner::DrawStatus::kBackpressure: return "backpressure";
-    case Conditioner::DrawStatus::kBadRequest: return "bad_request";
-  }
-  return "unknown";
-}
-
 void ConditionerConfig::validate() const {
   drbg.validate();
   if (seed_words.is_zero()) {

@@ -120,6 +120,4 @@ class Conditioner {
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 
-const char* draw_status_name(Conditioner::DrawStatus status);
-
 }  // namespace trng::server

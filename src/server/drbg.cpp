@@ -47,15 +47,6 @@ void hash_df(const std::uint8_t* const parts[], const std::size_t lens[],
 
 }  // namespace
 
-const char* drbg_status_name(DrbgStatus status) {
-  switch (status) {
-    case DrbgStatus::kOk: return "ok";
-    case DrbgStatus::kReseedRequired: return "reseed_required";
-    case DrbgStatus::kBadRequest: return "bad_request";
-  }
-  return "unknown";
-}
-
 void DrbgLimits::validate() const {
   if (reseed_interval == 0 || reseed_interval > kMaxReseedInterval) {
     throw std::invalid_argument(

@@ -32,13 +32,14 @@ enum class DrbgStatus {
   kBadRequest = 2,
 };
 
-const char* drbg_status_name(DrbgStatus status);
-
 /// Administrative limits. Defaults are far below the spec ceilings (2^48
 /// generates, 2^19 bits/request) — the conditioner tightens
 /// reseed_interval further for freshness.
 struct DrbgLimits {
   std::uint64_t reseed_interval = 1u << 12;
+  /// Largest generate. The daemon's sessions answer larger draws with
+  /// kBadRequest before charging their token bucket: this is the
+  /// daemon's one request-size limit.
   std::size_t max_request_bytes = 1u << 16;
 
   void validate() const;  ///< throws std::invalid_argument on nonsense

@@ -1,8 +1,8 @@
-// Observability for the server tier: per-shard DRBG counters, per-client
-// session counters, and a daemon-level snapshot that *embeds* the pool's
-// service snapshot.
+// Observability for the server tier: daemon-wide request counters,
+// per-shard DRBG counters, and a daemon-level snapshot that *embeds* the
+// pool's service snapshot.
 //
-// Schema: "trng.server.metrics.v1". The service layer's
+// Schema: "trng.server.metrics.v2". The service layer's
 // "trng.service.metrics.v1" object is nested verbatim under "service", so
 // a scraper of the daemon sees both tiers in one document and existing
 // service-schema consumers keep working unchanged.
@@ -10,10 +10,8 @@
 // Same discipline as service/metrics.hpp: every counter is a relaxed
 // atomic (monotonic event tallies plus a few gauges); a snapshot is a
 // monitoring dump, not a ledger, so no cross-counter consistency is
-// promised. Counter slots are allocated up front (shard count is the pool
-// producer count, client slots are fixed by config) because atomics make
-// the structs immovable — sessions past the slot count alias slots
-// modulo client_slots, which keeps the tallies correct in aggregate.
+// promised. Shard slots are allocated up front (one per pool producer)
+// because atomics make the structs immovable.
 #pragma once
 
 #include <atomic>
@@ -52,41 +50,19 @@ struct ShardCounters {
                                           10000, 100000}};
 };
 
-/// Per-client session counters. Slot = session id modulo client_slots.
-struct ClientCounters {
-  // trng-analyzer: atomic(counter)
-  std::atomic<std::uint64_t> requests{0};
-  // trng-analyzer: atomic(counter)
-  std::atomic<std::uint64_t> draws_ok{0};
-  // trng-analyzer: atomic(counter)
-  std::atomic<std::uint64_t> bytes_served{0};
-  // trng-analyzer: atomic(counter)
-  std::atomic<std::uint64_t> denied_rate_limit{0};
-  // trng-analyzer: atomic(counter)
-  std::atomic<std::uint64_t> denied_backpressure{0};
-  // trng-analyzer: atomic(counter)
-  std::atomic<std::uint64_t> bad_requests{0};
-};
-
-/// Counters for the whole daemon plus one ShardCounters per pool shard
-/// and one ClientCounters per client slot.
+/// Counters for the whole daemon plus one ShardCounters per pool shard.
 class ServerMetrics {
  public:
-  ServerMetrics(std::size_t shards, std::size_t client_slots);
+  /// Throws std::invalid_argument when `shards` is 0.
+  explicit ServerMetrics(std::size_t shards);
 
   ServerMetrics(const ServerMetrics&) = delete;
   ServerMetrics& operator=(const ServerMetrics&) = delete;
 
   std::size_t shards() const { return shards_.size(); }
-  std::size_t client_slots() const { return clients_.size(); }
 
   ShardCounters& shard(std::size_t i) { return shards_[i]; }
   const ShardCounters& shard(std::size_t i) const { return shards_[i]; }
-
-  /// Maps an unbounded session id onto a fixed counter slot.
-  ClientCounters& client(std::size_t session_id) {
-    return clients_[session_id % clients_.size()];
-  }
 
   // Daemon-level counters.
   // trng-analyzer: atomic(counter)
@@ -95,6 +71,19 @@ class ServerMetrics {
   std::atomic<std::uint64_t> sessions_closed{0};
   // trng-analyzer: atomic(counter)
   std::atomic<std::uint64_t> requests_total{0};
+  // Request outcomes: every request counted in requests_total lands in
+  // exactly one of draws_ok, denied_rate_limit, denied_backpressure,
+  // bad_requests, metrics_requests and shutdown_refusals.
+  // trng-analyzer: atomic(counter)
+  std::atomic<std::uint64_t> draws_ok{0};
+  // trng-analyzer: atomic(counter)
+  std::atomic<std::uint64_t> bytes_served{0};  ///< payload of draws_ok
+  // trng-analyzer: atomic(counter)
+  std::atomic<std::uint64_t> denied_rate_limit{0};
+  // trng-analyzer: atomic(counter)
+  std::atomic<std::uint64_t> denied_backpressure{0};
+  // trng-analyzer: atomic(counter)
+  std::atomic<std::uint64_t> bad_requests{0};  ///< incl. malformed frames
   // trng-analyzer: atomic(counter)
   std::atomic<std::uint64_t> metrics_requests{0};
   // trng-analyzer: atomic(counter)
@@ -102,13 +91,12 @@ class ServerMetrics {
   // trng-analyzer: atomic(counter)
   std::atomic<std::uint64_t> accept_retries{0};  ///< failed accepts retried
 
-  /// One JSON object covering the daemon, every shard, every client slot,
-  /// and (nested under "service") the pool's own snapshot.
+  /// One JSON object covering the daemon, every shard, and (nested under
+  /// "service") the pool's own snapshot.
   std::string snapshot_json(const service::Metrics& pool) const;
 
  private:
   std::vector<ShardCounters> shards_;
-  std::vector<ClientCounters> clients_;
 };
 
 }  // namespace trng::server

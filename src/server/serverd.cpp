@@ -15,22 +15,15 @@ namespace trng::server {
 
 void ServerConfig::validate() const {
   conditioner.validate();
-  session.validate();
-  if (client_slots == 0) {
-    throw std::invalid_argument("ServerConfig: client_slots must be >= 1");
-  }
-  if (session.max_request_bytes > conditioner.drbg.max_request_bytes) {
-    throw std::invalid_argument(
-        "ServerConfig: session.max_request_bytes must not exceed "
-        "conditioner.drbg.max_request_bytes (such draws could never "
-        "succeed)");
-  }
+  // Checked here as well as in each Session's constructor, so a bad
+  // config fails the daemon's constructor instead of the acceptor thread.
+  session.validate(conditioner.drbg.max_request_bytes);
 }
 
 ServerDaemon::ServerDaemon(service::SourceFactory make, ServerConfig config)
     : config_(std::move(config)),
       pool_(std::move(make), config_.pool),
-      metrics_(config_.pool.producers, config_.client_slots),
+      metrics_(config_.pool.producers),
       conditioner_(pool_, config_.conditioner, metrics_) {
   config_.validate();
 }
@@ -46,7 +39,7 @@ void ServerDaemon::spawn_session_locked(int fd, std::uint16_t shard) {
   SessionHandle handle;
   handle.fd = fd;
   handle.session = std::make_unique<Session>(
-      fd, next_id_++, shard, conditioner_, metrics_,
+      fd, shard, conditioner_, metrics_,
       [this] { return metrics_json(); }, config_.session, draining_);
   Session* session = handle.session.get();
   handle.thread = std::thread([session] { session->serve(); });
@@ -73,34 +66,41 @@ void ServerDaemon::reap_finished_sessions() {
   // ~Session closes each fd; stop() can no longer see these handles.
 }
 
-int ServerDaemon::connect_client() {
+bool ServerDaemon::admit(int fd, std::optional<std::uint16_t> shard) {
   reap_finished_sessions();
   const std::size_t nshards = pool_.producers();
   std::lock_guard<std::mutex> lk(sessions_mu_);
-  if (draining_.load(std::memory_order_acquire)) return -1;
-  const auto shard = static_cast<std::uint16_t>(next_shard_);
-  next_shard_ = (next_shard_ + 1) % nshards;
+  if (draining_.load(std::memory_order_acquire)) {
+    ::close(fd);
+    return false;
+  }
+  if (!shard) {
+    shard = static_cast<std::uint16_t>(next_shard_);
+    next_shard_ = (next_shard_ + 1) % nshards;
+  }
+  spawn_session_locked(fd, *shard);
+  return true;
+}
+
+int ServerDaemon::connect_pair(std::optional<std::uint16_t> shard) {
   int sv[2];
   if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
     throw std::runtime_error("ServerDaemon: socketpair failed");
   }
-  spawn_session_locked(sv[0], shard);
+  if (!admit(sv[0], shard)) {
+    ::close(sv[1]);
+    return -1;
+  }
   return sv[1];
 }
+
+int ServerDaemon::connect_client() { return connect_pair(std::nullopt); }
 
 int ServerDaemon::connect_client_to_shard(std::uint16_t shard) {
   if (shard >= pool_.producers()) {
     throw std::out_of_range("ServerDaemon: shard index out of range");
   }
-  reap_finished_sessions();
-  std::lock_guard<std::mutex> lk(sessions_mu_);
-  if (draining_.load(std::memory_order_acquire)) return -1;
-  int sv[2];
-  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
-    throw std::runtime_error("ServerDaemon: socketpair failed");
-  }
-  spawn_session_locked(sv[0], shard);
-  return sv[1];
+  return connect_pair(shard);
 }
 
 void ServerDaemon::listen_unix(const std::string& path) {
@@ -134,7 +134,6 @@ void ServerDaemon::listen_unix(const std::string& path) {
 }
 
 void ServerDaemon::accept_loop() {
-  const std::size_t nshards = pool_.producers();
   int fd = -1;
   {
     std::lock_guard<std::mutex> lk(sessions_mu_);
@@ -155,15 +154,7 @@ void ServerDaemon::accept_loop() {
       std::this_thread::sleep_for(kAcceptBackoff);
       continue;
     }
-    reap_finished_sessions();
-    std::lock_guard<std::mutex> lk(sessions_mu_);
-    if (draining_.load(std::memory_order_acquire)) {
-      ::close(client);
-      return;
-    }
-    const auto shard = static_cast<std::uint16_t>(next_shard_);
-    next_shard_ = (next_shard_ + 1) % nshards;
-    spawn_session_locked(client, shard);
+    if (!admit(client, std::nullopt)) return;
   }
 }
 

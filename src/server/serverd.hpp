@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,9 +48,6 @@ struct ServerConfig {
   service::PoolConfig pool;
   ConditionerConfig conditioner;
   SessionConfig session;
-
-  /// Fixed per-client metrics slots (sessions alias modulo this).
-  std::size_t client_slots = 64;
 
   void validate() const;  ///< throws std::invalid_argument on nonsense
 };
@@ -93,13 +91,21 @@ class ServerDaemon {
   ServerMetrics& metrics() { return metrics_; }
   const ServerMetrics& metrics() const { return metrics_; }
 
-  /// The trng.server.metrics.v1 snapshot (daemon + shards + clients +
-  /// embedded service snapshot).
+  /// The trng.server.metrics.v2 snapshot (daemon + shards + embedded
+  /// service snapshot).
   std::string metrics_json() const {
     return metrics_.snapshot_json(pool_.metrics());
   }
 
  private:
+  /// The one admission path for a new session's server-side `fd`: reaps
+  /// finished sessions, then under sessions_mu_ refuses while draining
+  /// (closing `fd`, returning false) or starts the session on `shard`,
+  /// or on the next round-robin shard when none is given.
+  bool admit(int fd, std::optional<std::uint16_t> shard);
+  /// Socketpair front end of admit(): returns the client end, or -1 when
+  /// admit() refused the server end.
+  int connect_pair(std::optional<std::uint16_t> shard);
   void spawn_session_locked(int fd, std::uint16_t shard);
   /// Takes every finished session out of the table under sessions_mu_,
   /// then joins its thread and closes its fd outside the lock. Called
@@ -131,15 +137,13 @@ class ServerDaemon {
   std::atomic<bool> stopped_{false};
 
   mutable std::mutex sessions_mu_;
-  // Declared locking contract (SA005): the session table, the id/shard
-  // cursors and the listener fd are mutated by connect_client callers,
+  // Declared locking contract (SA005): the session table, the shard
+  // cursor and the listener fd are mutated by connect_client callers,
   // the accept thread and stop(), so every access takes sessions_mu_.
   // trng-analyzer: guards(sessions_, sessions_mu_)
-  // trng-analyzer: guards(next_id_, sessions_mu_)
   // trng-analyzer: guards(next_shard_, sessions_mu_)
   // trng-analyzer: guards(listen_fd_, sessions_mu_)
   std::vector<SessionHandle> sessions_;
-  std::size_t next_id_ = 0;
   std::size_t next_shard_ = 0;
   int listen_fd_ = -1;
 

@@ -142,39 +142,35 @@ bool TokenBucket::try_take(double amount, std::uint64_t now_ns) {
   return true;
 }
 
-void SessionConfig::validate() const {
+void SessionConfig::validate(std::size_t max_request_bytes) const {
   if (rate_bytes_per_s < 0.0 || burst_bytes <= 0.0) {
     throw std::invalid_argument(
         "SessionConfig: rate must be >= 0 and burst > 0");
   }
-  if (max_request_bytes == 0) {
-    throw std::invalid_argument(
-        "SessionConfig: max_request_bytes must be >= 1");
-  }
   // A token bucket never accumulates past its burst, so with limiting on,
   // any request larger than the burst would be answered kRateLimited
-  // forever — a starvation trap for requests the size ceiling says are
+  // forever — a starvation trap for requests the size limit says are
   // legal. Reject the configuration instead of starving clients at runtime.
   if (rate_bytes_per_s > 0.0 &&
       burst_bytes < static_cast<double>(max_request_bytes)) {
     throw std::invalid_argument(
-        "SessionConfig: burst_bytes must be >= max_request_bytes when rate "
-        "limiting is enabled (a request above the burst can never pass the "
-        "bucket and would be rate-limited forever)");
+        "SessionConfig: burst_bytes must be >= drbg.max_request_bytes when "
+        "rate limiting is enabled (a request above the burst can never pass "
+        "the bucket and would be rate-limited forever)");
   }
 }
 
-Session::Session(int fd, std::size_t id, std::uint16_t default_shard,
+Session::Session(int fd, std::uint16_t default_shard,
                  Conditioner& conditioner, ServerMetrics& metrics,
                  std::function<std::string()> metrics_json,
                  // trng-analyzer: atomic(flag)
                  SessionConfig config, const std::atomic<bool>& draining)
-    : fd_(fd), id_(id), default_shard_(default_shard),
+    : fd_(fd), default_shard_(default_shard),
       conditioner_(conditioner), metrics_(metrics),
       metrics_json_(std::move(metrics_json)), config_(config),
       draining_(draining),
       bucket_(config.rate_bytes_per_s, config.burst_bytes) {
-  config_.validate();
+  config_.validate(conditioner_.config().drbg.max_request_bytes);
 }
 
 Session::~Session() {
@@ -182,7 +178,6 @@ Session::~Session() {
 }
 
 bool Session::serve_draw(const Request& req) {
-  ClientCounters& cc = metrics_.client(id_);
   const std::uint16_t shard =
       (req.shard == kAnyShard) ? default_shard_ : req.shard;
   ResponseHeader rsp;
@@ -191,20 +186,16 @@ bool Session::serve_draw(const Request& req) {
   if (draining_.load(std::memory_order_acquire)) {
     metrics_.shutdown_refusals.fetch_add(1, std::memory_order_relaxed);
     rsp.status = Status::kShuttingDown;
-  } else if (req.nbytes == 0 || req.nbytes > config_.max_request_bytes ||
-             shard >= conditioner_.shards() ||
-             // Defense in depth behind validate()'s burst >= max_request
-             // invariant: a request the bucket could never grant is a
-             // malformed request, not a transient rate condition — answer
-             // kBadRequest once instead of looping the client on
-             // kRateLimited forever.
-             (config_.rate_bytes_per_s > 0.0 &&
-              static_cast<double>(req.nbytes) > config_.burst_bytes)) {
-    cc.bad_requests.fetch_add(1, std::memory_order_relaxed);
+  } else if (req.nbytes == 0 ||
+             req.nbytes > conditioner_.config().drbg.max_request_bytes ||
+             shard >= conditioner_.shards()) {
+    // Refused before the bucket is charged: a malformed request costs the
+    // client no tokens.
+    metrics_.bad_requests.fetch_add(1, std::memory_order_relaxed);
     rsp.status = Status::kBadRequest;
   } else if (!bucket_.try_take(static_cast<double>(req.nbytes),
                                service::monotonic_ns())) {
-    cc.denied_rate_limit.fetch_add(1, std::memory_order_relaxed);
+    metrics_.denied_rate_limit.fetch_add(1, std::memory_order_relaxed);
     rsp.status = Status::kRateLimited;
   } else {
     payload_.resize(req.nbytes);
@@ -213,15 +204,16 @@ bool Session::serve_draw(const Request& req) {
       case Conditioner::DrawStatus::kOk:
         rsp.status = Status::kOk;
         rsp.payload_bytes = req.nbytes;
-        cc.draws_ok.fetch_add(1, std::memory_order_relaxed);
-        cc.bytes_served.fetch_add(req.nbytes, std::memory_order_relaxed);
+        metrics_.draws_ok.fetch_add(1, std::memory_order_relaxed);
+        metrics_.bytes_served.fetch_add(req.nbytes,
+                                        std::memory_order_relaxed);
         break;
       case Conditioner::DrawStatus::kBackpressure:
-        cc.denied_backpressure.fetch_add(1, std::memory_order_relaxed);
+        metrics_.denied_backpressure.fetch_add(1, std::memory_order_relaxed);
         rsp.status = Status::kBackpressure;
         break;
       case Conditioner::DrawStatus::kBadRequest:
-        cc.bad_requests.fetch_add(1, std::memory_order_relaxed);
+        metrics_.bad_requests.fetch_add(1, std::memory_order_relaxed);
         rsp.status = Status::kBadRequest;
         break;
     }
@@ -254,12 +246,10 @@ void Session::serve() {
   while (read_full(fd_, frame, sizeof(frame))) {
     Request req;
     metrics_.requests_total.fetch_add(1, std::memory_order_relaxed);
-    metrics_.client(id_).requests.fetch_add(1, std::memory_order_relaxed);
     if (!decode_request(frame, &req)) {
       // Desynchronized peer: answer once, then drop the connection (we
       // can no longer trust frame boundaries).
-      metrics_.client(id_).bad_requests.fetch_add(1,
-                                                  std::memory_order_relaxed);
+      metrics_.bad_requests.fetch_add(1, std::memory_order_relaxed);
       ResponseHeader rsp;
       rsp.status = Status::kBadRequest;
       std::uint8_t header[kResponseHeaderBytes];
@@ -278,8 +268,7 @@ void Session::serve() {
         ok = serve_metrics();
         break;
       default: {
-        metrics_.client(id_).bad_requests.fetch_add(
-            1, std::memory_order_relaxed);
+        metrics_.bad_requests.fetch_add(1, std::memory_order_relaxed);
         ResponseHeader rsp;
         rsp.status = Status::kBadRequest;
         std::uint8_t header[kResponseHeaderBytes];

@@ -107,14 +107,15 @@ struct SessionConfig {
   /// Token-bucket refill rate in conditioned bytes/s; 0 = unlimited.
   double rate_bytes_per_s = 0.0;
   /// Bucket capacity in bytes (also the instantaneous burst ceiling).
-  /// With rate limiting on, must be >= max_request_bytes: the bucket never
+  /// With rate limiting on, must be >= the conditioner's
+  /// drbg.max_request_bytes, the one request-size limit: the bucket never
   /// accumulates past its burst, so a smaller burst would rate-limit every
   /// request above it forever instead of ever serving it.
   double burst_bytes = 1 << 16;
-  /// Per-request size ceiling enforced before the conditioner sees it.
-  std::uint32_t max_request_bytes = 1 << 16;
 
-  void validate() const;  ///< throws std::invalid_argument on nonsense
+  /// Throws std::invalid_argument on nonsense, or on a burst below
+  /// `max_request_bytes` with rate limiting on.
+  void validate(std::size_t max_request_bytes) const;
 };
 
 /// One client connection. The daemon constructs it with an owned fd and
@@ -123,8 +124,10 @@ struct SessionConfig {
 class Session {
  public:
   /// `draining` and all references must outlive the session. The session
-  /// takes ownership of `fd` and closes it when serve() returns.
-  Session(int fd, std::size_t id, std::uint16_t default_shard,
+  /// takes ownership of `fd` and closes it when serve() returns. Throws
+  /// std::invalid_argument when `config` fails validate() against the
+  /// conditioner's request-size limit.
+  Session(int fd, std::uint16_t default_shard,
           Conditioner& conditioner, ServerMetrics& metrics,
           std::function<std::string()> metrics_json, SessionConfig config,
           // trng-analyzer: atomic(flag)
@@ -143,14 +146,11 @@ class Session {
   /// thread touches the session no more and only needs joining.
   bool finished() const { return finished_.load(std::memory_order_acquire); }
 
-  std::size_t id() const { return id_; }
-
  private:
   [[nodiscard]] bool serve_draw(const Request& req);
   [[nodiscard]] bool serve_metrics();
 
   int fd_;
-  std::size_t id_;
   std::uint16_t default_shard_;
   Conditioner& conditioner_;
   ServerMetrics& metrics_;

@@ -11,15 +11,6 @@ void append_u64(std::string& out, std::uint64_t v) {
   out += std::to_string(v);
 }
 
-void append_kv(std::string& out, const char* key, std::uint64_t v,
-               bool trailing_comma = true) {
-  out += '"';
-  out += key;
-  out += "\": ";
-  append_u64(out, v);
-  if (trailing_comma) out += ", ";
-}
-
 /// Escapes the characters that can plausibly appear in a source label.
 void append_json_string(std::string& out, const std::string& s) {
   out += '"';
@@ -81,6 +72,15 @@ std::string Histogram::to_json() const {
   }
   out += "]}";
   return out;
+}
+
+void append_kv(std::string& out, const char* key, std::uint64_t v,
+               bool trailing_comma) {
+  out += '"';
+  out += key;
+  out += "\": ";
+  append_u64(out, v);
+  if (trailing_comma) out += ", ";
 }
 
 const char* admit_state_name(AdmitState state) {

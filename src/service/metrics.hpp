@@ -60,6 +60,11 @@ enum class AdmitState : int { kHealthy = 0, kQuarantined = 1, kProbation = 2 };
 
 const char* admit_state_name(AdmitState state);
 
+/// Appends `"key": v` to a JSON object being built in `out`, then ", "
+/// unless it is the object's last member. Both tiers' snapshots use it.
+void append_kv(std::string& out, const char* key, std::uint64_t v,
+               bool trailing_comma = true);
+
 /// Per-producer counters. Written by the owning producer thread (and the
 /// pool's draw path for words_drawn); read by snapshot_json at any time.
 struct ProducerCounters {

@@ -70,10 +70,10 @@ TEST(ConditionerConfigTest, ValidateRejectsNonsense) {
 TEST(ConditionerConfigTest, ConstructorDemandsOneMetricsSlotPerShard) {
   auto cfg = pool_config(2);
   service::EntropyPool pool(registry_factory("str-virtex", 200), cfg);
-  server::ServerMetrics too_few(/*shards=*/1, /*client_slots=*/4);
+  server::ServerMetrics too_few(/*shards=*/1);
   EXPECT_THROW(Conditioner(pool, small_conditioner(), too_few),
                std::invalid_argument);
-  server::ServerMetrics enough(/*shards=*/2, /*client_slots=*/4);
+  server::ServerMetrics enough(/*shards=*/2);
   EXPECT_NO_THROW(Conditioner(pool, small_conditioner(), enough));
 }
 
@@ -82,7 +82,7 @@ TEST(ConditionerConfigTest, ConstructorDemandsOneMetricsSlotPerShard) {
 TEST(ConditionerDraw, BadRequestsAreRefusedWithoutTouchingTheDrbg) {
   auto cfg = pool_config(1);
   service::EntropyPool pool(registry_factory("str-virtex", 210), cfg);
-  server::ServerMetrics metrics(1, 4);
+  server::ServerMetrics metrics(1);
   Conditioner cond(pool, small_conditioner(), metrics);
 
   std::vector<std::uint8_t> out(128);
@@ -99,14 +99,6 @@ TEST(ConditionerDraw, BadRequestsAreRefusedWithoutTouchingTheDrbg) {
   EXPECT_EQ(metrics.shard(0).entropy_words_consumed.load(), 0u);
 }
 
-TEST(ConditionerDraw, StatusNamesAreStable) {
-  EXPECT_STREQ(server::draw_status_name(DrawStatus::kOk), "ok");
-  EXPECT_STREQ(server::draw_status_name(DrawStatus::kBackpressure),
-               "backpressure");
-  EXPECT_STREQ(server::draw_status_name(DrawStatus::kBadRequest),
-               "bad_request");
-}
-
 // ---------------------------------------------------------- determinism
 
 // The tier-level determinism guarantee: two pools built from the same
@@ -119,7 +111,7 @@ TEST(ConditionerDraw, SingleProducerStreamIsDeterministic) {
 
   auto run = [&cfg]() {
     service::EntropyPool pool(registry_factory("str-virtex", 220), cfg);
-    server::ServerMetrics metrics(1, 4);
+    server::ServerMetrics metrics(1);
     Conditioner cond(pool, small_conditioner(), metrics);
     pool.start();
     std::vector<std::uint8_t> stream;
@@ -149,7 +141,7 @@ TEST(ConditionerDraw, SingleProducerStreamIsDeterministic) {
 TEST(ConditionerDraw, PredictionResistanceForcesAReseedPerDraw) {
   auto cfg = pool_config(1);
   service::EntropyPool pool(registry_factory("str-virtex", 230), cfg);
-  server::ServerMetrics metrics(1, 4);
+  server::ServerMetrics metrics(1);
   ConditionerConfig ccfg = small_conditioner();
   Conditioner cond(pool, ccfg, metrics);
   pool.start();
@@ -181,7 +173,7 @@ TEST(ConditionerDraw, StarvedShardBackpressuresAndIsMetered) {
   // Pool never started: the ring stays empty, so the instantiate draw
   // must time out and surface as backpressure.
   service::EntropyPool pool(registry_factory("str-virtex", 240), cfg);
-  server::ServerMetrics metrics(1, 4);
+  server::ServerMetrics metrics(1);
   ConditionerConfig ccfg = small_conditioner();
   ccfg.reseed_timeout_ns = 50'000'000;  // 50 ms: keep the test fast
   Conditioner cond(pool, ccfg, metrics);
@@ -207,7 +199,7 @@ TEST(ConditionerDraw, StarvedShardBackpressuresAndIsMetered) {
 TEST(ConditionerDraw, ShardsAreIndependent) {
   auto cfg = pool_config(2);
   service::EntropyPool pool(registry_factory("str-virtex", 250), cfg);
-  server::ServerMetrics metrics(2, 4);
+  server::ServerMetrics metrics(2);
   Conditioner cond(pool, small_conditioner(), metrics);
   ASSERT_EQ(cond.shards(), 2u);
   pool.start();

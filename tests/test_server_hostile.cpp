@@ -7,9 +7,9 @@
 // payloads on statuses that carry none, and out-of-range status/type
 // bytes. The client must fail the reply without allocating or reading on
 // the peer's say-so. The rate-limit tests pin the TokenBucket starvation
-// fix: a bucket never accumulates past its burst, so burst < max_request
-// is a configuration that starves legal requests forever and must be
-// rejected up front.
+// fix: a bucket never accumulates past its burst, so a burst below the
+// conditioner's drbg.max_request_bytes is a configuration that starves
+// legal requests forever and must be rejected up front.
 //
 // Suites are named Server* on purpose: the `tsan-server` ctest preset
 // selects them with the regex ^(Server|Drbg|Conditioner).
@@ -29,6 +29,7 @@
 #include "core/source_registry.hpp"
 #include "server/client.hpp"
 #include "server/conditioner.hpp"
+#include "server/serverd.hpp"
 #include "server/session.hpp"
 #include "service/entropy_pool.hpp"
 
@@ -47,6 +48,16 @@ service::SourceFactory registry_factory(const std::string& id,
   return [id, die_seed_base](std::size_t index, std::uint64_t seed) {
     return core::make_die_seeded_source(id, die_seed_base + index, seed);
   };
+}
+
+// One small shard behind a gate a sane source never trips.
+service::PoolConfig one_producer_pool() {
+  service::PoolConfig pcfg;
+  pcfg.producers = 1;
+  pcfg.producer.block_bits = Bits{512};
+  pcfg.producer.h_per_bit = 0.05;
+  pcfg.ring_capacity_words = Words{128};
+  return pcfg;
 }
 
 // Hand-packs a response header so tests can craft status bytes that
@@ -230,19 +241,15 @@ TEST(ServerHostileWire, DecodeResponseRejectsOutOfRangeStatusBytes) {
 // so the session treats it like any other desynchronized frame: one
 // kBadRequest answer, then disconnect.
 TEST(ServerHostileSession, UnknownTypeFrameGetsOneReplyThenDisconnect) {
-  service::PoolConfig pcfg;
-  pcfg.producers = 1;
-  pcfg.producer.block_bits = Bits{512};
-  pcfg.producer.h_per_bit = 0.05;
-  pcfg.ring_capacity_words = Words{128};
+  const service::PoolConfig pcfg = one_producer_pool();
   service::EntropyPool pool(registry_factory("str-virtex", 500), pcfg);
-  server::ServerMetrics metrics(1, 4);
+  server::ServerMetrics metrics(1);
   server::Conditioner conditioner(pool, server::ConditionerConfig{}, metrics);
 
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
   std::atomic<bool> draining{false};
-  server::Session session(sv[0], /*id=*/0, /*default_shard=*/0, conditioner,
+  server::Session session(sv[0], /*default_shard=*/0, conditioner,
                           metrics, [] { return std::string("{}"); },
                           server::SessionConfig{}, draining);
   std::thread server_thread([&] { session.serve(); });
@@ -265,7 +272,8 @@ TEST(ServerHostileSession, UnknownTypeFrameGetsOneReplyThenDisconnect) {
 
   ::close(sv[1]);
   server_thread.join();
-  EXPECT_EQ(metrics.client(0).bad_requests.load(), 1u);
+  EXPECT_EQ(metrics.bad_requests.load(), 1u);
+  EXPECT_EQ(metrics.requests_total.load(), 1u);
   pool.stop();
 }
 
@@ -273,37 +281,55 @@ TEST(ServerHostileSession, UnknownTypeFrameGetsOneReplyThenDisconnect) {
 
 TEST(ServerHostileRateLimit, ValidateRejectsBurstBelowMaxRequest) {
   // Regression: this configuration used to validate, and every request
-  // with burst_bytes < nbytes <= max_request_bytes then drew an eternal
-  // kRateLimited (the bucket can never hold more than its burst).
+  // with burst_bytes < nbytes <= the size limit then drew an eternal
+  // kRateLimited (the bucket can never hold more than its burst). The
+  // Session constructor checks the burst against the conditioner's
+  // drbg.max_request_bytes, the one request-size limit.
+  const service::PoolConfig pcfg = one_producer_pool();
+  service::EntropyPool pool(registry_factory("str-virtex", 505), pcfg);
+  server::ServerMetrics metrics(1);
+  server::ConditionerConfig ccfg;
+  ccfg.drbg.max_request_bytes = 1 << 16;
+  server::Conditioner conditioner(pool, ccfg, metrics);
+  std::atomic<bool> draining{false};
+  // fd -1: the session owns no socket, so a throwing constructor leaks
+  // nothing.
+  auto construct = [&](const server::SessionConfig& cfg) {
+    server::Session session(-1, /*default_shard=*/0, conditioner, metrics,
+                            nullptr, cfg, draining);
+  };
+
   server::SessionConfig cfg;
   cfg.rate_bytes_per_s = 1.0;
   cfg.burst_bytes = 1024.0;
-  cfg.max_request_bytes = 1 << 16;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  EXPECT_THROW(construct(cfg), std::invalid_argument);
+  // The daemon checks the same rule when it is built, so a bad config
+  // fails its constructor, not the acceptor thread's first session.
+  server::ServerConfig daemon_cfg;
+  daemon_cfg.session = cfg;
+  EXPECT_THROW(daemon_cfg.validate(), std::invalid_argument);
 
   // Rate 0 disables the bucket entirely, so the burst is irrelevant.
   cfg.rate_bytes_per_s = 0.0;
-  EXPECT_NO_THROW(cfg.validate());
+  EXPECT_NO_THROW(construct(cfg));
 
-  // With the burst covering the size ceiling the config is legal again.
+  // With the burst covering the size limit the config is legal again.
   cfg.rate_bytes_per_s = 1.0;
   cfg.burst_bytes = static_cast<double>(1 << 16);
-  EXPECT_NO_THROW(cfg.validate());
+  EXPECT_NO_THROW(construct(cfg));
 }
 
 TEST(ServerHostileRateLimit, MaxSizeRequestAtZeroLoadIsServedNotStarved) {
   // The invariant's point: with rate limiting on, the largest legal
   // request passes a full bucket on the first try instead of looping
   // kRateLimited forever.
-  service::PoolConfig pcfg;
-  pcfg.producers = 1;
-  pcfg.producer.block_bits = Bits{512};
-  pcfg.producer.h_per_bit = 0.05;
-  pcfg.ring_capacity_words = Words{128};
+  const service::PoolConfig pcfg = one_producer_pool();
   service::EntropyPool pool(registry_factory("str-virtex", 510), pcfg);
   pool.start();
-  server::ServerMetrics metrics(1, 4);
-  server::Conditioner conditioner(pool, server::ConditionerConfig{}, metrics);
+  server::ServerMetrics metrics(1);
+  server::ConditionerConfig ccfg;
+  ccfg.drbg.max_request_bytes = 2048;
+  server::Conditioner conditioner(pool, ccfg, metrics);
 
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
@@ -311,8 +337,7 @@ TEST(ServerHostileRateLimit, MaxSizeRequestAtZeroLoadIsServedNotStarved) {
   server::SessionConfig scfg;
   scfg.rate_bytes_per_s = 16.0;
   scfg.burst_bytes = 2048.0;
-  scfg.max_request_bytes = 2048;
-  server::Session session(sv[0], /*id=*/0, /*default_shard=*/0, conditioner,
+  server::Session session(sv[0], /*default_shard=*/0, conditioner,
                           metrics, [] { return std::string("{}"); }, scfg,
                           draining);
   std::thread server_thread([&] { session.serve(); });
@@ -321,7 +346,8 @@ TEST(ServerHostileRateLimit, MaxSizeRequestAtZeroLoadIsServedNotStarved) {
   ASSERT_TRUE(reply.ok);
   EXPECT_EQ(reply.status, Status::kOk);
   EXPECT_EQ(reply.bytes.size(), 2048u);
-  EXPECT_EQ(metrics.client(0).denied_rate_limit.load(), 0u);
+  EXPECT_EQ(metrics.denied_rate_limit.load(), 0u);
+  EXPECT_EQ(metrics.draws_ok.load(), 1u);
 
   ::close(sv[1]);
   server_thread.join();

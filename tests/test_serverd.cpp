@@ -133,16 +133,14 @@ TEST(ServerTokenBucket, DrainsAndRefillsAtTheConfiguredRate) {
 }
 
 TEST(ServerSessionConfig, ValidateRejectsNonsense) {
+  constexpr std::size_t kLimit = 1 << 16;
   server::SessionConfig cfg;
   cfg.rate_bytes_per_s = -1.0;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  EXPECT_THROW(cfg.validate(kLimit), std::invalid_argument);
   cfg = server::SessionConfig{};
   cfg.burst_bytes = 0.0;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg = server::SessionConfig{};
-  cfg.max_request_bytes = 0;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  EXPECT_NO_THROW(server::SessionConfig{}.validate());
+  EXPECT_THROW(cfg.validate(kLimit), std::invalid_argument);
+  EXPECT_NO_THROW(server::SessionConfig{}.validate(kLimit));
 }
 
 // --------------------------------------------------------------- protocol
@@ -172,7 +170,7 @@ TEST(ServerDaemonTest, DrawOverSocketpairDeliversConditionedBytes) {
 
 TEST(ServerDaemonTest, BadRequestsAreRefusedPerRequestNotPerConnection) {
   ServerConfig cfg = base_config(1);
-  cfg.session.max_request_bytes = 1 << 12;
+  cfg.conditioner.drbg.max_request_bytes = 1 << 12;
   ServerDaemon daemon(registry_factory("str-virtex", 310), cfg);
   daemon.start();
   const int fd = daemon.connect_client();
@@ -200,8 +198,8 @@ TEST(ServerDaemonTest, BadRequestsAreRefusedPerRequestNotPerConnection) {
   EXPECT_EQ(reply.status, Status::kOk);
   ::close(fd);
   daemon.stop();
-  EXPECT_EQ(daemon.metrics().client(0).bad_requests.load(), 3u);
-  EXPECT_EQ(daemon.metrics().client(0).draws_ok.load(), 1u);
+  EXPECT_EQ(daemon.metrics().bad_requests.load(), 3u);
+  EXPECT_EQ(daemon.metrics().draws_ok.load(), 1u);
 }
 
 TEST(ServerDaemonTest, MalformedFrameGetsOneReplyThenDisconnect) {
@@ -267,11 +265,12 @@ TEST(ServerDaemonTest, RateLimitedClientIsDeniedThenServedAfterRefill) {
   ServerConfig cfg = base_config(1);
   // 1 byte/s with a 1 KiB burst: the first 1024-byte draw passes, the
   // second is denied (refilling 1024 tokens would take ~17 minutes).
-  // max_request matches the burst — validate() rejects burst < max_request
-  // because such requests could never pass the bucket.
+  // The size limit matches the burst — validate() rejects a burst below
+  // drbg.max_request_bytes because such requests could never pass the
+  // bucket.
   cfg.session.rate_bytes_per_s = 1.0;
   cfg.session.burst_bytes = 1024.0;
-  cfg.session.max_request_bytes = 1024;
+  cfg.conditioner.drbg.max_request_bytes = 1024;
   ServerDaemon daemon(registry_factory("str-virtex", 340), cfg);
   daemon.start();
   const int fd = daemon.connect_client();
@@ -288,8 +287,69 @@ TEST(ServerDaemonTest, RateLimitedClientIsDeniedThenServedAfterRefill) {
 
   ::close(fd);
   daemon.stop();
-  EXPECT_EQ(daemon.metrics().client(0).denied_rate_limit.load(), 1u);
-  EXPECT_EQ(daemon.metrics().client(0).draws_ok.load(), 1u);
+  EXPECT_EQ(daemon.metrics().denied_rate_limit.load(), 1u);
+  EXPECT_EQ(daemon.metrics().draws_ok.load(), 1u);
+}
+
+// drbg.max_request_bytes is the daemon's one request-size limit: the
+// session refuses exactly the draws the DRBG would refuse.
+TEST(ServerDaemonTest, DrbgMaxRequestBytesIsTheSessionSizeLimit) {
+  ServerConfig cfg = base_config(1);
+  cfg.conditioner.drbg.max_request_bytes = 4096;
+  ServerDaemon daemon(registry_factory("str-virtex", 342), cfg);
+  daemon.start();
+  const int fd = daemon.connect_client();
+  ASSERT_GE(fd, 0);
+
+  auto at_limit = server::client::draw(fd, 4096);
+  ASSERT_TRUE(at_limit.ok);
+  EXPECT_EQ(at_limit.status, Status::kOk);
+  EXPECT_EQ(at_limit.bytes.size(), 4096u);
+
+  auto over = server::client::draw(fd, 4097);
+  ASSERT_TRUE(over.ok);
+  EXPECT_EQ(over.status, Status::kBadRequest);
+  EXPECT_TRUE(over.bytes.empty());
+
+  ::close(fd);
+  daemon.stop();
+  EXPECT_EQ(daemon.metrics().draws_ok.load(), 1u);
+  EXPECT_EQ(daemon.metrics().bad_requests.load(), 1u);
+  // The oversize draw never reached the DRBG.
+  EXPECT_EQ(daemon.metrics().shard(0).generates.load(), 1u);
+}
+
+// The size check runs before the token bucket is charged: an oversize
+// refusal costs no tokens, so a full-burst draw right after it passes.
+TEST(ServerDaemonTest, OversizeRefusalChargesNoTokens) {
+  ServerConfig cfg = base_config(1);
+  cfg.conditioner.drbg.max_request_bytes = 4096;
+  cfg.session.rate_bytes_per_s = 1.0;  // refilling 4096 takes over an hour
+  cfg.session.burst_bytes = 4096.0;
+  ServerDaemon daemon(registry_factory("str-virtex", 344), cfg);
+  daemon.start();
+  const int fd = daemon.connect_client();
+  ASSERT_GE(fd, 0);
+
+  auto over = server::client::draw(fd, 4097);
+  ASSERT_TRUE(over.ok);
+  EXPECT_EQ(over.status, Status::kBadRequest);
+
+  auto full = server::client::draw(fd, 4096);
+  ASSERT_TRUE(full.ok);
+  EXPECT_EQ(full.status, Status::kOk);
+  EXPECT_EQ(full.bytes.size(), 4096u);
+
+  // The bucket is live: the full draw emptied it.
+  auto next = server::client::draw(fd, 4096);
+  ASSERT_TRUE(next.ok);
+  EXPECT_EQ(next.status, Status::kRateLimited);
+
+  ::close(fd);
+  daemon.stop();
+  EXPECT_EQ(daemon.metrics().bad_requests.load(), 1u);
+  EXPECT_EQ(daemon.metrics().draws_ok.load(), 1u);
+  EXPECT_EQ(daemon.metrics().denied_rate_limit.load(), 1u);
 }
 
 // The headline e2e: several clients concurrently pull >= 10^6 conditioned
@@ -381,13 +441,17 @@ TEST(ServerDaemonTest, MetricsScrapeCarriesBothSchemas) {
 
   const std::string json = server::client::fetch_metrics(fd);
   ASSERT_FALSE(json.empty());
-  EXPECT_NE(json.find("\"schema\": \"trng.server.metrics.v1\""),
+  EXPECT_NE(json.find("\"schema\": \"trng.server.metrics.v2\""),
             std::string::npos);
   // The pool's own snapshot rides along, unchanged, under "service".
   EXPECT_NE(json.find("\"schema\": \"trng.service.metrics.v1\""),
             std::string::npos);
   EXPECT_NE(json.find("\"bytes_generated\": 512"), std::string::npos);
   EXPECT_NE(json.find("\"sessions_opened\": 1"), std::string::npos);
+  // Daemon-wide request counters; the scrape itself is request 2.
+  EXPECT_NE(json.find("\"requests_total\": 2"), std::string::npos);
+  EXPECT_NE(json.find("\"draws_ok\": 1"), std::string::npos);
+  EXPECT_NE(json.find("\"bytes_served\": 512"), std::string::npos);
   // Structural sanity: braces and brackets balance.
   long braces = 0, brackets = 0;
   for (char c : json) {
@@ -400,6 +464,116 @@ TEST(ServerDaemonTest, MetricsScrapeCarriesBothSchemas) {
   ::close(fd);
   daemon.stop();
   EXPECT_EQ(daemon.metrics().metrics_requests.load(), 1u);
+}
+
+// The object that `"key": ` opens in `json`, braces included; empty when
+// the key is missing or the object's braces never balance.
+std::string object_at(const std::string& json, const std::string& key) {
+  const std::string needle = "\"" + key + "\": {";
+  const std::size_t at = json.find(needle);
+  if (at == std::string::npos) return {};
+  const std::size_t open = at + needle.size() - 1;
+  long depth = 0;
+  for (std::size_t i = open; i < json.size(); ++i) {
+    depth += (json[i] == '{') - (json[i] == '}');
+    if (depth == 0) return json.substr(open, i - open + 1);
+  }
+  return {};
+}
+
+std::size_t count_of(const std::string& haystack, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t at = haystack.find(needle); at != std::string::npos;
+       at = haystack.find(needle, at + needle.size())) {
+    ++n;
+  }
+  return n;
+}
+
+// The trng.server.metrics.v2 document: schema, every daemon key, one
+// object per shard, no per-client array, the service v1 object embedded
+// whole; and the daemon-wide request counters conserve requests over
+// two sessions.
+TEST(ServerMetricsV2, DocumentShapeAndRequestConservation) {
+  constexpr std::size_t kShards = 2;
+  ServerDaemon daemon(registry_factory("str-virtex", 375),
+                      base_config(kShards));
+  daemon.start();
+  const int a = daemon.connect_client();
+  const int b = daemon.connect_client();
+  ASSERT_GE(a, 0);
+  ASSERT_GE(b, 0);
+
+  std::uint64_t good = 0, refused = 0, bytes = 0;
+  auto draw = [&](int fd, std::uint32_t n, std::uint16_t shard, Status want) {
+    const auto reply = server::client::draw(fd, n, false, shard);
+    ASSERT_TRUE(reply.ok);
+    EXPECT_EQ(reply.status, want);
+    if (want == Status::kOk) {
+      ++good;
+      bytes += n;
+    } else {
+      ++refused;
+    }
+  };
+  draw(a, 100, kAnyShard, Status::kOk);
+  draw(a, 0, kAnyShard, Status::kBadRequest);
+  draw(a, 2000, kAnyShard, Status::kOk);
+  draw(b, 64, /*shard=*/9, Status::kBadRequest);
+  draw(b, 300, kAnyShard, Status::kOk);
+  draw(b, (1u << 16) + 1, kAnyShard, Status::kBadRequest);
+  draw(b, 7, /*shard=*/0, Status::kOk);
+  ::close(a);
+  ::close(b);
+  daemon.stop();
+
+  const server::ServerMetrics& m = daemon.metrics();
+  EXPECT_EQ(m.draws_ok.load(), good);
+  EXPECT_EQ(m.bad_requests.load(), refused);
+  EXPECT_EQ(m.requests_total.load(), good + refused);
+  EXPECT_EQ(m.bytes_served.load(), bytes);
+  EXPECT_EQ(m.denied_rate_limit.load(), 0u);
+  EXPECT_EQ(m.denied_backpressure.load(), 0u);
+
+  const std::string json = daemon.metrics_json();
+  EXPECT_EQ(json.rfind("{\"schema\": \"trng.server.metrics.v2\", ", 0), 0u);
+  const std::string d = object_at(json, "daemon");
+  ASSERT_FALSE(d.empty());
+  for (const char* key :
+       {"sessions_opened", "sessions_closed", "requests_total", "draws_ok",
+        "bytes_served", "denied_rate_limit", "denied_backpressure",
+        "bad_requests", "metrics_requests", "shutdown_refusals",
+        "accept_retries"}) {
+    EXPECT_EQ(count_of(d, std::string("\"") + key + "\": "), 1u) << key;
+  }
+  EXPECT_NE(d.find("\"draws_ok\": " + std::to_string(good)),
+            std::string::npos);
+  EXPECT_NE(d.find("\"bad_requests\": " + std::to_string(refused)),
+            std::string::npos);
+  EXPECT_NE(d.find("\"requests_total\": " + std::to_string(good + refused)),
+            std::string::npos);
+  EXPECT_NE(d.find("\"bytes_served\": " + std::to_string(bytes)),
+            std::string::npos);
+
+  const std::size_t shards_at = json.find("\"shards\": [");
+  const std::size_t service_at = json.find("], \"service\": {");
+  ASSERT_NE(shards_at, std::string::npos);
+  ASSERT_NE(service_at, std::string::npos);
+  const std::string shards = json.substr(shards_at, service_at - shards_at);
+  EXPECT_EQ(count_of(shards, "{\"shard\": "), kShards);
+  for (std::size_t i = 0; i < kShards; ++i) {
+    EXPECT_EQ(count_of(shards, "{\"shard\": " + std::to_string(i) + ", "),
+              1u);
+  }
+  EXPECT_EQ(json.find("\"clients\""), std::string::npos);
+
+  // The embedded service object is whole and closes the document.
+  const std::string service = object_at(json, "service");
+  ASSERT_FALSE(service.empty());
+  EXPECT_EQ(service.rfind("{\"schema\": \"trng.service.metrics.v1\", ", 0),
+            0u);
+  EXPECT_EQ(json.size(), json.find(service) + service.size() + 1);
+  EXPECT_EQ(json.back(), '}');
 }
 
 // ----------------------------------------------------------------- AF_UNIX
@@ -418,7 +592,7 @@ TEST(ServerDaemonTest, UnixSocketListenerServesExternalConnections) {
   EXPECT_EQ(reply.status, Status::kOk);
   EXPECT_EQ(reply.bytes.size(), 2048u);
   const std::string json = server::client::fetch_metrics(fd);
-  EXPECT_NE(json.find("trng.server.metrics.v1"), std::string::npos);
+  EXPECT_NE(json.find("trng.server.metrics.v2"), std::string::npos);
   ::close(fd);
 
   daemon.stop();
@@ -568,6 +742,30 @@ TEST(ServerDaemonTest, StopDrainsIdleSessionsAndRefusesNewClients) {
   daemon.stop();  // idempotent
 }
 
+// After stop() every way in is refused: both in-process connects return
+// -1 (a bad shard still throws first), the listener's path is gone, and
+// the refused socketpairs leave no fd behind.
+TEST(ServerDaemonTest, EveryEntryPointIsRefusedAfterStop) {
+  const std::string path = "/tmp/trng_serverd_stopped_" +
+                           std::to_string(::getpid()) + ".sock";
+  ServerDaemon daemon(registry_factory("str-virtex", 392), base_config(2));
+  daemon.start();
+  daemon.listen_unix(path);
+  daemon.stop();
+
+  const bool count_fds = std::filesystem::exists("/proc/self/fd");
+  const std::size_t before = count_fds ? open_fd_count() : 0;
+  EXPECT_EQ(daemon.connect_client(), -1);
+  EXPECT_EQ(daemon.connect_client_to_shard(0), -1);
+  EXPECT_EQ(daemon.connect_client_to_shard(1), -1);
+  EXPECT_THROW(daemon.connect_client_to_shard(2), std::out_of_range);
+  EXPECT_LT(server::client::connect_unix(path), 0);
+  if (count_fds) {
+    EXPECT_EQ(open_fd_count(), before);
+  }
+  EXPECT_EQ(daemon.metrics().sessions_opened.load(), 0u);
+}
+
 // Regression: a metrics scraper hammering its own session must stay
 // well-formed while other clients draw and the daemon stops mid-flight.
 // The scrape path walks every shard's counters while stop() drains the
@@ -641,13 +839,13 @@ TEST(ServerSession, DrainingSessionRefusesDrawsWithShuttingDown) {
   pcfg.producer.h_per_bit = 0.05;
   pcfg.ring_capacity_words = Words{128};
   service::EntropyPool pool(registry_factory("str-virtex", 400), pcfg);
-  server::ServerMetrics metrics(1, 4);
+  server::ServerMetrics metrics(1);
   server::Conditioner conditioner(pool, server::ConditionerConfig{}, metrics);
 
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
   std::atomic<bool> draining{true};
-  server::Session session(sv[0], /*id=*/0, /*default_shard=*/0, conditioner,
+  server::Session session(sv[0], /*default_shard=*/0, conditioner,
                           metrics, [] { return std::string("{}"); },
                           server::SessionConfig{}, draining);
   std::thread server_thread([&] { session.serve(); });
