@@ -1,5 +1,6 @@
 #include "model/platform_measurement.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <stdexcept>
@@ -88,12 +89,16 @@ Picoseconds PlatformMeasurement::measure_t_step(int line_carry4s,
   fp.ro_stages.push_back(fpga::RoStagePlacement{fpga::SliceCoord{0, 16}, 0});
   const auto elaborated = fabric_.elaborate(fp);
 
-  // Half-period of this specific oscillator via transition counting.
+  // Half-period of this specific oscillator via transition counting. The
+  // long line reads further back than the oscillator's default window.
+  sim::TappedDelayLineSim line(elaborated.lines[0], fabric_.spec().flip_flop,
+                               seed_ ^ 0x7E92ULL);
   sim::NoiseConfig noise;
   sim::SupplyNoise supply(noise, seed_ ^ 0x7E9ULL);
-  sim::RingOscillator osc(elaborated.ro_stage_delay,
-                          elaborated.stage_white_sigma_ps, noise, &supply,
-                          seed_ ^ 0x7E91ULL);
+  sim::RingOscillator osc(
+      elaborated.ro_stage_delay, elaborated.stage_white_sigma_ps, noise,
+      &supply, seed_ ^ 0x7E91ULL,
+      sim::capture_history_window(line.look_back()));
   osc.reset(0.0);
   const Picoseconds count_window = 1.0e6;
   osc.advance_to(count_window);
@@ -110,15 +115,13 @@ Picoseconds PlatformMeasurement::measure_t_step(int line_carry4s,
   // edges. Spacings of one or two taps are metastability bubbles, not
   // half-periods; anything below a quarter of the expected spacing is
   // discarded.
-  sim::TappedDelayLineSim line(elaborated.lines[0], fabric_.spec().flip_flop,
-                               seed_ ^ 0x7E92ULL);
   common::RunningStats spacing;
   Picoseconds t = count_window;
   const double min_spacing =
       0.25 * half_period / fabric_.spec().carry4.nominal_tap_delay_ps;
   for (int c = 0; c < captures; ++c) {
     t += 3.0 * half_period + 13.7;  // stride avoids phase-locking to HP
-    osc.advance_to(t + 500.0);
+    osc.advance_to(t + sim::kCaptureLookaheadPs);
     int prev = -1;
     for (const int j : edge_positions(capture(line, osc, 0, t), line.taps())) {
       if (prev >= 0) {
@@ -160,16 +163,18 @@ Picoseconds PlatformMeasurement::measure_jitter_sigma(
     }
     return d;
   };
-  sim::NoiseConfig noise;  // full taxonomy incl. supply + flicker
-  sim::SupplyNoise supply(noise, seed_ ^ 0x51ULL);
-  sim::RingOscillator osc_a(stage_delays(0), fabric_.spec().lut.thermal_sigma_ps,
-                            noise, &supply, seed_ ^ 0x51AULL);
-  sim::RingOscillator osc_b(stage_delays(2), fabric_.spec().lut.thermal_sigma_ps,
-                            noise, &supply, seed_ ^ 0x51BULL);
   sim::TappedDelayLineSim line_a(elaborated.lines[0], fabric_.spec().flip_flop,
                                  seed_ ^ 0x51CULL);
   sim::TappedDelayLineSim line_b(elaborated.lines[1], fabric_.spec().flip_flop,
                                  seed_ ^ 0x51DULL);
+  const Picoseconds window = sim::capture_history_window(
+      std::max(line_a.look_back(), line_b.look_back()));
+  sim::NoiseConfig noise;  // full taxonomy incl. supply + flicker
+  sim::SupplyNoise supply(noise, seed_ ^ 0x51ULL);
+  sim::RingOscillator osc_a(stage_delays(0), fabric_.spec().lut.thermal_sigma_ps,
+                            noise, &supply, seed_ ^ 0x51AULL, window);
+  sim::RingOscillator osc_b(stage_delays(2), fabric_.spec().lut.thermal_sigma_ps,
+                            noise, &supply, seed_ ^ 0x51BULL, window);
 
   const Picoseconds half_period_a = osc_a.nominal_half_period();
   const Picoseconds half_period_b = osc_b.nominal_half_period();
@@ -190,12 +195,13 @@ Picoseconds PlatformMeasurement::measure_jitter_sigma(
     // enough that neither oscillator lags the other by that much; windows
     // up to about one stride run as one advance each.
     constexpr Picoseconds kStride = 1.5e6;
-    for (Picoseconds t = t0 + kStride; t < ts + 500.0; t += kStride) {
+    for (Picoseconds t = t0 + kStride; t < ts + sim::kCaptureLookaheadPs;
+         t += kStride) {
       osc_a.advance_to(t);
       osc_b.advance_to(t);
     }
-    osc_a.advance_to(ts + 500.0);
-    osc_b.advance_to(ts + 500.0);
+    osc_a.advance_to(ts + sim::kCaptureLookaheadPs);
+    osc_b.advance_to(ts + sim::kCaptureLookaheadPs);
     // First edge of each line; an edge-free capture is skipped.
     const auto edges_a =
         edge_positions(capture(line_a, osc_a, kStages - 1, ts), line_a.taps());

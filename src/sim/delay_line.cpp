@@ -50,6 +50,11 @@ Picoseconds TappedDelayLineSim::observation_time(int tap,
 void TappedDelayLineSim::capture_into(const RingOscillator& source, int stage,
                                       Picoseconds t_clk,
                                       std::uint64_t* out_words) {
+  if (t_clk - look_back() < source.now() - source.history_window()) {
+    throw std::logic_error(
+        "TappedDelayLineSim::capture_into: the capture reads toggles older "
+        "than the source's history window");
+  }
   const int m = taps();
   const Picoseconds half_aperture = ff_spec_.aperture_ps / 2.0;
   const double dyn = ff_spec_.dynamic_jitter_sigma_ps;
@@ -178,6 +183,11 @@ void TappedDelayLineSim::capture_into(const RingOscillator& source, int stage,
   if ((m & 63) != 0) out_words[static_cast<std::size_t>(m) >> 6] = word;
   rng_ = rng;
   metastable_events_ += meta_events;
+}
+
+Picoseconds capture_history_window(Picoseconds look_back) {
+  return std::max(RingOscillator::kDefaultHistoryWindowPs,
+                  look_back + kCaptureLookaheadPs + 1.0);
 }
 
 std::vector<Picoseconds> TappedDelayLineSim::effective_bin_widths() const {

@@ -39,7 +39,9 @@ class TappedDelayLineSim {
   /// packed LSB-first into `out_words` (tap j -> out_words[j >> 6] bit
   /// (j & 63); the caller provides (taps() + 63) / 64 words, all of which
   /// are overwritten, tail bits zero). `source` must already be advanced
-  /// past t_clk + max skew.
+  /// past t_clk + max skew, and must still retain its toggles back to
+  /// t_clk - look_back(): throws std::logic_error when
+  /// t_clk - look_back() < source.now() - source.history_window().
   ///
   /// A flip-flop draws its dynamic jitter, and its metastability outcome,
   /// only when a toggle lies within half the aperture plus
@@ -63,6 +65,14 @@ class TappedDelayLineSim {
 
   int taps() const { return static_cast<int>(timing_.tap_delay.size()); }
 
+  /// How far before its clock edge a capture reads: the deepest nominal
+  /// instant, t_clk + offset_lo_, less the flip-flops' reach.
+  Picoseconds look_back() const {
+    return ff_spec_.aperture_ps / 2.0 +
+           common::kPolarGaussianBound * ff_spec_.dynamic_jitter_sigma_ps -
+           offset_lo_;
+  }
+
   /// Effective bin widths s_j - s_{j+1} (size taps()-1); used by the
   /// code-density / non-linearity analysis.
   std::vector<Picoseconds> effective_bin_widths() const;
@@ -82,5 +92,15 @@ class TappedDelayLineSim {
   Picoseconds offset_hi_ = 0.0;
   std::uint64_t metastable_events_ = 0;
 };
+
+/// How far past a capture's clock edge the oscillator is advanced before
+/// the capture.
+inline constexpr Picoseconds kCaptureLookaheadPs = 500.0;
+
+/// The history window a RingOscillator needs for captures of look-back
+/// `look_back` when it is advanced kCaptureLookaheadPs past the clock
+/// edge: their sum plus 1 ps for the rounding of now() - window, and never
+/// less than RingOscillator::kDefaultHistoryWindowPs.
+Picoseconds capture_history_window(Picoseconds look_back);
 
 }  // namespace trng::sim

@@ -1,6 +1,8 @@
 #include "sim/noise.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace trng::sim {
@@ -9,9 +11,51 @@ DelayJitter::DelayJitter(Picoseconds white_sigma_ps, double flicker_corr,
                          Picoseconds flicker_sigma_ps)
     : rho_(flicker_corr),
       rho2_(flicker_corr * flicker_corr),
-      w2_(white_sigma_ps * white_sigma_ps) {
+      w2_(white_sigma_ps * white_sigma_ps),
+      a_limit_(flicker_corr < 1.0
+                   ? flicker_corr / (1.0 - flicker_corr)
+                   : std::numeric_limits<double>::infinity()),
+      m_sd_per_gain_(std::fabs(flicker_corr) < 1.0
+                         ? 1.0 / std::sqrt(1.0 - flicker_corr * flicker_corr)
+                         : 0.0) {
   const double c = std::sqrt(1.0 - rho2_) * flicker_sigma_ps;
   c2_ = c * c;
+}
+
+const DelayJitter::SumLaw& DelayJitter::sum_law(std::uint64_t count) {
+  if (count == law_.count) return law_;
+  const double j = static_cast<double>(count);
+  const double s = s_;
+  const double g = gain_;
+  double vyy = j * s;
+  double vym = 0.0;
+  double vmm = 0.0;
+  law_.a = 0.0;
+  law_.r = 1.0;
+  if (g > 0.0) {
+    // With q = 1 - rho: G1 = sum_{i<J} rho^i = (1 - rho^J) / q,
+    // G2 = sum_{i<J} rho^{2i} = (1 - rho^{2J}) / (q (1 + rho)), and
+    // sqrt(S) + g A_i = sqrt(S) + b (1 - rho^i) with b = g rho / q, so
+    //   Vyy = J S + 2 sqrt(S) b (J - G1) + b^2 (J - 2 G1 + G2),
+    //   Vym = g (sqrt(S) G1 + b (G1 - G2)),   Vmm = g^2 G2.
+    // 1 - rho^J is -expm1(J log1p(-q)), accurate when rho^J is near 1.
+    const double q = 1.0 - rho_;
+    const double log_rho = std::log1p(-q);
+    const double one_minus_rj = -std::expm1(j * log_rho);
+    const double g1 = one_minus_rj / q;
+    const double g2 = -std::expm1(2.0 * j * log_rho) / (q * (1.0 + rho_));
+    const double b = g * rho_ / q;
+    vyy += 2.0 * sqrt_s_ * b * (j - g1) + b * b * ((j - 2.0 * g1) + g2);
+    vym = g * (sqrt_s_ * g1 + b * (g1 - g2));
+    vmm = g * g * g2;
+    law_.a = rho_ * g1;
+    law_.r = 1.0 - one_minus_rj;
+  }
+  law_.count = count;
+  law_.l11 = std::sqrt(vyy);
+  law_.l21 = law_.l11 > 0.0 ? vym / law_.l11 : 0.0;
+  law_.l22 = std::sqrt(std::max(0.0, vmm - law_.l21 * law_.l21));
+  return law_;
 }
 
 SupplyNoise::SupplyNoise(const NoiseConfig& config, std::uint64_t seed)

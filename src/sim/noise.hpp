@@ -12,6 +12,7 @@
 // bound when the non-white components are present.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -114,6 +115,16 @@ inline double tone_sin(double x) {
 /// (within about 10^5 transitions at the default noise), after which the
 /// divide and the square root are skipped. S = 0 (no white and no flicker
 /// noise) gives K = 0.
+///
+/// Once (P, S, K) are fixed, the next J jitters are linear in e_1..e_J:
+/// with g = K sqrt(S) and A_j = rho + ... + rho^j,
+///
+///   Y_J = y_1 + ... + y_J = A_J m + sum_k e_k (sqrt(S) + g A_{J-k}),
+///   m_J = rho^J m + sum_k e_k g rho^{J-k},
+///
+/// so (Y_J, m_J) given m is one bivariate Gaussian. skip() draws it with two
+/// standard normals through the Cholesky factor of its covariance, whose
+/// entries are geometric sums in rho (DESIGN.md section 3.5).
 class DelayJitter {
  public:
   DelayJitter(Picoseconds white_sigma_ps, double flicker_corr,
@@ -133,6 +144,59 @@ class DelayJitter {
   double kalman_gain() const { return k_; }
   /// True once P has reached its fixed point.
   bool converged() const { return converged_; }
+
+  /// True when skip() applies: the gains are fixed and 0 <= rho < 1 (or
+  /// there is no flicker), so the partial sums' variances grow with J.
+  bool can_skip() const {
+    return converged_ && rho_ >= 0.0 && (rho_ < 1.0 || gain_ == 0.0);
+  }
+
+  /// The law of (Y_J, m_J) given m: mean (a m, r m) and covariance L L^T
+  /// with L = [[l11, 0], [l21, l22]]; l11 is the standard deviation of Y_J.
+  struct SumLaw {
+    std::uint64_t count = 0;  ///< J
+    double a = 0.0;           ///< A_J
+    double r = 0.0;           ///< rho^J
+    double l11 = 0.0;
+    double l21 = 0.0;
+    double l22 = 0.0;
+  };
+  /// The closed form for J = `count` >= 1; requires can_skip(). The last
+  /// law computed is cached: a fixed accumulation time asks for the same J
+  /// almost every time.
+  const SumLaw& sum_law(std::uint64_t count);
+
+  /// Cheap bounds on the next `count` jitters' partial sums given the
+  /// state, for every j <= count: |E[Y_j]| <= mean_abs and
+  /// sd(Y_j) <= sigma. Requires can_skip().
+  struct SumBound {
+    double mean_abs = 0.0;
+    double sigma = 0.0;
+  };
+  SumBound sum_bound(std::uint64_t count) const {
+    const double j = static_cast<double>(count);
+    const double a = std::min(j, a_limit_);  // A_j <= min(j, rho / (1 - rho))
+    return {std::fabs(mean_) * a, std::sqrt(j) * (sqrt_s_ + gain_ * a)};
+  }
+
+  /// A bound, at kPolarGaussianBound standard deviations, on any one of the
+  /// next jitters given the state: |rho m_{i-1}| + B (sqrt(S) + g sd(m)).
+  double step_bound() const {
+    return std::fabs(rho_ * mean_) +
+           common::kPolarGaussianBound * (sqrt_s_ + gain_ * m_sd_per_gain_);
+  }
+
+  /// Replaces the next `count` transitions' next() calls: returns Y_J and
+  /// leaves the flicker mean at m_J, drawn from `rng` (one standard normal,
+  /// two with flicker). Requires can_skip().
+  double skip(std::uint64_t count, common::Xoshiro256StarStar& rng) {
+    const SumLaw& law = sum_law(count);
+    const double e1 = rng.next_gaussian();
+    const double e2 = law.l22 > 0.0 ? rng.next_gaussian() : 0.0;
+    const double y = law.a * mean_ + law.l11 * e1;
+    mean_ = law.r * mean_ + (law.l21 * e1 + law.l22 * e2);
+    return y;
+  }
 
  private:
   void update_gain() {
@@ -157,6 +221,9 @@ class DelayJitter {
   double sqrt_s_ = 0.0;
   double gain_ = 0.0;  ///< K sqrt(S)
   bool converged_ = false;
+  double a_limit_;        ///< rho / (1 - rho), the limit of A_j
+  double m_sd_per_gain_;  ///< 1 / sqrt(1 - rho^2): sd(m) <= g times this
+  SumLaw law_;            ///< the last sum_law()
 };
 
 /// Common-mode supply/global noise: every delay element on the die sees the
@@ -208,6 +275,16 @@ class SupplyNoise {
 
   /// Tone angular frequency in rad/ps.
   double omega_per_ps() const { return omega_per_ps_; }
+  /// Tone relative amplitude.
+  double tone_amplitude() const { return amp_; }
+
+  /// Lipschitz constant of tone + walk in t, per ps: the tone's steepest
+  /// slope plus the walk's (a step is at most kPolarGaussianBound sigmas
+  /// over one 1 us step).
+  double slope_bound() const {
+    return std::fabs(amp_ * omega_per_ps_) +
+           common::kPolarGaussianBound * std::fabs(walk_sigma_) / kStepPs;
+  }
 
   /// The walk's segment on the step containing `t`, drawing steps up to it.
   /// Throws std::logic_error for a t older than the retained steps.

@@ -19,6 +19,11 @@ constexpr int kToneAnchorInterval = 64;
 /// one ~500 ps stage).
 constexpr double kMaxToneStep = 0.125;  // 2^-3
 
+/// With a supply, the aggregate step runs only when its bound on the
+/// pending toggle's error is at most this fraction of the aggregate's
+/// standard deviation (DESIGN.md section 3.5).
+constexpr double kSupplySkipTolerance = 1.0e-3;
+
 /// Rotates the phasor (s, c) = a * (sin x, cos x) by d, |d| <= kMaxToneStep:
 /// (s, c) <- (s + s * cos_m1 + c * sin_d, c + c * cos_m1 - s * sin_d), with
 /// sin_d = sin d and cos_m1 = cos d - 1 as Taylor polynomials in u = d^2 in
@@ -60,7 +65,18 @@ RingOscillator::RingOscillator(std::vector<Picoseconds> stage_delays,
       throw std::invalid_argument("RingOscillator: stage delays must be > 0");
     }
   }
+  if (!(history_window_ > 0.0)) {
+    throw std::invalid_argument("RingOscillator: history window must be > 0");
+  }
   stage_.resize(stage_delays_.size());
+  min_delay_ = *std::min_element(stage_delays_.begin(), stage_delays_.end());
+  max_delay_ = *std::max_element(stage_delays_.begin(), stage_delays_.end());
+  if (supply_ != nullptr) {
+    for (Picoseconds d : stage_delays_) {
+      rot_cos_.push_back(std::cos(supply_->omega_per_ps() * d));
+      rot_sin_.push_back(std::sin(supply_->omega_per_ps() * d));
+    }
+  }
 }
 
 Picoseconds RingOscillator::mean_stage_delay() const {
@@ -95,8 +111,10 @@ void RingOscillator::advance_to(Picoseconds t, AdvanceKernel /*kernel*/) {
     throw std::logic_error("RingOscillator::advance_to: call reset() first");
   }
   if (supply_ != nullptr) {
+    skip_to<true>(t - history_window_);
     advance_loop<true>(t);
   } else {
+    skip_to<false>(t - history_window_);
     advance_loop<false>(t);
   }
   now_ = t;
@@ -178,6 +196,127 @@ void RingOscillator::advance_loop(Picoseconds t) {
   pending_time_ = pt;
   pending_stage_ = ps;
   transitions_ = trans;
+}
+
+template <bool kSupply>
+void RingOscillator::skip_to(Picoseconds cutoff) {
+  // Toggle j of the advance (j = 0 is the pending one, at T0) lands at
+  // t~_j + S_j + Y_j: t~_j = T0 + d_1 + ... + d_j is the supply-free
+  // nominal time, S_j the supply's term summed along the nominal
+  // trajectory t~ + S, and Y_j the sum of j jitters. The step skips the
+  // toggles 0..J-1 that land before `cutoff` even with |Y_j| at
+  // kPolarGaussianBound standard deviations; the bounds are taken at the
+  // most transitions the span could hold, so they cover every j searched.
+  const Picoseconds t0 = pending_time_;
+  const Picoseconds span = cutoff - t0;
+  if (!(span > 0.0) || !jitter_.can_skip()) return;
+  const auto cap = static_cast<std::uint64_t>(
+      std::min(std::floor(span / min_delay_) + 1.0, 1.0e15));
+  const DelayJitter::SumBound bound = jitter_.sum_bound(cap);
+  double margin = bound.mean_abs + common::kPolarGaussianBound * bound.sigma;
+  double lipschitz = 0.0;
+  if constexpr (kSupply) {
+    // Evaluating the multiplier at nominal instead of jittered launch
+    // times is off by about the slope bound times the deviation, summed
+    // over the span (checked exactly below); give up early when that
+    // already fails the tolerance.
+    lipschitz = supply_->slope_bound();
+    if (lipschitz * span *
+            (bound.mean_abs +
+             (2.0 / 3.0) * common::kPolarGaussianBound * bound.sigma) >
+        kSupplySkipTolerance * bound.sigma) {
+      return;
+    }
+    margin += kSupplySkipTolerance * bound.sigma;
+  }
+
+  const int nstages = stages();
+  const Picoseconds* sd = stage_delays_.data();
+  int st = pending_stage_;
+  Picoseconds tn = t0;  // t~_J
+  double sum = 0.0;     // S_J
+  std::uint64_t count = 0;  // J: toggles 0..J-1 are safe
+  // Supply terms: the tone phasor at t~_J (the phase error of S_J is
+  // corrected to first order below) and the walk's segment.
+  double omega = 0.0;
+  double tone_s = 0.0;
+  double tone_c = 0.0;
+  double s_max = 0.0;  // max |tone + walk| along the trajectory
+  SupplyNoise::WalkSegment walk;
+  if constexpr (kSupply) {
+    omega = supply_->omega_per_ps();
+    tone_s = supply_->tone_at(t0);
+    tone_c = supply_->tone_quadrature_at(t0);
+    walk = supply_->walk_segment(t0);
+  }
+  while (count < cap && tn + sum + margin < cutoff) {
+    int next = st + 1;
+    if (next == nstages) next = 0;
+    const Picoseconds d = sd[next];
+    if constexpr (kSupply) {
+      // Launch from t~_J + S_J: tone(t~ + S) ~ tone(t~) + omega cos(t~) S.
+      const Picoseconds launch = tn + sum;
+      if (launch >= walk.end) walk = supply_->walk_segment(launch);
+      const double s = (tone_s + omega * tone_c * sum) +
+                       (walk.slope * launch + walk.intercept);
+      s_max = std::max(s_max, std::fabs(s));
+      sum += d * s;
+      const double c = rot_cos_[static_cast<std::size_t>(next)];
+      const double sn = rot_sin_[static_cast<std::size_t>(next)];
+      const double s_next = tone_s * c + tone_c * sn;
+      tone_c = tone_c * c - tone_s * sn;
+      tone_s = s_next;
+    }
+    tn += d;
+    st = next;
+    ++count;
+  }
+  if (count == 0) return;
+
+  // The delay floor max(delay, 0.05 d) must not bind on any skipped
+  // transition: it is not part of the aggregate law.
+  if (!(jitter_.step_bound() < min_delay_ * (0.95 - s_max))) return;
+  if constexpr (kSupply) {
+    // The pending toggle's error: L sum_i d_i |deviation_{i-1}|, with
+    // deviation_j <= |E Y_j| + B sd(Y_j) + error, plus the tone's
+    // second-order term amp omega^2 S^2 / 2 per unit delay; it compounds
+    // through L D < 1/2. Var(Y_j) sums the first j of Var(Y_J)'s J
+    // increasing terms, so sd(Y_j) <= sqrt(j / J) sd(Y_J) and
+    // sum_{j<J} sd(Y_j) <= (2/3) J sd(Y_J).
+    const double span_nom = tn - t0;
+    const double ld = lipschitz * span_nom;
+    if (!(ld < 0.5)) return;
+    const double sigma = jitter_.sum_law(count).l11;
+    const double n = static_cast<double>(count);
+    const double s_bound = span_nom * s_max;
+    const double second_order = 0.5 * std::fabs(supply_->tone_amplitude()) *
+                                omega * omega * span_nom * s_bound * s_bound;
+    const double error =
+        (lipschitz * max_delay_ * n *
+             (jitter_.sum_bound(count).mean_abs +
+              (2.0 / 3.0) * common::kPolarGaussianBound * sigma) +
+         second_order) /
+        (1.0 - ld);
+    if (!(error <= kSupplySkipTolerance * sigma)) return;
+  }
+
+  pending_time_ = tn + sum + jitter_.skip(count, rng_);
+  // Every toggle recorded so far precedes T0 and so the window: dropping
+  // them keeps each history one contiguous run of transitions. Stage
+  // (pending + k) mod n toggled for k, k + n, ... < J.
+  for (int k = 0; k < nstages && static_cast<std::uint64_t>(k) < count; ++k) {
+    const std::uint64_t toggles =
+        (count - 1 - static_cast<std::uint64_t>(k)) /
+            static_cast<std::uint64_t>(nstages) +
+        1;
+    int s = pending_stage_ + k;
+    if (s >= nstages) s -= nstages;
+    stage_[static_cast<std::size_t>(s)].value ^=
+        static_cast<unsigned char>(toggles & 1U);
+  }
+  for (Stage& stage : stage_) stage.toggles.clear();
+  pending_stage_ = st;
+  transitions_ += count;
 }
 
 void RingOscillator::prune_history() {

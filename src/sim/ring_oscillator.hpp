@@ -16,7 +16,20 @@
 //
 // The simulator keeps a bounded history of recent toggle times per stage so
 // the TDC can reconstruct the waveform a delay-line-depth into the past:
-// one contiguous vector of toggle times per stage.
+// one contiguous vector of toggle times per stage, queryable back to
+// now() - history window.
+//
+// Toggles that would land before that window are never observed, only
+// their sum: advance_to replaces the first J transitions of an advance with
+// one aggregate step (DelayJitter::skip, two draws) when every skipped
+// toggle lands before t - history window even at kPolarGaussianBound
+// standard deviations of the aggregate. It advances the pending stage by J,
+// flips each stage's level by the parity of its skipped toggles and counts
+// the J transitions. With no supply the step is exact in law; with a
+// supply it sums the multiplier along the nominal trajectory and runs only
+// when that is within a stated bound of the per-transition result
+// (DESIGN.md section 3.5); otherwise, and before the jitter gains converge,
+// every transition is simulated one at a time.
 #pragma once
 
 #include <cstdint>
@@ -38,10 +51,20 @@ class RingOscillator {
   /// `stage_delays` come from Fabric elaboration (one entry per stage);
   /// `white_sigma_ps` is the per-traversal thermal jitter std-dev.
   /// `supply` may be nullptr (no global noise) or shared across oscillators.
+  /// `history_window_ps` is how far before now() toggles stay queryable;
+  /// throws std::invalid_argument unless it is > 0 (NaN included).
   RingOscillator(std::vector<Picoseconds> stage_delays,
                  Picoseconds white_sigma_ps, const NoiseConfig& noise,
                  SupplyNoise* supply, std::uint64_t seed,
-                 Picoseconds history_window_ps = 6000.0);
+                 Picoseconds history_window_ps = kDefaultHistoryWindowPs);
+
+  /// The window a carry-chain capture needs: the 500 ps the sampler
+  /// advances past its clock edge, plus the deepest look-back of a paper
+  /// m = 36 line (its last tap's cumulative delay, clock skew and static
+  /// offset, about 650 ps on the fabric's dies, plus the flip-flops' reach
+  /// of about 15 ps), rounded up with margin. Longer lines pass their own
+  /// (capture_history_window in sim/delay_line.hpp).
+  static constexpr Picoseconds kDefaultHistoryWindowPs = 1500.0;
 
   int stages() const { return static_cast<int>(stage_delays_.size()); }
   Picoseconds mean_stage_delay() const;
@@ -53,8 +76,10 @@ class RingOscillator {
   /// state persists across restarts (it is a property of the silicon).
   void reset(Picoseconds t0);
 
-  /// Simulates all transitions with arrival time <= t. Both kernel values
-  /// run the same loop.
+  /// Simulates all transitions with arrival time <= t: those that land
+  /// before t - history window in one aggregate step where it applies (see
+  /// the file comment), the rest one at a time. Both kernel values run the
+  /// same code.
   void advance_to(Picoseconds t, AdvanceKernel kernel = AdvanceKernel::kBatched);
 
   /// Output value of `stage` at time `t`. Requires advance_to(>= t) first
@@ -64,7 +89,8 @@ class RingOscillator {
 
   /// Toggle times of `stage` inside [t0, t1] (ascending). Requires
   /// t1 <= now(); a t0 older than the retained history window silently
-  /// clips to the window (only retained toggles are returned).
+  /// clips to the window: only retained toggles are returned, and the
+  /// toggles an aggregate step skipped all lie before the window.
   std::vector<Picoseconds> edges_in(int stage, Picoseconds t0,
                                     Picoseconds t1) const;
 
@@ -89,16 +115,23 @@ class RingOscillator {
     return stage_[static_cast<std::size_t>(stage)].value != 0;
   }
 
-  /// Total transitions simulated since construction (all stages).
+  /// Total transitions simulated since construction (all stages), skipped
+  /// ones included.
   std::uint64_t transition_count() const { return transitions_; }
 
   /// Time up to which the oscillator has been simulated.
   Picoseconds now() const { return now_; }
 
+  /// How far before now() toggles stay queryable.
+  Picoseconds history_window() const { return history_window_; }
+
  private:
   /// The advance loop, specialised on whether a supply is attached.
   template <bool kSupply>
   void advance_loop(Picoseconds t);
+  /// The aggregate step over the transitions that land before `cutoff`.
+  template <bool kSupply>
+  void skip_to(Picoseconds cutoff);
   void prune_history();
 
   std::vector<Picoseconds> stage_delays_;
@@ -106,6 +139,12 @@ class RingOscillator {
   SupplyNoise* supply_;  // not owned; may be null
   common::Xoshiro256StarStar rng_;
   Picoseconds history_window_;
+  Picoseconds min_delay_ = 0.0;
+  Picoseconds max_delay_ = 0.0;
+  /// cos and sin of omega * d per stage: the tone phasor's rotation over a
+  /// stage's static delay (with a supply only).
+  std::vector<double> rot_cos_;
+  std::vector<double> rot_sin_;
 
   // Dynamic per-stage state: the ascending toggle times (capacity is
   // retained across reset(), so restart-mode operation performs no

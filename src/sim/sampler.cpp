@@ -1,5 +1,6 @@
 #include "sim/sampler.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 
@@ -7,8 +8,34 @@ namespace trng::sim {
 
 namespace {
 
-std::vector<Picoseconds> stage_delays_of(const fpga::ElaboratedTrng& e) {
-  return e.ro_stage_delay;
+std::vector<TappedDelayLineSim> make_lines(
+    const fpga::ElaboratedTrng& elaborated,
+    const fpga::FlipFlopTimingSpec& ff_spec, std::uint64_t seed) {
+  if (elaborated.lines.size() != elaborated.ro_stage_delay.size()) {
+    throw std::invalid_argument(
+        "SampleController: need one delay line per RO stage");
+  }
+  std::vector<TappedDelayLineSim> lines;
+  lines.reserve(elaborated.lines.size());
+  std::uint64_t line_seed = seed ^ 0x11E5ULL;
+  for (const auto& lt : elaborated.lines) {
+    lines.emplace_back(lt, ff_spec, line_seed++);
+  }
+  // PackedCapture assumes a rectangular capture (same m for every line).
+  for (const auto& line : lines) {
+    if (line.taps() != lines.front().taps()) {
+      throw std::invalid_argument(
+          "SampleController: all delay lines must have the same tap count");
+    }
+  }
+  return lines;
+}
+
+/// The oscillator history the lines' captures read.
+Picoseconds history_window_for(const std::vector<TappedDelayLineSim>& lines) {
+  Picoseconds look_back = 0.0;
+  for (const auto& line : lines) look_back = std::max(look_back, line.look_back());
+  return capture_history_window(look_back);
 }
 
 }  // namespace
@@ -20,27 +47,12 @@ SampleController::SampleController(const fpga::ElaboratedTrng& elaborated,
                                    Picoseconds clock_period_ps)
     : noise_(noise),
       supply_(noise, seed),
-      oscillator_(stage_delays_of(elaborated), elaborated.stage_white_sigma_ps,
-                  noise, &supply_, seed ^ 0x05C111A70ULL),
+      lines_(make_lines(elaborated, ff_spec, seed)),
+      oscillator_(elaborated.ro_stage_delay, elaborated.stage_white_sigma_ps,
+                  noise, &supply_, seed ^ 0x05C111A70ULL,
+                  history_window_for(lines_)),
       mode_(mode),
-      schedule_(clock_period_ps) {
-  if (elaborated.lines.size() != elaborated.ro_stage_delay.size()) {
-    throw std::invalid_argument(
-        "SampleController: need one delay line per RO stage");
-  }
-  lines_.reserve(elaborated.lines.size());
-  std::uint64_t line_seed = seed ^ 0x11E5ULL;
-  for (const auto& lt : elaborated.lines) {
-    lines_.emplace_back(lt, ff_spec, line_seed++);
-  }
-  // PackedCapture assumes a rectangular capture (same m for every line).
-  for (const auto& line : lines_) {
-    if (line.taps() != lines_.front().taps()) {
-      throw std::invalid_argument(
-          "SampleController: all delay lines must have the same tap count");
-    }
-  }
-}
+      schedule_(clock_period_ps) {}
 
 void SampleController::next_capture_into(Cycles accumulation_cycles,
                                          PackedCapture& out) {
@@ -54,7 +66,7 @@ void SampleController::next_capture_into(Cycles accumulation_cycles,
   }
   const Picoseconds t_sample = schedule_.begin_conversion(accumulation_cycles);
   // One advance over the whole accumulation interval.
-  oscillator_.advance_to(t_sample + 500.0);
+  oscillator_.advance_to(t_sample + kCaptureLookaheadPs);
 
   const int taps = lines_.empty() ? 0 : lines_.front().taps();
   const int wpl = (taps + 63) / 64;

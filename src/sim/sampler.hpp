@@ -86,8 +86,8 @@ class SampleController {
  private:
   NoiseConfig noise_;
   SupplyNoise supply_;
+  std::vector<TappedDelayLineSim> lines_;  // before oscillator_: sizes its window
   RingOscillator oscillator_;
-  std::vector<TappedDelayLineSim> lines_;
   SamplingMode mode_;
   AccumulationSchedule schedule_;
   bool started_ = false;

@@ -127,7 +127,7 @@ TEST(CaptureEquivalence, PerTapProbabilityNearAnEdge) {
   // the jitter's effect on P(1) away.
   const fpga::FlipFlopTimingSpec ff;  // aperture 10, tau 2.5, jitter 0.8 ps
   RingOscillator osc({480.0, 480.0, 480.0}, 0.0, NoiseConfig::white_only(),
-                     nullptr, 1);
+                     nullptr, 1, 6000.0);
   osc.reset(0.0);
   osc.advance_to(6000.0);  // stage 0 toggles at 480 + 1440 i
   constexpr Picoseconds kToggle = 1920.0;

@@ -40,9 +40,11 @@ fpga::FlipFlopTimingSpec ideal_ff() {
   return ff;
 }
 
+/// The oscillators here are queried several nanoseconds into the past, so
+/// they keep a longer history than a capture needs.
 RingOscillator noiseless_osc(Picoseconds d0 = 480.0) {
   return RingOscillator({d0, d0, d0}, 0.0, NoiseConfig::white_only(), nullptr,
-                        1);
+                        1, 6000.0);
 }
 
 /// One capture of `line`, unpacked to a bool per tap.
@@ -134,6 +136,30 @@ TEST(TappedDelayLine, EdgePositionMatchesEdgeAge) {
   // Newest taps show the post-edge value (low), older taps pre-edge (high).
   EXPECT_FALSE(snap[0]);
   EXPECT_TRUE(snap[20]);
+}
+
+TEST(TappedDelayLine, CaptureThrowsBeyondTheHistoryWindow) {
+  // A 36-tap line of 17 ps bins with ideal flip-flops reads 612 ps before
+  // its clock edge. An oscillator keeping 700 ps of history at now() = 5000
+  // serves an edge at 5000 (reads back to 4388 >= 4300), not one at 4800
+  // (4188), whose toggles the aggregate step or pruning may have dropped.
+  TappedDelayLineSim line(ideal_line(36), ideal_ff(), 5);
+  EXPECT_DOUBLE_EQ(line.look_back(), 36.0 * 17.0);
+  RingOscillator osc({480.0, 480.0, 480.0}, 0.0, NoiseConfig::white_only(),
+                     nullptr, 1, 700.0);
+  osc.reset(0.0);
+  osc.advance_to(5000.0);
+  std::uint64_t word = 0;
+  EXPECT_THROW(line.capture_into(osc, 0, 4800.0, &word), std::logic_error);
+  // The served capture reads what an oscillator keeping everything reads.
+  ASSERT_NO_THROW(line.capture_into(osc, 0, 5000.0, &word));
+  auto keep = noiseless_osc(480.0);
+  keep.reset(0.0);
+  keep.advance_to(5000.0);
+  std::uint64_t expected = 0;
+  line.capture_into(keep, 0, 5000.0, &expected);
+  EXPECT_EQ(word, expected);
+  EXPECT_LT(osc.toggle_history(0).size(), keep.toggle_history(0).size());
 }
 
 TEST(TappedDelayLine, IdealFlipFlopsReadTheLevelAtTheirInstant) {

@@ -10,15 +10,31 @@
 namespace trng::sim {
 namespace {
 
-RingOscillator make_noiseless(std::vector<Picoseconds> delays) {
+/// A history window for tests that query further back than a capture
+/// does: with it no toggle they read is skipped or pruned.
+constexpr Picoseconds kLongWindow = 6000.0;
+
+RingOscillator make_noiseless(
+    std::vector<Picoseconds> delays,
+    Picoseconds window = RingOscillator::kDefaultHistoryWindowPs) {
   return RingOscillator(std::move(delays), /*white_sigma_ps=*/0.0,
-                        NoiseConfig::white_only(), nullptr, /*seed=*/1);
+                        NoiseConfig::white_only(), nullptr, /*seed=*/1,
+                        window);
 }
 
 TEST(RingOscillator, RejectsBadConstruction) {
   EXPECT_THROW(make_noiseless({}), std::invalid_argument);
   EXPECT_THROW(make_noiseless({480.0, -1.0}), std::invalid_argument);
   EXPECT_THROW(make_noiseless({480.0, 0.0}), std::invalid_argument);
+}
+
+TEST(RingOscillator, RejectsBadHistoryWindow) {
+  // A negative window would prune toggles a capture still reads; a NaN one
+  // would disable value_at's window check.
+  EXPECT_THROW(make_noiseless({480.0}, 0.0), std::invalid_argument);
+  EXPECT_THROW(make_noiseless({480.0}, -100.0), std::invalid_argument);
+  EXPECT_THROW(make_noiseless({480.0}, std::nan("")), std::invalid_argument);
+  EXPECT_NO_THROW(make_noiseless({480.0}, 1.0));
 }
 
 TEST(RingOscillator, RequiresResetBeforeAdvance) {
@@ -35,7 +51,7 @@ TEST(RingOscillator, NoiselessPeriodIsExact) {
 }
 
 TEST(RingOscillator, NoiselessToggleTimesMatchStageDelays) {
-  auto osc = make_noiseless({100.0, 150.0, 200.0});
+  auto osc = make_noiseless({100.0, 150.0, 200.0}, kLongWindow);
   osc.reset(0.0);
   osc.advance_to(2000.0);
   // Stage 0 (NAND) falls at t=100; stage 1 at 250; stage 2 at 450;
@@ -50,7 +66,7 @@ TEST(RingOscillator, NoiselessToggleTimesMatchStageDelays) {
 }
 
 TEST(RingOscillator, ValueTracksToggles) {
-  auto osc = make_noiseless({100.0, 150.0, 200.0});
+  auto osc = make_noiseless({100.0, 150.0, 200.0}, kLongWindow);
   osc.reset(0.0);
   osc.advance_to(2000.0);
   EXPECT_TRUE(osc.value_at(0, 50.0));    // before first fall
@@ -106,7 +122,7 @@ TEST_P(JitterAccumulation, MatchesSqrtLaw) {
   constexpr double kD0 = 480.0;
   constexpr double kSigma = 2.0;
   RingOscillator osc({kD0, kD0, kD0}, kSigma, NoiseConfig::white_only(),
-                     nullptr, 12345);
+                     nullptr, 12345, kLongWindow);
   // Measure the arrival time of the last edge before t_acc relative to its
   // noise-free position, over many restarts.
   common::RunningStats spread;
@@ -136,7 +152,8 @@ TEST(RingOscillator, FlickerInflatesLongWindows) {
   // With flicker enabled the spread at 1 us must exceed the white-only
   // prediction noticeably (the paper's warning about measurement windows).
   NoiseConfig noisy;  // defaults include flicker
-  RingOscillator osc({480.0, 480.0, 480.0}, 2.0, noisy, nullptr, 777);
+  RingOscillator osc({480.0, 480.0, 480.0}, 2.0, noisy, nullptr, 777,
+                     kLongWindow);
   common::RunningStats spread;
   const double t_acc = 1.0e6;
   double t0 = 0.0;

@@ -37,6 +37,33 @@ TEST(SampleController, RejectsBadArguments) {
   EXPECT_THROW(sc.next_capture_into(0, pc), std::invalid_argument);
 }
 
+TEST(SampleController, LongLineCaptureWidensTheWindow) {
+  // An m = 128 line reads about 2.2 ns before its clock edge, more than
+  // the oscillator's default window minus the 500 ps lookahead; the
+  // controller sizes the window from its lines, so captures work and still
+  // see the oscillator's edge (128 taps span more than a half-period).
+  fpga::Fabric fabric(fpga::DeviceGeometry{}, 42);
+  const auto e = fabric.elaborate(
+      fpga::TrngFloorplan::canonical(fabric.geometry(), 3, 128, 0, 17));
+  SampleController sc(e, fpga::FlipFlopTimingSpec{}, NoiseConfig{}, 11);
+  EXPECT_GT(sc.oscillator().history_window(),
+            RingOscillator::kDefaultHistoryWindowPs);
+  PackedCapture pc;
+  int regular_or_double = 0;
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_NO_THROW(sc.next_capture_into(1, pc));
+    const SnapshotClass cls = classify_packed(pc);
+    regular_or_double += cls != SnapshotClass::kNoEdge ? 1 : 0;
+  }
+  EXPECT_EQ(pc.taps, 128);
+  EXPECT_EQ(regular_or_double, 200);
+  // The paper's m = 36 keeps the default.
+  SampleController paper(make_elaborated(), fpga::FlipFlopTimingSpec{},
+                         NoiseConfig{}, 11);
+  EXPECT_EQ(paper.oscillator().history_window(),
+            RingOscillator::kDefaultHistoryWindowPs);
+}
+
 TEST(SampleController, CaptureHasOneSnapshotPerLine) {
   const auto e = make_elaborated();
   SampleController sc(e, fpga::FlipFlopTimingSpec{}, NoiseConfig{}, 7);

@@ -688,6 +688,28 @@ TEST(ServerDaemonTest, AcceptorSurvivesFdExhaustion) {
     ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &deadline, sizeof deadline);
     return fd;
   };
+
+  // Under UBSan, a virtual call whose (vptr, type) pair is not yet in the
+  // runtime's type cache takes a slow path that probes the vtable with
+  // pipe(); with the fd table full that pipe() fails and the check reports
+  // a valid object as having an invalid vptr. So the daemon's polymorphic
+  // calls run before the table fills: a first session draws (session
+  // thread, conditioner, producer) and stays open, so no session finishes
+  // and none is reaped meanwhile, and the producer refills its ring and
+  // waits in push instead of generating.
+  const int warm = with_deadline(daemon.connect_client());
+  ASSERT_GE(warm, 0);
+  ASSERT_TRUE(server::client::draw(warm, 32).ok);
+  const auto& producer = daemon.pool().metrics().producer(0);
+  const std::uint64_t capacity =
+      base_config(1).pool.ring_capacity_words.count();
+  for (int i = 0; i < 400 && producer.ring_words.load() < capacity; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(producer.ring_words.load(), capacity);
+  // The producer's block after the one that filled the ring.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
   int first = -1;
   {
     FdExhaustion exhaustion;
@@ -711,6 +733,7 @@ TEST(ServerDaemonTest, AcceptorSurvivesFdExhaustion) {
     EXPECT_EQ(reply.status, Status::kOk);
     ::close(fd);
   }
+  ::close(warm);
   daemon.stop();
 }
 
