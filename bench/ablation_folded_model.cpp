@@ -15,7 +15,6 @@
 #include "core/trng.hpp"
 #include "model/nonlinearity.hpp"
 #include "model/stochastic_model.hpp"
-#include "stattests/estimators.hpp"
 
 int main() {
   using namespace trng;

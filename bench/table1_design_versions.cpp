@@ -94,7 +94,7 @@ int main() {
     // Empirical raw-entropy estimate from a dedicated sample.
     const auto raw_sample = trng.generate_raw(trng::common::Bits{std::min<std::size_t>(test_bits, 60000)});
     const double h_raw_sim =
-        stat::shannon_entropy_estimate(raw_sample, 4);
+        stat::shannon_entropy_estimate(raw_sample);
 
     std::optional<unsigned> n_nist;
     double h_new_model = 0.0;

@@ -41,7 +41,7 @@ int main() {
   std::printf("generated %zu bits; ones fraction %.4f\n", bits.size(),
               bits.ones_fraction());
   std::printf("plug-in Shannon entropy (4-bit blocks): %.4f per bit\n",
-              stat::shannon_entropy_estimate(bits, 4));
+              stat::shannon_entropy_estimate(bits));
 
   // 4. Statistical screen.
   stat::TestBattery battery;

@@ -40,35 +40,4 @@ SourceInfo XorCompressedSource::info() const {
   return si;
 }
 
-bool VonNeumannPostProcessor::feed(bool raw, bool& out) {
-  if (!have_first_) {
-    first_ = raw;
-    have_first_ = true;
-    return false;
-  }
-  have_first_ = false;
-  if (first_ == raw) return false;  // 00 / 11 discarded
-  out = first_;                     // "10" -> 1, "01" -> 0
-  return true;
-}
-
-common::BitStream VonNeumannPostProcessor::process(
-    const common::BitStream& raw) const {
-  VonNeumannPostProcessor vn;  // fresh state; `this` stays untouched (const)
-  common::BitStream out;
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    bool bit;
-    // trng-analyzer: allow(TL006) -- von Neumann rejection's output length is data-dependent, so there is no packed-word batch to append
-    if (vn.feed(raw[i], bit)) out.push_back(bit);
-  }
-  return out;
-}
-
-double VonNeumannPostProcessor::expected_rate(double p) {
-  if (p < 0.0 || p > 1.0) {
-    throw std::domain_error("VonNeumann::expected_rate: p outside [0, 1]");
-  }
-  return p * (1.0 - p);
-}
-
 }  // namespace trng::core

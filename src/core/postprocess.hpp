@@ -3,15 +3,13 @@
 // XOR post-processing folds n_p consecutive raw bits into one output bit,
 // trading throughput (divided by n_p) for entropy-per-bit. The bias after
 // compression follows the piling-up lemma: b_pp = 2^(n_p - 1) * b^(n_p)
-// (Eq. 7). Von Neumann debiasing is included as an extension (perfectly
-// unbiased output for i.i.d. input at an irregular, input-dependent rate).
+// (Eq. 7).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "common/bitstream.hpp"
 #include "core/bit_source.hpp"
 
 namespace trng::core {
@@ -44,22 +42,6 @@ class XorCompressedSource : public BitSource {
   BitSource* source_;
   unsigned np_;
   std::vector<std::uint64_t> raw_buf_;
-};
-
-/// Von Neumann debiaser: consumes bit pairs, emits 0 for "01", 1 for "10",
-/// nothing for "00"/"11".
-class VonNeumannPostProcessor {
- public:
-  bool feed(bool raw, bool& out);
-  common::BitStream process(const common::BitStream& raw) const;
-
-  /// Expected output/input ratio for i.i.d. input with ones-probability p:
-  /// p(1-p) outputs per input bit.
-  static double expected_rate(double p);
-
- private:
-  bool have_first_ = false;
-  bool first_ = false;
 };
 
 }  // namespace trng::core

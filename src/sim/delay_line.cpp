@@ -190,15 +190,4 @@ Picoseconds capture_history_window(Picoseconds look_back) {
                   look_back + kCaptureLookaheadPs + 1.0);
 }
 
-std::vector<Picoseconds> TappedDelayLineSim::effective_bin_widths() const {
-  std::vector<Picoseconds> widths;
-  const int m = taps();
-  widths.reserve(static_cast<std::size_t>(m > 0 ? m - 1 : 0));
-  for (int j = 0; j + 1 < m; ++j) {
-    // s_j - s_{j+1}: observation_time differences are independent of t_clk.
-    widths.push_back(observation_time(j, 0.0) - observation_time(j + 1, 0.0));
-  }
-  return widths;
-}
-
 }  // namespace trng::sim

@@ -73,10 +73,6 @@ class TappedDelayLineSim {
            offset_lo_;
   }
 
-  /// Effective bin widths s_j - s_{j+1} (size taps()-1); used by the
-  /// code-density / non-linearity analysis.
-  std::vector<Picoseconds> effective_bin_widths() const;
-
   /// Number of metastable captures since construction (diagnostics).
   std::uint64_t metastable_events() const { return metastable_events_; }
 

@@ -1,46 +1,27 @@
 #include "stattests/estimators.hpp"
 
-#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
-#include "common/stats.hpp"
-
 namespace trng::stat {
 
-namespace {
-
-std::vector<std::size_t> block_counts(const common::BitStream& bits,
-                                      unsigned block_len) {
-  if (block_len < 1 || block_len > 16) {
-    throw std::invalid_argument("block_counts: block_len must be in [1, 16]");
-  }
-  const std::size_t blocks = bits.size() / block_len;
-  if (blocks == 0) {
-    throw std::invalid_argument("block_counts: sequence shorter than a block");
-  }
-  std::vector<std::size_t> counts(1u << block_len, 0);
-  for (std::size_t b = 0; b < blocks; ++b) {
-    std::uint32_t v = 0;
-    for (unsigned j = 0; j < block_len; ++j) {
-      v = (v << 1) | (bits[b * block_len + j] ? 1u : 0u);
-    }
-    ++counts[v];
-  }
-  return counts;
-}
-
-}  // namespace
-
-double shannon_entropy_estimate(const common::BitStream& bits,
-                                unsigned block_len) {
-  const auto counts = block_counts(bits, block_len);
-  const std::size_t blocks = bits.size() / block_len;
+double shannon_entropy_estimate(const common::BitStream& bits) {
+  constexpr unsigned L = kShannonBlockLen;
+  const std::size_t blocks = bits.size() / L;
+  std::vector<std::size_t> counts(std::size_t{1} << L, 0);
   if (blocks < 100 * counts.size()) {
     throw std::invalid_argument(
         "shannon_entropy_estimate: need >= 100 * 2^L blocks for a usable "
         "plug-in estimate");
+  }
+  for (std::size_t b = 0; b < blocks; ++b) {
+    std::uint32_t v = 0;
+    for (unsigned j = 0; j < L; ++j) {
+      v = (v << 1) | (bits[b * L + j] ? 1u : 0u);
+    }
+    ++counts[v];
   }
   double h = 0.0;
   for (std::size_t c : counts) {
@@ -49,81 +30,7 @@ double shannon_entropy_estimate(const common::BitStream& bits,
       h -= p * std::log2(p);
     }
   }
-  return h / static_cast<double>(block_len);
-}
-
-double min_entropy_mcv(const common::BitStream& bits, unsigned block_len) {
-  const auto counts = block_counts(bits, block_len);
-  const std::size_t blocks = bits.size() / block_len;
-  const double n = static_cast<double>(blocks);
-  const double p_hat =
-      static_cast<double>(*std::max_element(counts.begin(), counts.end())) / n;
-  // 99% upper confidence bound per SP 800-90B.
-  const double p_ucb =
-      std::min(1.0, p_hat + 2.576 * std::sqrt(p_hat * (1.0 - p_hat) / n));
-  return -std::log2(p_ucb) / static_cast<double>(block_len);
-}
-
-double min_entropy_markov(const common::BitStream& bits, unsigned chain_len) {
-  if (bits.size() < 1000) {
-    throw std::invalid_argument("min_entropy_markov: need >= 1000 bits");
-  }
-  if (chain_len < 2) {
-    throw std::invalid_argument("min_entropy_markov: chain_len >= 2");
-  }
-  // Estimate initial and transition probabilities.
-  std::size_t c1 = bits.count_ones();
-  const double n = static_cast<double>(bits.size());
-  double p1 = static_cast<double>(c1) / n;
-  p1 = std::clamp(p1, 1e-12, 1.0 - 1e-12);
-  std::size_t trans[2][2] = {};
-  for (std::size_t i = 0; i + 1 < bits.size(); ++i) {
-    ++trans[bits[i] ? 1 : 0][bits[i + 1] ? 1 : 0];
-  }
-  double p[2][2];
-  for (int a = 0; a < 2; ++a) {
-    const double row = static_cast<double>(trans[a][0] + trans[a][1]);
-    for (int b = 0; b < 2; ++b) {
-      p[a][b] = row > 0 ? static_cast<double>(trans[a][b]) / row : 0.5;
-      p[a][b] = std::clamp(p[a][b], 1e-12, 1.0 - 1e-12);
-    }
-  }
-  // Most probable path of length chain_len via dynamic programming in the
-  // log domain.
-  double best[2] = {std::log2(1.0 - p1), std::log2(p1)};
-  for (unsigned step = 1; step < chain_len; ++step) {
-    const double next0 =
-        std::max(best[0] + std::log2(p[0][0]), best[1] + std::log2(p[1][0]));
-    const double next1 =
-        std::max(best[0] + std::log2(p[0][1]), best[1] + std::log2(p[1][1]));
-    best[0] = next0;
-    best[1] = next1;
-  }
-  const double log_pmax = std::max(best[0], best[1]);
-  return std::min(1.0, -log_pmax / static_cast<double>(chain_len));
-}
-
-double collision_entropy_estimate(const common::BitStream& bits,
-                                  unsigned block_len) {
-  const auto counts = block_counts(bits, block_len);
-  const std::size_t blocks = bits.size() / block_len;
-  if (blocks < 10 * counts.size()) {
-    throw std::invalid_argument(
-        "collision_entropy_estimate: need >= 10 * 2^L blocks");
-  }
-  const double n = static_cast<double>(blocks);
-  // Unbiased estimator of sum p_i^2: sum c_i (c_i - 1) / (n (n - 1)).
-  double s = 0.0;
-  for (std::size_t c : counts) {
-    s += static_cast<double>(c) * static_cast<double>(c > 0 ? c - 1 : 0);
-  }
-  const double p2 = s / (n * (n - 1.0));
-  if (p2 <= 0.0) return static_cast<double>(block_len);
-  return -std::log2(p2) / static_cast<double>(block_len);
-}
-
-double bias_estimate(const common::BitStream& bits) {
-  return std::fabs(bits.ones_fraction() - 0.5);
+  return h / static_cast<double>(L);
 }
 
 }  // namespace trng::stat

@@ -1,37 +1,19 @@
-// Empirical entropy estimators, used to cross-check the stochastic model's
+// Empirical entropy estimator, used to cross-check the stochastic model's
 // lower bound against simulated TRNG output (the model predicts H_RAW; the
-// estimators measure it).
+// estimator measures it). The min-entropy estimators live in sp800_90b.hpp.
 #pragma once
 
 #include "common/bitstream.hpp"
 
 namespace trng::stat {
 
+/// Block length of the plug-in Shannon estimate (Table 1's H_RAW column).
+inline constexpr unsigned kShannonBlockLen = 4;
+
 /// Plug-in (maximum-likelihood) Shannon entropy per bit, estimated from
-/// `block_len`-bit block frequencies: H = -(1/L) sum p log2 p. Biased low
-/// for small samples; use >= 100 * 2^L bits. Throws std::invalid_argument
-/// for block_len outside [1, 16] or insufficient data.
-double shannon_entropy_estimate(const common::BitStream& bits,
-                                unsigned block_len = 8);
-
-/// Most-common-value min-entropy estimate per bit (SP 800-90B 6.3.1):
-/// upper-confidence-bound the most likely `block_len`-bit value, then
-/// H_min = -log2(p_ucb) / block_len.
-double min_entropy_mcv(const common::BitStream& bits, unsigned block_len = 1);
-
-/// First-order Markov min-entropy estimate per bit for binary sources
-/// (SP 800-90B-style): bounds the most probable length-`chain_len` path of
-/// the estimated transition matrix.
-double min_entropy_markov(const common::BitStream& bits,
-                          unsigned chain_len = 128);
-
-/// Collision-based entropy estimate per bit: mean spacing between repeated
-/// `block_len`-bit patterns maps to Renyi-2 (collision) entropy
-/// H2 = -log2 sum p_i^2, a lower bound on Shannon entropy.
-double collision_entropy_estimate(const common::BitStream& bits,
-                                  unsigned block_len = 8);
-
-/// Empirical bias |P(1) - 1/2| of the stream.
-double bias_estimate(const common::BitStream& bits);
+/// kShannonBlockLen-bit block frequencies: H = -(1/L) sum p log2 p. Biased
+/// low for small samples, so it throws std::invalid_argument below
+/// 100 * 2^L blocks.
+double shannon_entropy_estimate(const common::BitStream& bits);
 
 }  // namespace trng::stat

@@ -7,20 +7,35 @@
 #include <vector>
 
 #include "common/stats.hpp"
-#include "stattests/estimators.hpp"
 
 namespace trng::stat::sp800_90b {
 
 namespace {
 
-constexpr double kZ99 = 2.5758293035489004;  // 99% two-sided normal quantile
+constexpr double kZ = 2.576;  // the specification's 99% confidence quantile
+constexpr unsigned kTupleCutoff = 35;
+constexpr unsigned kMarkovPathLen = 128;
 
 double clamp_entropy(double h) { return std::min(1.0, std::max(0.0, h)); }
+
+/// p_u = min(1, p + Z sqrt(p (1 - p) / (L - 1))), the bound of 6.3.1 step 2,
+/// 6.3.5 step 4 and 6.3.6 step 4.
+double upper_bound(double p, std::size_t len) {
+  return std::min(
+      1.0, p + kZ * std::sqrt(p * (1.0 - p) / static_cast<double>(len - 1)));
+}
 
 }  // namespace
 
 double most_common_value_estimate(const common::BitStream& bits) {
-  return min_entropy_mcv(bits, 1);
+  const std::size_t n = bits.size();
+  if (n < 2) {
+    throw std::invalid_argument("most_common_value_estimate: need >= 2 bits");
+  }
+  const std::size_t ones = bits.count_ones();
+  const double p_hat = static_cast<double>(std::max(ones, n - ones)) /
+                       static_cast<double>(n);
+  return -std::log2(upper_bound(p_hat, n));
 }
 
 double collision_estimate(const common::BitStream& bits) {
@@ -46,7 +61,7 @@ double collision_estimate(const common::BitStream& bits) {
   }
   // E[T] = 3 - (p^2 + q^2); lower-confidence-bound the mean, solve for p.
   const double mean_lcb =
-      t_stats.mean() - kZ99 * t_stats.stddev() /
+      t_stats.mean() - kZ * t_stats.stddev() /
                            std::sqrt(static_cast<double>(t_stats.count()));
   const double c = 3.0 - mean_lcb;  // p^2 + q^2, upper bound
   if (c >= 1.0) return 0.0;         // fully deterministic
@@ -56,13 +71,45 @@ double collision_estimate(const common::BitStream& bits) {
 }
 
 double markov_estimate(const common::BitStream& bits) {
-  return min_entropy_markov(bits, 128);
+  if (bits.size() < 1000) {
+    throw std::invalid_argument("markov_estimate: need >= 1000 bits");
+  }
+  // Estimate initial and transition probabilities.
+  const double n = static_cast<double>(bits.size());
+  const double p1 =
+      std::clamp(static_cast<double>(bits.count_ones()) / n, 1e-12,
+                 1.0 - 1e-12);
+  std::size_t trans[2][2] = {};
+  for (std::size_t i = 0; i + 1 < bits.size(); ++i) {
+    ++trans[bits[i] ? 1 : 0][bits[i + 1] ? 1 : 0];
+  }
+  double p[2][2];
+  for (int a = 0; a < 2; ++a) {
+    const double row = static_cast<double>(trans[a][0] + trans[a][1]);
+    for (int b = 0; b < 2; ++b) {
+      p[a][b] = row > 0 ? static_cast<double>(trans[a][b]) / row : 0.5;
+      p[a][b] = std::clamp(p[a][b], 1e-12, 1.0 - 1e-12);
+    }
+  }
+  // Most probable path of kMarkovPathLen bits, by dynamic programming in
+  // the log domain.
+  double best[2] = {std::log2(1.0 - p1), std::log2(p1)};
+  for (unsigned step = 1; step < kMarkovPathLen; ++step) {
+    const double next0 =
+        std::max(best[0] + std::log2(p[0][0]), best[1] + std::log2(p[1][0]));
+    const double next1 =
+        std::max(best[0] + std::log2(p[0][1]), best[1] + std::log2(p[1][1]));
+    best[0] = next0;
+    best[1] = next1;
+  }
+  const double log_pmax = std::max(best[0], best[1]);
+  return std::min(1.0, -log_pmax / static_cast<double>(kMarkovPathLen));
 }
 
-double t_tuple_estimate(const common::BitStream& bits, unsigned cutoff) {
+double t_tuple_estimate(const common::BitStream& bits) {
   const std::size_t n = bits.size();
-  if (n < 1000 || cutoff < 2) {
-    throw std::invalid_argument("t_tuple_estimate: bad arguments");
+  if (n < 1000) {
+    throw std::invalid_argument("t_tuple_estimate: need >= 1000 bits");
   }
   double p_max = 0.0;
   for (unsigned t = 1; t <= 24; ++t) {
@@ -70,24 +117,20 @@ double t_tuple_estimate(const common::BitStream& bits, unsigned cutoff) {
     // Count overlapping t-bit tuples.
     std::vector<std::uint32_t> counts(1u << t, 0);
     std::uint32_t window = 0;
-    const std::uint32_t mask = (t >= 32) ? 0xffffffffu : ((1u << t) - 1u);
+    const std::uint32_t mask = (1u << t) - 1u;
     for (std::size_t i = 0; i < n; ++i) {
       window = ((window << 1) | (bits[i] ? 1u : 0u)) & mask;
       if (i + 1 >= t) ++counts[window];
     }
     const std::uint32_t max_count =
         *std::max_element(counts.begin(), counts.end());
-    if (max_count < cutoff) break;  // t too long to be statistically sound
-    const double total = static_cast<double>(n - t + 1);
-    const double p_tuple = static_cast<double>(max_count) / total;
-    // Per-sample probability bound from the tuple frequency.
-    const double p_ucb =
-        p_tuple + kZ99 * std::sqrt(p_tuple * (1.0 - p_tuple) / total);
-    p_max = std::max(p_max, std::pow(std::min(1.0, p_ucb),
-                                     1.0 / static_cast<double>(t)));
+    if (max_count < kTupleCutoff) break;  // t too long to be sound
+    const double p_tuple =
+        static_cast<double>(max_count) / static_cast<double>(n - t + 1);
+    p_max = std::max(p_max, std::pow(p_tuple, 1.0 / static_cast<double>(t)));
   }
   if (p_max <= 0.0) return 1.0;
-  return clamp_entropy(-std::log2(p_max));
+  return clamp_entropy(-std::log2(upper_bound(p_max, n)));
 }
 
 double lrs_estimate(const common::BitStream& bits) {
@@ -95,9 +138,8 @@ double lrs_estimate(const common::BitStream& bits) {
   if (n < 1000) {
     throw std::invalid_argument("lrs_estimate: need >= 1000 bits");
   }
-  // Find, for window lengths up to 64, the collision proportion of
-  // overlapping windows: P_w = sum_i C(c_i, 2) / C(N, 2). The estimate uses
-  // the largest w with at least one repeated substring.
+  // For W = 8, 16, 32, 64 while some W-window repeats, the collision
+  // proportion of overlapping windows: P_W = sum_i C(c_i, 2) / C(N, 2).
   double p_max = 0.0;
   const unsigned w_cap = static_cast<unsigned>(std::min<std::size_t>(64, n / 2));
   for (unsigned w = 8; w <= w_cap; w *= 2) {
@@ -123,12 +165,10 @@ double lrs_estimate(const common::BitStream& bits) {
     }
     const double all_pairs = 0.5 * total * (total - 1.0);
     const double p_col = pairs / all_pairs;  // P(two windows equal)
-    // Per-sample bound: P_col ~ p_samplewise^w summed over... use the
-    // 90B relation P_max = P_col^(1/w).
     p_max = std::max(p_max, std::pow(p_col, 1.0 / static_cast<double>(w)));
   }
   if (p_max <= 0.0) return 1.0;
-  return clamp_entropy(-std::log2(p_max));
+  return clamp_entropy(-std::log2(upper_bound(p_max, n)));
 }
 
 double non_iid_min_entropy(const common::BitStream& bits) {

@@ -1,34 +1,39 @@
 // NIST SP 800-90B min-entropy estimators for binary (1-bit-per-sample)
-// noise sources — the assessment a modern certification of this TRNG would
-// require on top of the AIS-31 flow. Implemented from the specification
-// ("Recommendation for the Entropy Sources Used for Random Bit
-// Generation", Section 6.3), specialized to the binary alphabet.
+// noise sources, implemented from the specification ("Recommendation for
+// the Entropy Sources Used for Random Bit Generation", Section 6.3) and
+// specialized to the binary alphabet.
 //
-// All estimators return min-entropy per bit, with the specification's
-// 99%-confidence adjustments where defined. The non-IID assessment is the
-// minimum over the individual estimators.
+// All estimators return min-entropy per bit. Each applies the
+// specification's 99% confidence bound with Z = 2.576 over L - 1, where L
+// is the sequence length. The non-IID assessment is the minimum over the
+// individual estimators.
 #pragma once
 
 #include "common/bitstream.hpp"
 
 namespace trng::stat::sp800_90b {
 
-/// 6.3.1 Most-common-value estimate.
+/// 6.3.1 Most-common-value estimate: -log2 of the upper bound on the
+/// proportion of the more common bit.
 double most_common_value_estimate(const common::BitStream& bits);
 
 /// 6.3.2 Collision estimate (binary specialization: the mean spacing of
 /// repeats determines p^2 + q^2). Requires >= 3000 bits.
 double collision_estimate(const common::BitStream& bits);
 
-/// 6.3.3 Markov estimate (first-order, 128-step most probable path).
+/// 6.3.3 Markov estimate: the most probable 128-bit path of the estimated
+/// first-order chain. Requires >= 1000 bits.
 double markov_estimate(const common::BitStream& bits);
 
-/// 6.3.5 t-tuple estimate: frequencies of the most common tuple of each
-/// length up to the largest length still occurring >= `cutoff` times.
-double t_tuple_estimate(const common::BitStream& bits, unsigned cutoff = 35);
+/// 6.3.5 t-tuple estimate: the most common tuple of each length t up to
+/// the largest one still occurring >= 35 times (t <= 24), P_max =
+/// max (Q[t] / (L - t + 1))^(1/t), then the upper bound. Requires >= 1000
+/// bits.
+double t_tuple_estimate(const common::BitStream& bits);
 
-/// 6.3.6 Longest-repeated-substring estimate (window lengths capped at 64
-/// bits; ample for any realistic binary source).
+/// 6.3.6 Longest-repeated-substring estimate: P_max = max P_W^(1/W) over
+/// the collision proportions P_W of windows W = 8, 16, 32, 64 (while any
+/// W-window repeats), then the upper bound. Requires >= 1000 bits.
 double lrs_estimate(const common::BitStream& bits);
 
 /// The full non-IID assessment: min over all estimators above.

@@ -12,6 +12,7 @@
 
 #include "common/rng.hpp"
 #include "fpga/fabric.hpp"
+#include "model/nonlinearity.hpp"
 #include "oracles.hpp"
 #include "sim/delay_line.hpp"
 #include "sim/sampler.hpp"
@@ -90,10 +91,18 @@ TEST(TappedDelayLine, ObservationTimesDecreaseWithDepth) {
 }
 
 TEST(TappedDelayLine, EffectiveBinWidthsMatchIdealTiming) {
-  TappedDelayLineSim line(ideal_line(36), ideal_ff(), 1);
-  const auto widths = line.effective_bin_widths();
+  // The model's bin widths are the spacings of the simulated line's
+  // observation instants.
+  const auto timing = ideal_line(36);
+  TappedDelayLineSim line(timing, ideal_ff(), 1);
+  const auto widths = model::effective_bin_widths(timing);
   ASSERT_EQ(widths.size(), 35u);
-  for (Picoseconds w : widths) EXPECT_DOUBLE_EQ(w, 17.0);
+  for (int j = 0; j + 1 < 36; ++j) {
+    const Picoseconds w = widths[static_cast<std::size_t>(j)];
+    EXPECT_DOUBLE_EQ(w, 17.0);
+    EXPECT_DOUBLE_EQ(w, line.observation_time(j, 1000.0) -
+                            line.observation_time(j + 1, 1000.0));
+  }
 }
 
 TEST(TappedDelayLine, CapturesThermometerCodeAroundEdge) {

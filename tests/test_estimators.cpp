@@ -1,4 +1,5 @@
-// Unit tests for the empirical entropy estimators.
+// Unit tests for the plug-in Shannon estimate (Table 1's H_RAW) and its
+// ordering against the SP 800-90B min-entropy estimates.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -6,6 +7,7 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "stattests/estimators.hpp"
+#include "stattests/sp800_90b.hpp"
 
 namespace trng::stat {
 namespace {
@@ -18,110 +20,40 @@ common::BitStream iid_bits(std::size_t n, double p, std::uint64_t seed) {
 }
 
 TEST(ShannonEstimate, FairSourceIsNearOne) {
-  EXPECT_NEAR(shannon_entropy_estimate(iid_bits(400000, 0.5, 1), 8), 1.0,
-              0.005);
+  EXPECT_NEAR(shannon_entropy_estimate(iid_bits(400000, 0.5, 1)), 1.0, 0.005);
 }
 
 TEST(ShannonEstimate, BiasedSourceMatchesTheory) {
   const double p = 0.7;
-  EXPECT_NEAR(shannon_entropy_estimate(iid_bits(400000, p, 2), 4),
+  EXPECT_NEAR(shannon_entropy_estimate(iid_bits(400000, p, 2)),
               common::binary_entropy(p), 0.01);
 }
 
 TEST(ShannonEstimate, ConstantSourceIsZero) {
   common::BitStream zeros;
   for (int i = 0; i < 200000; ++i) zeros.push_back(false);
-  EXPECT_DOUBLE_EQ(shannon_entropy_estimate(zeros, 4), 0.0);
+  EXPECT_DOUBLE_EQ(shannon_entropy_estimate(zeros), 0.0);
 }
 
 TEST(ShannonEstimate, RejectsInsufficientData) {
-  EXPECT_THROW(shannon_entropy_estimate(iid_bits(1000, 0.5, 3), 8),
+  // 100 * 2^4 blocks of 4 bits is the smallest usable sample.
+  EXPECT_THROW(shannon_entropy_estimate(iid_bits(1000, 0.5, 3)),
                std::invalid_argument);
-  EXPECT_THROW(shannon_entropy_estimate(iid_bits(1000, 0.5, 3), 0),
+  EXPECT_THROW(shannon_entropy_estimate(iid_bits(6399, 0.5, 3)),
                std::invalid_argument);
-  EXPECT_THROW(shannon_entropy_estimate(iid_bits(10000, 0.5, 3), 17),
-               std::invalid_argument);
-}
-
-TEST(McvMinEntropy, FairSourceNearOne) {
-  EXPECT_NEAR(min_entropy_mcv(iid_bits(400000, 0.5, 4), 1), 1.0, 0.01);
-}
-
-TEST(McvMinEntropy, BiasedSourceMatchesMinusLogP) {
-  const double p = 0.75;
-  EXPECT_NEAR(min_entropy_mcv(iid_bits(400000, p, 5), 1), -std::log2(p),
-              0.01);
-}
-
-TEST(McvMinEntropy, IsConservative) {
-  // The UCB makes the estimate a slight underestimate on average.
-  const double h = min_entropy_mcv(iid_bits(100000, 0.5, 6), 1);
-  EXPECT_LE(h, 1.0);
-}
-
-TEST(MarkovMinEntropy, FairIidNearOne) {
-  EXPECT_NEAR(min_entropy_markov(iid_bits(400000, 0.5, 7)), 1.0, 0.02);
-}
-
-TEST(MarkovMinEntropy, CatchesStickyChain) {
-  // A chain that flips with probability 0.1 has low per-bit min-entropy
-  // (~ -log2(0.9) = 0.152) even though it is globally balanced.
-  common::Xoshiro256StarStar rng(8);
-  common::BitStream sticky;
-  bool cur = false;
-  for (int i = 0; i < 400000; ++i) {
-    if (rng.next_double() < 0.1) cur = !cur;
-    sticky.push_back(cur);
-  }
-  EXPECT_NEAR(sticky.ones_fraction(), 0.5, 0.05);
-  const double h = min_entropy_markov(sticky);
-  EXPECT_NEAR(h, -std::log2(0.9), 0.03);
-  // MCV on single bits misses it entirely.
-  EXPECT_GT(min_entropy_mcv(sticky, 1), 0.8);
-}
-
-TEST(MarkovMinEntropy, RejectsBadArguments) {
-  EXPECT_THROW(min_entropy_markov(iid_bits(100, 0.5, 9)),
-               std::invalid_argument);
-  EXPECT_THROW(min_entropy_markov(iid_bits(10000, 0.5, 9), 1),
-               std::invalid_argument);
-}
-
-TEST(CollisionEntropy, FairSourceNearOne) {
-  EXPECT_NEAR(collision_entropy_estimate(iid_bits(400000, 0.5, 10), 8), 1.0,
-              0.01);
-}
-
-TEST(CollisionEntropy, MatchesRenyi2ForBiased) {
-  // H2 per bit for iid Bernoulli(p): -log2(p^2 + (1-p)^2).
-  const double p = 0.7;
-  const double h2 = -std::log2(p * p + (1.0 - p) * (1.0 - p));
-  EXPECT_NEAR(collision_entropy_estimate(iid_bits(600000, p, 11), 1), h2,
-              0.01);
-}
-
-TEST(CollisionEntropy, LowerBoundsShannon) {
-  const auto bits = iid_bits(400000, 0.65, 12);
-  EXPECT_LE(collision_entropy_estimate(bits, 4),
-            shannon_entropy_estimate(bits, 4) + 0.02);
-}
-
-TEST(BiasEstimate, MatchesConfiguredBias) {
-  EXPECT_NEAR(bias_estimate(iid_bits(400000, 0.6, 13)), 0.1, 0.005);
-  EXPECT_NEAR(bias_estimate(iid_bits(400000, 0.5, 14)), 0.0, 0.005);
+  EXPECT_NO_THROW(shannon_entropy_estimate(iid_bits(6400, 0.5, 3)));
 }
 
 class EstimatorConsistency : public ::testing::TestWithParam<double> {};
 
 TEST_P(EstimatorConsistency, OrderingHoldsAcrossBiases) {
-  // min-entropy <= collision <= Shannon for every source.
+  // min-entropy <= Shannon for every source, and the non-IID assessment is
+  // at most its most-common-value estimate.
   const double p = GetParam();
   const auto bits = iid_bits(500000, p, 42 + static_cast<std::uint64_t>(p * 100));
-  const double h_min = min_entropy_mcv(bits, 1);
-  const double h_coll = collision_entropy_estimate(bits, 1);
-  const double h_sh = shannon_entropy_estimate(bits, 1);
-  EXPECT_LE(h_min, h_coll + 0.02);
-  EXPECT_LE(h_coll, h_sh + 0.02);
+  const double h_mcv = sp800_90b::most_common_value_estimate(bits);
+  EXPECT_LE(h_mcv, shannon_entropy_estimate(bits));
+  EXPECT_LE(sp800_90b::non_iid_min_entropy(bits), h_mcv);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, EstimatorConsistency,

@@ -12,7 +12,6 @@
 #include "core/trng.hpp"
 #include "model/nonlinearity.hpp"
 #include "model/stochastic_model.hpp"
-#include "stattests/estimators.hpp"
 
 namespace trng {
 namespace {

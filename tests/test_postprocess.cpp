@@ -1,4 +1,4 @@
-// Unit tests for XOR and Von Neumann post-processing (Section 4.5).
+// Unit tests for XOR post-processing (Section 4.5).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -112,50 +112,6 @@ TEST(XorPostProcessor, PilingUpLemma) {
     EXPECT_TRUE(folded.generate(common::Bits{out.size()}) == out)
         << "np = " << np;
   }
-}
-
-TEST(VonNeumann, MappingIsCorrect) {
-  VonNeumannPostProcessor vn;
-  bool out = false;
-  EXPECT_FALSE(vn.feed(true, out));   // first of pair
-  EXPECT_TRUE(vn.feed(false, out));   // "10" -> 1
-  EXPECT_TRUE(out);
-  EXPECT_FALSE(vn.feed(false, out));
-  EXPECT_TRUE(vn.feed(true, out));    // "01" -> 0
-  EXPECT_FALSE(out);
-  EXPECT_FALSE(vn.feed(true, out));
-  EXPECT_FALSE(vn.feed(true, out));   // "11" -> nothing
-  EXPECT_FALSE(vn.feed(false, out));
-  EXPECT_FALSE(vn.feed(false, out));  // "00" -> nothing
-}
-
-TEST(VonNeumann, RemovesBiasCompletely) {
-  common::Xoshiro256StarStar rng(3);
-  common::BitStream biased;
-  for (int i = 0; i < 400000; ++i) {
-    biased.push_back(rng.next_double() < 0.8);
-  }
-  VonNeumannPostProcessor vn;
-  const auto out = vn.process(biased);
-  EXPECT_NEAR(out.ones_fraction(), 0.5, 0.01);
-  // Expected rate p(1-p) = 0.16 outputs per input bit.
-  EXPECT_NEAR(static_cast<double>(out.size()) /
-                  static_cast<double>(biased.size()),
-              0.16, 0.01);
-}
-
-TEST(VonNeumann, ExpectedRate) {
-  EXPECT_DOUBLE_EQ(VonNeumannPostProcessor::expected_rate(0.5), 0.25);
-  EXPECT_DOUBLE_EQ(VonNeumannPostProcessor::expected_rate(0.0), 0.0);
-  EXPECT_THROW(VonNeumannPostProcessor::expected_rate(1.5), std::domain_error);
-}
-
-TEST(VonNeumann, ProcessIsStateless) {
-  VonNeumannPostProcessor vn;
-  const auto raw = common::BitStream::from_string("10011100");
-  const auto once = vn.process(raw);
-  const auto twice = vn.process(raw);
-  EXPECT_TRUE(once == twice);
 }
 
 }  // namespace

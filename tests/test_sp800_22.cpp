@@ -14,14 +14,42 @@
 namespace trng::stat::wordpar {
 namespace {
 
+/// About 1.1M bits of xoshiro256** output from `seed`.
+common::BitStream xoshiro_bits(std::uint64_t seed) {
+  common::Xoshiro256StarStar rng(seed);
+  common::BitStream b;
+  b.reserve(1100000);
+  for (int w = 0; w < 1100000 / 64; ++w) b.append_bits(rng.next(), 64);
+  return b;
+}
+
 /// Shared high-quality pseudo-random stream (passes the battery).
 const common::BitStream& random_bits() {
+  static const common::BitStream bits = xoshiro_bits(20260707);
+  return bits;
+}
+
+/// Number of cycles J of the +/-1 walk: its returns to zero, plus one if it
+/// ends away from zero (SP 800-22 2.14.4 step 4).
+std::size_t excursion_cycles(const common::BitStream& bits) {
+  long long walk = 0;
+  std::size_t cycles = 0;
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    walk += bits[i] ? 1 : -1;
+    if (walk == 0) ++cycles;
+  }
+  return walk != 0 ? cycles + 1 : cycles;
+}
+
+/// Input for the random excursion tests, which need J >= 500 cycles:
+/// xoshiro_bits(seed) for the first seed 1, 2, 3, ... whose walk has
+/// J >= 500.
+const common::BitStream& excursion_bits() {
   static const common::BitStream bits = [] {
-    common::Xoshiro256StarStar rng(20260707);
-    common::BitStream b;
-    b.reserve(1100000);
-    for (int w = 0; w < 1100000 / 64; ++w) b.append_bits(rng.next(), 64);
-    return b;
+    for (std::uint64_t seed = 1;; ++seed) {
+      auto b = xoshiro_bits(seed);
+      if (excursion_cycles(b) >= 500) return b;
+    }
   }();
   return bits;
 }
@@ -315,11 +343,10 @@ TEST(CumulativeSums, SpecExample) {
 // ---- 2.14 / 2.15 random excursions --------------------------------------------
 
 TEST(RandomExcursions, PassesRandom) {
-  const auto r = random_excursions_test(random_bits());
-  if (r.applicable) {
-    EXPECT_EQ(r.p_values.size(), 8u);
-    EXPECT_TRUE(r.passed());
-  }
+  const auto r = random_excursions_test(excursion_bits());
+  ASSERT_TRUE(r.applicable) << r.note;
+  EXPECT_EQ(r.p_values.size(), 8u);
+  EXPECT_TRUE(r.passed());
 }
 
 TEST(RandomExcursions, InapplicableWithFewCycles) {
@@ -329,11 +356,10 @@ TEST(RandomExcursions, InapplicableWithFewCycles) {
 }
 
 TEST(RandomExcursionsVariant, PassesRandom) {
-  const auto r = random_excursions_variant_test(random_bits());
-  if (r.applicable) {
-    EXPECT_EQ(r.p_values.size(), 18u);
-    EXPECT_TRUE(r.passed());
-  }
+  const auto r = random_excursions_variant_test(excursion_bits());
+  ASSERT_TRUE(r.applicable) << r.note;
+  EXPECT_EQ(r.p_values.size(), 18u);
+  EXPECT_TRUE(r.passed());
 }
 
 TEST(RandomExcursionsVariant, RejectsSawtooth) {
@@ -342,9 +368,8 @@ TEST(RandomExcursionsVariant, RejectsSawtooth) {
   common::BitStream saw;
   for (int i = 0; i < 100000; ++i) saw.push_back((i % 4) < 2);
   const auto r = random_excursions_variant_test(saw);
-  if (r.applicable) {
-    EXPECT_FALSE(r.passed());
-  }
+  ASSERT_TRUE(r.applicable) << r.note;
+  EXPECT_FALSE(r.passed());
 }
 
 // ---- p-value sanity across the suite -----------------------------------------
@@ -352,7 +377,7 @@ TEST(RandomExcursionsVariant, RejectsSawtooth) {
 class AllTestsPValues : public ::testing::TestWithParam<int> {};
 
 TEST_P(AllTestsPValues, PValuesAreProbabilities) {
-  const auto& bits = random_bits();
+  const auto& bits = GetParam() >= 13 ? excursion_bits() : random_bits();
   TestResult r;
   switch (GetParam()) {
     case 0: r = frequency_test(bits); break;
@@ -371,12 +396,7 @@ TEST_P(AllTestsPValues, PValuesAreProbabilities) {
     case 13: r = random_excursions_test(bits); break;
     case 14: r = random_excursions_variant_test(bits); break;
   }
-  // The excursion tests legitimately reject sequences whose random walk
-  // returns to zero fewer than 500 times (~37% of fair sequences at n=1.1M).
-  if (!r.applicable && GetParam() >= 13) {
-    GTEST_SKIP() << "excursions inapplicable: " << r.note;
-  }
-  EXPECT_TRUE(r.applicable);
+  ASSERT_TRUE(r.applicable) << r.note;
   EXPECT_FALSE(r.p_values.empty());
   for (double p : r.p_values) {
     EXPECT_GE(p, 0.0);

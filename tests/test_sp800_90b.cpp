@@ -1,7 +1,11 @@
 // Unit tests for the SP 800-90B min-entropy estimators.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <map>
+#include <string>
 
 #include "common/rng.hpp"
 #include "stattests/sp800_90b.hpp"
@@ -27,6 +31,83 @@ common::BitStream sticky_bits(std::size_t n, double flip_prob,
   }
   return b;
 }
+
+/// The specification's upper bound p_u = min(1, p + 2.576 sqrt(p (1 - p) /
+/// (L - 1))) (6.3.1 step 2, 6.3.5 step 4, 6.3.6 step 4).
+double spec_upper_bound(double p, std::size_t len) {
+  return std::min(1.0, p + 2.576 * std::sqrt(p * (1.0 - p) /
+                                             static_cast<double>(len - 1)));
+}
+
+/// Occurrence counts of every overlapping w-bit substring of `s`.
+std::map<std::string, std::size_t> substring_counts(const std::string& s,
+                                                    std::size_t w) {
+  std::map<std::string, std::size_t> counts;
+  for (std::size_t i = 0; i + w <= s.size(); ++i) ++counts[s.substr(i, w)];
+  return counts;
+}
+
+std::size_t max_count(const std::map<std::string, std::size_t>& counts) {
+  std::size_t best = 0;
+  for (const auto& [key, c] : counts) best = std::max(best, c);
+  return best;
+}
+
+/// A fixed 1200-bit biased sequence for the known-answer tests.
+common::BitStream kat_bits() { return iid_bits(1200, 0.7, 2024); }
+
+// ---- 6.3.1 most common value -------------------------------------------------
+
+TEST(McvMinEntropy, FairSourceNearOne) {
+  EXPECT_NEAR(most_common_value_estimate(iid_bits(400000, 0.5, 4)), 1.0, 0.01);
+}
+
+TEST(McvMinEntropy, BiasedSourceMatchesMinusLogP) {
+  const double p = 0.75;
+  EXPECT_NEAR(most_common_value_estimate(iid_bits(400000, p, 5)),
+              -std::log2(p), 0.01);
+}
+
+TEST(McvMinEntropy, IsConservative) {
+  // The upper bound makes the estimate a slight underestimate on average.
+  EXPECT_LE(most_common_value_estimate(iid_bits(100000, 0.5, 6)), 1.0);
+}
+
+TEST(McvMinEntropy, RejectsSingleBit) {
+  // The bound divides by L - 1.
+  EXPECT_THROW(most_common_value_estimate(common::BitStream::from_string("1")),
+               std::invalid_argument);
+}
+
+TEST(McvMinEntropy, KnownAnswerFromSpecFormula) {
+  // 14 ones in 20 bits: p_hat = 0.7, bounded over L - 1 = 19.
+  const auto bits = common::BitStream::from_string("11011011110110111100");
+  ASSERT_EQ(bits.count_ones(), 14u);
+  const double expected = -std::log2(spec_upper_bound(14.0 / 20.0, 20));
+  EXPECT_NEAR(most_common_value_estimate(bits), expected, 1e-12);
+}
+
+// ---- 6.3.3 Markov -------------------------------------------------------------
+
+TEST(MarkovMinEntropy, FairIidNearOne) {
+  EXPECT_NEAR(markov_estimate(iid_bits(400000, 0.5, 7)), 1.0, 0.02);
+}
+
+TEST(MarkovMinEntropy, CatchesStickyChain) {
+  // A chain that flips with probability 0.1 has low per-bit min-entropy
+  // (~ -log2(0.9) = 0.152) even though it is globally balanced.
+  const auto sticky = sticky_bits(400000, 0.1, 8);
+  EXPECT_NEAR(sticky.ones_fraction(), 0.5, 0.05);
+  EXPECT_NEAR(markov_estimate(sticky), -std::log2(0.9), 0.03);
+  // MCV on single bits misses it entirely.
+  EXPECT_GT(most_common_value_estimate(sticky), 0.8);
+}
+
+TEST(MarkovMinEntropy, RejectsBadArguments) {
+  EXPECT_THROW(markov_estimate(iid_bits(100, 0.5, 9)), std::invalid_argument);
+}
+
+// ---- 6.3.2 collision ----------------------------------------------------------
 
 TEST(Collision, FairSourceNearOne) {
   // The collision estimate's sqrt sensitivity at c = 1/2 makes it the
@@ -77,8 +158,26 @@ TEST(TTuple, CatchesRepeatedPattern) {
 TEST(TTuple, RejectsBadArguments) {
   EXPECT_THROW(t_tuple_estimate(iid_bits(100, 0.5, 6)),
                std::invalid_argument);
-  EXPECT_THROW(t_tuple_estimate(iid_bits(10000, 0.5, 6), 1),
-               std::invalid_argument);
+}
+
+TEST(TTuple, KnownAnswerFromSpecFormula) {
+  // 6.3.5: Q[t] for each t while the most common t-tuple occurs >= 35
+  // times, P_max = max (Q[t] / (L - t + 1))^(1/t), then one upper bound.
+  const auto bits = kat_bits();
+  const std::string s = bits.to_string();
+  const std::size_t len = s.size();
+  double p_max = 0.0;
+  std::size_t t = 1;
+  for (;; ++t) {
+    const std::size_t q = max_count(substring_counts(s, t));
+    if (q < 35) break;
+    p_max = std::max(p_max, std::pow(static_cast<double>(q) /
+                                         static_cast<double>(len - t + 1),
+                                     1.0 / static_cast<double>(t)));
+  }
+  ASSERT_GT(t, 3u);  // several tuple lengths take part
+  const double expected = -std::log2(spec_upper_bound(p_max, len));
+  EXPECT_NEAR(t_tuple_estimate(bits), expected, 1e-12);
 }
 
 TEST(Lrs, FairSourceNearOne) {
@@ -89,6 +188,29 @@ TEST(Lrs, CatchesPeriodicSource) {
   common::BitStream b;
   for (int i = 0; i < 100000; ++i) b.push_back((i % 37) < 18);
   EXPECT_LT(lrs_estimate(b), 0.2);
+}
+
+TEST(Lrs, KnownAnswerFromSpecFormula) {
+  // 6.3.6: P_W = sum_i C(C_i, 2) / C(L - W + 1, 2) for W = 8, 16, 32, 64
+  // while some W-window repeats, P_max = max P_W^(1/W), then the upper
+  // bound of step 4.
+  const auto bits = kat_bits();
+  const std::string s = bits.to_string();
+  const std::size_t len = s.size();
+  double p_max = 0.0;
+  for (std::size_t w = 8; w <= 64; w *= 2) {
+    const auto counts = substring_counts(s, w);
+    if (max_count(counts) < 2) break;
+    double pairs = 0.0;
+    for (const auto& [key, c] : counts) {
+      pairs += 0.5 * static_cast<double>(c) * static_cast<double>(c - 1);
+    }
+    const double windows = static_cast<double>(len - w + 1);
+    const double p_w = pairs / (0.5 * windows * (windows - 1.0));
+    p_max = std::max(p_max, std::pow(p_w, 1.0 / static_cast<double>(w)));
+  }
+  const double expected = -std::log2(spec_upper_bound(p_max, len));
+  EXPECT_NEAR(lrs_estimate(bits), expected, 1e-12);
 }
 
 TEST(NonIid, MinOfAllEstimators) {
