@@ -1,8 +1,10 @@
 #include "common/bitstream.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <stdexcept>
+#include <vector>
 
 namespace trng::common {
 
@@ -34,6 +36,20 @@ BitStream BitStream::from_words(const std::vector<std::uint64_t>& words,
   }
   bs.reserve(words.size() * bits_per_word);
   for (std::uint64_t w : words) bs.append_bits(w, bits_per_word);
+  return bs;
+}
+
+BitStream BitStream::adopt_words(std::vector<std::uint64_t> words,
+                                 std::size_t nbits) {
+  if (nbits > kMaxBits || words.size() != (nbits + 63) / 64) {
+    throw std::invalid_argument(
+        "BitStream::adopt_words: need (nbits + 63) / 64 words");
+  }
+  BitStream bs;
+  bs.words_ = std::move(words);
+  bs.size_ = nbits;
+  const unsigned tail = static_cast<unsigned>(nbits & 63);
+  if (tail != 0) bs.words_.back() &= ~0ULL >> (64 - tail);
   return bs;
 }
 
@@ -163,38 +179,62 @@ BitStream BitStream::xor_fold(unsigned np) const {
   if (np == 0) {
     throw std::invalid_argument("BitStream::xor_fold: np must be >= 1");
   }
-  const std::size_t n = size_ / np;
-  std::vector<std::uint64_t> folded((n + 63) / 64);
-  xor_fold_words(words_.data(), folded.data(), n, np);
   BitStream out;
-  out.append_words(folded.data(), n);
+  out.size_ = size_ / np;
+  out.words_.resize((out.size_ + 63) / 64);
+  xor_fold_words(words_.data(), out.words_.data(), out.size_, np);
   return out;
 }
 
 void xor_fold_words(const std::uint64_t* in, std::uint64_t* out,
                     std::size_t out_bits, unsigned np) {
-  std::uint64_t word = 0;
-  std::size_t r = 0;  // first input bit of the current group
-  for (std::size_t i = 0; i < out_bits; ++i) {
-    // A group's parity is the popcount parity of its bits, taken one
-    // word-aligned run at a time (one or two runs for np <= 64).
-    unsigned parity = 0;
-    for (unsigned left = np; left > 0;) {
-      const auto offset = static_cast<unsigned>(r & 63);
-      const unsigned take = std::min(left, 64U - offset);
-      std::uint64_t run = in[r >> 6] >> offset;
-      if (take < 64) run &= (std::uint64_t{1} << take) - 1;
-      parity ^= static_cast<unsigned>(std::popcount(run));
-      r += take;
-      left -= take;
-    }
-    word |= static_cast<std::uint64_t>(parity & 1U) << (i & 63);
-    if ((i & 63) == 63) {
-      out[i >> 6] = word;
-      word = 0;
-    }
+  const std::size_t out_words = (out_bits + 63) / 64;
+  const unsigned tail = static_cast<unsigned>(out_bits & 63);
+  const std::uint64_t tail_mask = tail == 0 ? ~0ULL : (1ULL << tail) - 1;
+  if (np == 1) {
+    std::copy(in, in + out_words, out);
+    if (out_words != 0) out[out_words - 1] &= tail_mask;
+    return;
   }
-  if ((out_bits & 63) != 0) out[out_bits >> 6] = word;
+  // With P(j) the parity of input bits 0..j, output bit i is
+  // P((i + 1) np - 1) ^ P(i np - 1). Output word o covers input words
+  // o np .. o np + np - 1, and its group k ends at bit (k + 1) np - 1 of
+  // them: the same word and bit mask for every o.
+  std::array<std::uint32_t, 64> end_word{};
+  std::array<std::uint64_t, 64> end_mask{};
+  for (unsigned k = 0; k < 64; ++k) {
+    const std::size_t end = std::size_t{k + 1} * np - 1;
+    end_word[k] = static_cast<std::uint32_t>(end >> 6);
+    end_mask[k] = std::uint64_t{1} << (end & 63);
+  }
+  const std::size_t in_words = (out_bits * np + 63) / 64;
+  std::vector<std::uint64_t> prefix(std::min<std::size_t>(np, in_words));
+  std::uint64_t carry = 0;  // all ones when the bits so far XOR to 1
+  for (std::size_t o = 0; o < out_words; ++o) {
+    const std::uint64_t before = carry & 1;  // P(o 64 np - 1)
+    const std::size_t first = o * np;
+    const std::size_t last = std::min(first + np, in_words);
+    for (std::size_t w = first; w < last; ++w) {
+      std::uint64_t x = in[w];  // bit j := XOR of bits 0..j of the word
+      x ^= x << 1;
+      x ^= x << 2;
+      x ^= x << 4;
+      x ^= x << 8;
+      x ^= x << 16;
+      x ^= x << 32;
+      x ^= carry;
+      prefix[w - first] = x;
+      carry = 0 - (x >> 63);
+    }
+    const bool last_word = o + 1 == out_words;
+    const unsigned groups = last_word && tail != 0 ? tail : 64;
+    std::uint64_t ends = 0;  // bit k: P at the end of group k
+    for (unsigned k = groups; k-- > 0;) {
+      ends = ends << 1 | static_cast<std::uint64_t>(
+                             (prefix[end_word[k]] & end_mask[k]) != 0);
+    }
+    out[o] = (ends ^ (ends << 1 | before)) & (last_word ? tail_mask : ~0ULL);
+  }
 }
 
 double BitStream::ones_fraction() const {

@@ -24,6 +24,14 @@ class BitStream {
   static BitStream from_words(const std::vector<std::uint64_t>& words,
                               unsigned bits_per_word);
 
+  /// Takes `words` as the storage of an `nbits`-bit stream, packed
+  /// LSB-first (the layout core::BitSource::generate_into writes), without
+  /// copying it. `words` must hold exactly (nbits + 63) / 64 words; bits
+  /// above `nbits` in the final word are cleared. Throws
+  /// std::invalid_argument on a size mismatch.
+  static BitStream adopt_words(std::vector<std::uint64_t> words,
+                               std::size_t nbits);
+
   void push_back(bool bit);
 
   /// Appends the low `count` bits of `value`, LSB first.
@@ -98,9 +106,13 @@ class BitStream {
 
 /// The XOR fold behind BitStream::xor_fold and core::XorCompressedSource:
 /// bit i of `out` is the XOR of bits [i * np, (i + 1) * np) of `in`, both
-/// packed LSB-first. `in` must hold out_bits * np bits; every one of the
-/// (out_bits + 63) / 64 words of `out` is written, tail bits zero.
-/// np must be >= 1 (callers validate it).
+/// packed LSB-first. `in` must hold out_bits * np bits; no word past the
+/// first (out_bits * np + 63) / 64 is read, and bits past out_bits * np
+/// may hold anything. Every one of the (out_bits + 63) / 64 words of `out`
+/// is written, tail bits zero. np must be >= 1 (callers validate it).
+/// Word-parallel: a running prefix parity per input word, then each output
+/// word gathers its 64 group-end parities.
+// trng-analyzer: kernel
 void xor_fold_words(const std::uint64_t* in, std::uint64_t* out,
                     std::size_t out_bits, unsigned np);
 

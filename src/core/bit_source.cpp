@@ -5,13 +5,12 @@
 namespace trng::core {
 
 common::BitStream BitSource::generate(common::Bits count) {
-  common::BitStream bits;
-  if (count.is_zero()) return bits;
-  // One batched fill, then a word-level append: no per-bit push_back.
+  if (count.is_zero()) return {};
+  // One batched fill into the storage the stream then adopts: no per-bit
+  // push_back and no copy.
   std::vector<std::uint64_t> buf(common::bits_to_words(count).count(), 0);
   generate_into(buf.data(), count);
-  bits.append_words(buf.data(), count.count());
-  return bits;
+  return common::BitStream::adopt_words(std::move(buf), count.count());
 }
 
 }  // namespace trng::core

@@ -133,10 +133,12 @@ UniversalStatistic universal_statistic_from_sum(double sum, std::size_t k,
                                                 double expected,
                                                 double variance);
 
-/// |X_j|^2 for j < n / 2, X = the DFT of the +-1 image of the largest
-/// power-of-two prefix of `bits` (length n = 2 * size()); empty for inputs
-/// shorter than 8 bits.
-std::vector<double> dft_power_spectrum(const common::BitStream& bits);
+/// The number of j < n / 2 with |X_j|^2 < t2, X = the DFT of the +-1 image
+/// of the largest power-of-two prefix of `bits` (length n). When `power` is
+/// not null it is resized to n / 2 and receives every |X_j|^2. Inputs
+/// shorter than 8 bits count 0 and leave `power` empty.
+std::size_t dft_count_below(const common::BitStream& bits, double t2,
+                            std::vector<double>* power = nullptr);
 /// `below`: moduli |X_j|, j < n / 2, under the 95% threshold
 /// T = sqrt(log(1/0.05) n).
 TestResult dft_from_counts(std::size_t n, std::size_t below);

@@ -253,6 +253,43 @@ void transpose64(std::uint64_t* a) {
   }
 }
 
+/// The discrepancy word of Berlekamp–Massey step: the XOR over j < count of
+/// c_j & s_j, in four independent accumulators so that the loop is not
+/// one long dependency chain.
+std::uint64_t discrepancy(const std::uint64_t* c, const std::uint64_t* s,
+                          std::size_t count) {
+  std::uint64_t d0 = 0, d1 = 0, d2 = 0, d3 = 0;
+  std::size_t j = 0;
+  for (; j + 4 <= count; j += 4) {
+    d0 ^= c[j] & s[j];
+    d1 ^= c[j + 1] & s[j + 1];
+    d2 ^= c[j + 2] & s[j + 2];
+    d3 ^= c[j + 3] & s[j + 3];
+  }
+  for (; j < count; ++j) d0 ^= c[j] & s[j];
+  return (d0 ^ d1) ^ (d2 ^ d3);
+}
+
+/// The Berlekamp–Massey C/D update over coefficients [0, count), count
+/// even: C ^= D in the blocks of `d`, and D takes C's old coefficients in
+/// the blocks of `grow`. Kept out of line, with restrict-qualified operands
+/// and the two coefficients of each step written out: gcc -O2 then runs
+/// them in one SSE2 instruction (as an inner loop over the pair it stays
+/// scalar).
+[[gnu::noinline]] void update_c_d(std::uint64_t* __restrict c,
+                                  std::uint64_t* __restrict dv,
+                                  std::uint64_t d, std::uint64_t grow,
+                                  std::size_t count) {
+  for (std::size_t j = 0; j < count; j += 2) {
+    const std::uint64_t c0 = c[j], c1 = c[j + 1];
+    const std::uint64_t e0 = dv[j], e1 = dv[j + 1];
+    c[j] = c0 ^ (e0 & d);
+    c[j + 1] = c1 ^ (e1 & d);
+    dv[j] = (c0 & grow) | (e0 & ~grow);
+    dv[j + 1] = (c1 & grow) | (e1 & ~grow);
+  }
+}
+
 /// Berlekamp–Massey on `lanes` <= 64 blocks of `len` bits at once, block b
 /// starting at bit begin + b * len and living in bit b of every word: the
 /// sequence, C and D = x^m B are arrays of 64-bit words indexed by
@@ -265,8 +302,9 @@ void transpose64(std::uint64_t* a) {
 /// decrement for all blocks. Both loops stop at the largest new L among the
 /// blocks with d = 1: deg C <= L, and deg x^m B <= i + 1 - L, which is at
 /// most the new L of a block that updates, so every coefficient above that
-/// bound is zero in C and D alike. Unused lanes hold all-zero blocks, whose
-/// discrepancy is always 0.
+/// bound is zero in C and D alike (so is the one past it that the update
+/// runs over when it rounds its count up to even). Unused lanes hold
+/// all-zero blocks, whose discrepancy is always 0.
 void berlekamp_massey_lanes(const common::BitStream& bits, std::size_t begin,
                             std::size_t len, unsigned lanes,
                             std::size_t* lengths) {
@@ -284,8 +322,8 @@ void berlekamp_massey_lanes(const common::BitStream& bits, std::size_t begin,
     for (std::size_t k = 0; k < count; ++k) srev[len - 1 - (i0 + k)] = rows[k];
   }
 
-  std::vector<std::uint64_t> c(len + 1, 0);
-  std::vector<std::uint64_t> dbuf(2 * len + 2, 0);
+  std::vector<std::uint64_t> c(len + 2, 0);
+  std::vector<std::uint64_t> dbuf(2 * len + 3, 0);
   std::array<std::size_t, 64> l{};
   c[0] = ~0ULL;  // C = 1
   std::size_t off = len;
@@ -293,9 +331,7 @@ void berlekamp_massey_lanes(const common::BitStream& bits, std::size_t begin,
   std::size_t max_l = 0;
   for (std::size_t i = 0; i < len; ++i) {
     const std::uint64_t* s = &srev[len - 1 - i];
-    std::uint64_t d = 0;
-    const std::size_t top = std::min(max_l, i);
-    for (std::size_t j = 0; j <= top; ++j) d ^= c[j] & s[j];
+    const std::uint64_t d = discrepancy(c.data(), s, std::min(max_l, i) + 1);
     if (d != 0) {
       std::uint64_t grow = 0;
       std::size_t hi = 0;
@@ -309,12 +345,7 @@ void berlekamp_massey_lanes(const common::BitStream& bits, std::size_t begin,
         hi = std::max(hi, lnew);
       }
       max_l = std::max(max_l, hi);
-      std::uint64_t* dv = &dbuf[off];
-      for (std::size_t j = 0; j <= hi; ++j) {
-        const std::uint64_t cj = c[j], ej = dv[j];
-        c[j] = cj ^ (ej & d);
-        dv[j] = (cj & grow) | (ej & ~grow);
-      }
+      update_c_d(c.data(), &dbuf[off], d, grow, (hi + 2) & ~std::size_t{1});
     }
     --off;
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <unordered_map>
 #include <vector>
@@ -106,6 +107,43 @@ double markov_estimate(const common::BitStream& bits) {
   return std::min(1.0, -log_pmax / static_cast<double>(kMarkovPathLen));
 }
 
+namespace {
+
+/// The largest number of times any overlapping t-bit tuple (t <= 24)
+/// occurs in `bits`. Up to t = 16 the tuples are counted in a dense 2^t
+/// table; longer ones are sorted and counted as runs of equal values, so
+/// memory stays O(n) instead of growing to 2^24 counters.
+std::uint32_t max_tuple_count(const common::BitStream& bits, unsigned t) {
+  const std::size_t n = bits.size();
+  const std::uint32_t mask = (1u << t) - 1u;
+  std::uint32_t window = 0;
+  if (t <= 16) {
+    std::vector<std::uint32_t> counts(1u << t, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      window = ((window << 1) | (bits[i] ? 1u : 0u)) & mask;
+      if (i + 1 >= t) ++counts[window];
+    }
+    return *std::max_element(counts.begin(), counts.end());
+  }
+  std::vector<std::uint32_t> windows;
+  windows.reserve(n - t + 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    window = ((window << 1) | (bits[i] ? 1u : 0u)) & mask;
+    if (i + 1 >= t) windows.push_back(window);
+  }
+  std::sort(windows.begin(), windows.end());
+  std::uint32_t best = 0;
+  for (std::size_t i = 0; i < windows.size();) {
+    std::size_t j = i + 1;
+    while (j < windows.size() && windows[j] == windows[i]) ++j;
+    best = std::max(best, static_cast<std::uint32_t>(j - i));
+    i = j;
+  }
+  return best;
+}
+
+}  // namespace
+
 double t_tuple_estimate(const common::BitStream& bits) {
   const std::size_t n = bits.size();
   if (n < 1000) {
@@ -114,16 +152,7 @@ double t_tuple_estimate(const common::BitStream& bits) {
   double p_max = 0.0;
   for (unsigned t = 1; t <= 24; ++t) {
     if (n < t) break;
-    // Count overlapping t-bit tuples.
-    std::vector<std::uint32_t> counts(1u << t, 0);
-    std::uint32_t window = 0;
-    const std::uint32_t mask = (1u << t) - 1u;
-    for (std::size_t i = 0; i < n; ++i) {
-      window = ((window << 1) | (bits[i] ? 1u : 0u)) & mask;
-      if (i + 1 >= t) ++counts[window];
-    }
-    const std::uint32_t max_count =
-        *std::max_element(counts.begin(), counts.end());
+    const std::uint32_t max_count = max_tuple_count(bits, t);
     if (max_count < kTupleCutoff) break;  // t too long to be sound
     const double p_tuple =
         static_cast<double>(max_count) / static_cast<double>(n - t + 1);

@@ -7,11 +7,14 @@
 // forms below restate each one a tap (or a ring) at a time, straight from
 // the paper's description, so the tests can check the word-level code
 // against them. Plus the test helpers that build packed captures from
-// '0'/'1' strings, and the elementary TRNG's two per-bit kernels that the
-// Bernoulli(P1) kernel replaced (ElementaryReference).
+// '0'/'1' strings, the elementary TRNG's two per-bit kernels that the
+// Bernoulli(P1) kernel replaced (ElementaryReference), and the XOR fold a
+// group at a time (xor_fold_per_bit), which common::xor_fold_words's
+// prefix-parity gather replaced.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -234,5 +237,31 @@ class ElementaryReference : public core::BitSource {
   common::Xoshiro256StarStar rng_;
   std::unique_ptr<sim::RingOscillator> osc_;  // kEventDriven only
 };
+
+/// common::xor_fold_words one output bit at a time: each group's parity is
+/// the popcount parity of its bits, taken one word-aligned run at a time.
+inline void xor_fold_per_bit(const std::uint64_t* in, std::uint64_t* out,
+                             std::size_t out_bits, unsigned np) {
+  std::uint64_t word = 0;
+  std::size_t r = 0;  // first input bit of the current group
+  for (std::size_t i = 0; i < out_bits; ++i) {
+    unsigned parity = 0;
+    for (unsigned left = np; left > 0;) {
+      const auto offset = static_cast<unsigned>(r & 63);
+      const unsigned take = std::min(left, 64U - offset);
+      std::uint64_t run = in[r >> 6] >> offset;
+      if (take < 64) run &= (std::uint64_t{1} << take) - 1;
+      parity ^= static_cast<unsigned>(std::popcount(run));
+      r += take;
+      left -= take;
+    }
+    word |= static_cast<std::uint64_t>(parity & 1U) << (i & 63);
+    if ((i & 63) == 63) {
+      out[i >> 6] = word;
+      word = 0;
+    }
+  }
+  if ((out_bits & 63) != 0) out[out_bits >> 6] = word;
+}
 
 }  // namespace trng::test

@@ -8,9 +8,9 @@
 // so on equal counts the two return bit-identical p-value doubles, notes
 // and applicable flags: comparisons are exact ==, never a tolerance.
 //
-// The DFT has no oracle here (it has one implementation, an FFT on
-// doubles); tests/test_battery_equivalence.cpp checks it against a naive
-// O(n^2) transform instead.
+// The DFT has no bit-serial oracle here (its kernel is an FFT on doubles);
+// tests/test_battery_equivalence.cpp checks it against a naive O(n^2)
+// transform and the radix-2 FFT in fft_oracle.hpp instead.
 #pragma once
 
 #include <algorithm>

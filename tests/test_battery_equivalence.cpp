@@ -4,20 +4,25 @@
 // note — and the threaded engine returns the same report as the sequential
 // one. This suite checks the contract over every source in
 // core/source_registry plus degenerate and non-default-parameter inputs,
-// and checks the FFT behind the DFT test against a naive O(n^2) transform;
+// and checks the FFT behind the DFT test against a naive O(n^2) transform
+// and, at full test lengths, the radix-2 oracle in fft_oracle.hpp;
 // lint rule TL008 keeps it in sync with the kernel list.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/source_registry.hpp"
 #include "fpga/fabric.hpp"
+#include "fft_oracle.hpp"
 #include "sp800_22_oracle.hpp"
 #include "stattests/battery.hpp"
 #include "stattests/sp800_22_detail.hpp"
@@ -397,7 +402,12 @@ TEST(BatteryEquivalence, DftMatchesNaiveTransform) {
     const auto bits = random_bits(c.nbits, c.seed);
     const std::size_t n = c.n;
     const auto ref = naive_dft_moduli(bits, n);
-    const auto power = detail::dft_power_spectrum(bits);
+    // Section 2.6.4: T = sqrt(log(1/0.05) n).
+    const double threshold =
+        std::sqrt(std::log(1.0 / 0.05) * static_cast<double>(n));
+    std::vector<double> power;
+    const std::size_t counted =
+        detail::dft_count_below(bits, threshold * threshold, &power);
     ASSERT_EQ(power.size(), n / 2);
     std::vector<double> got(n / 2);
     for (std::size_t j = 0; j < got.size(); ++j) got[j] = std::sqrt(power[j]);
@@ -406,9 +416,6 @@ TEST(BatteryEquivalence, DftMatchesNaiveTransform) {
           << "bin " << j;
     }
 
-    // Section 2.6.4: T = sqrt(log(1/0.05) n).
-    const double threshold =
-        std::sqrt(std::log(1.0 / 0.05) * static_cast<double>(n));
     std::size_t ref_below = 0, got_below = 0;
     for (std::size_t j = 0; j < ref.size(); ++j) {
       ASSERT_GT(std::fabs(ref[j] - threshold), kRelTol * threshold)
@@ -417,9 +424,79 @@ TEST(BatteryEquivalence, DftMatchesNaiveTransform) {
       got_below += got[j] < threshold ? 1 : 0;
     }
     EXPECT_EQ(ref_below, got_below);
+    EXPECT_EQ(ref_below, counted);
     expect_identical(detail::dft_from_counts(n, ref_below),
                      wordpar::dft_test(bits));
   }
+}
+
+TEST(BatteryEquivalence, DftMatchesRadix2OracleAtFullLength) {
+  // The radix-4 FFT against the radix-2 oracle at lengths the naive
+  // transform cannot reach: 2^16 bits (an odd number of stages after the
+  // packed two, so the packing does the span-8 stage, and no span beyond
+  // the 2^15-point block), 2^20 (odd again, with two whole-array steps),
+  // then 2^17 (an even number, one whole-array step) and 2^18 after it, so
+  // that their long spans read every 8th and 4th twiddle of the 2^20-bit
+  // table, and a 2^20 + 999-bit input truncated to 2^20. Moduli agree to
+  // 1e-9 relative to max(|X_j|, 1); the below-T count and the TestResult
+  // match exactly.
+  constexpr double kRelTol = 1e-9;
+  struct Case {
+    std::size_t nbits;
+    std::uint64_t seed;
+  };
+  for (const Case c : {Case{std::size_t{1} << 16, 41},
+                       Case{std::size_t{1} << 20, 43},
+                       Case{std::size_t{1} << 17, 42},
+                       Case{std::size_t{1} << 18, 45},
+                       Case{(std::size_t{1} << 20) + 999, 44}}) {
+    SCOPED_TRACE(c.nbits);
+    const auto bits = random_bits(c.nbits, c.seed);
+    const std::size_t n = std::bit_floor(c.nbits);
+    const double t2 = std::log(1.0 / 0.05) * static_cast<double>(n);
+    const auto ref = oracle::dft_power_radix2(bits);
+    std::vector<double> power;
+    const std::size_t got_below = detail::dft_count_below(bits, t2, &power);
+    ASSERT_EQ(ref.size(), n / 2);
+    ASSERT_EQ(power.size(), n / 2);
+    std::size_t ref_below = 0, mismatched = 0;
+    for (std::size_t j = 0; j < ref.size(); ++j) {
+      const double want = std::sqrt(ref[j]), got = std::sqrt(power[j]);
+      if (std::fabs(got - want) > kRelTol * std::max(want, 1.0)) {
+        ADD_FAILURE() << "bin " << j << ": " << got << " vs " << want;
+        if (++mismatched == 10) break;
+      }
+      ref_below += ref[j] < t2 ? 1 : 0;
+    }
+    EXPECT_EQ(ref_below, got_below);
+    expect_identical(detail::dft_from_counts(n, ref_below),
+                     wordpar::dft_test(bits));
+  }
+}
+
+TEST(BatteryEquivalence, DftConcurrentCallsAgree) {
+  // Concurrent transforms of two lengths contend for the one transform
+  // buffer the FFT keeps between calls; each call must return what it
+  // returns alone.
+  const std::array<common::BitStream, 2> inputs = {random_bits(1 << 14, 51),
+                                                   random_bits(1 << 15, 52)};
+  const std::array<TestResult, 2> alone = {wordpar::dft_test(inputs[0]),
+                                           wordpar::dft_test(inputs[1])};
+  std::array<int, 4> mismatches{};
+  {
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < mismatches.size(); ++t) {
+      threads.emplace_back([&inputs, &alone, &mismatches, t] {
+        for (std::size_t k = 0; k < 6; ++k) {
+          const std::size_t which = (t + k) % 2;
+          const TestResult r = wordpar::dft_test(inputs[which]);
+          if (r.p_values != alone[which].p_values) ++mismatches[t];
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+  }
+  EXPECT_EQ(mismatches, (std::array<int, 4>{}));
 }
 
 }  // namespace

@@ -180,6 +180,23 @@ TEST(BitStream, AppendWordsIgnoresGarbageAboveNbits) {
   EXPECT_TRUE(bs == BitStream::from_string(std::string(73, '1')));
 }
 
+TEST(BitStream, AdoptWordsClearsGarbageAboveNbits) {
+  // The generator path hands its buffer over instead of copying it; the
+  // result must equal the copying append_words path, tail bits cleared.
+  const std::uint64_t all_ones = ~std::uint64_t{0};
+  const std::vector<std::uint64_t> words = {0x0123456789ABCDEFULL, all_ones};
+  BitStream copied;
+  copied.append_words(words.data(), 70);
+  const BitStream adopted = BitStream::adopt_words(words, 70);
+  EXPECT_EQ(adopted.size(), 70u);
+  EXPECT_TRUE(adopted == copied);
+  EXPECT_EQ(adopted.words().back(), 0x3Fu);
+  EXPECT_TRUE(BitStream::adopt_words({}, 0).empty());
+  EXPECT_THROW((void)BitStream::adopt_words(words, 64), std::invalid_argument);
+  EXPECT_THROW((void)BitStream::adopt_words(words, 129),
+               std::invalid_argument);
+}
+
 TEST(BitStream, RangedCountOnesMatchesBitLoop) {
   Xoshiro256StarStar rng(9);
   BitStream bs;

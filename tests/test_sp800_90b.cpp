@@ -160,23 +160,51 @@ TEST(TTuple, RejectsBadArguments) {
                std::invalid_argument);
 }
 
-TEST(TTuple, KnownAnswerFromSpecFormula) {
-  // 6.3.5: Q[t] for each t while the most common t-tuple occurs >= 35
-  // times, P_max = max (Q[t] / (L - t + 1))^(1/t), then one upper bound.
-  const auto bits = kat_bits();
+/// 6.3.5 from the spec's text: Q[t] for each t <= 24 (the estimator's
+/// cap) while the most common t-tuple occurs >= 35 times,
+/// P_max = max (Q[t] / (L - t + 1))^(1/t), then one upper bound.
+/// `lengths` receives the number of tuple lengths that took part.
+double spec_t_tuple_estimate(const common::BitStream& bits,
+                             std::size_t& lengths) {
   const std::string s = bits.to_string();
   const std::size_t len = s.size();
   double p_max = 0.0;
   std::size_t t = 1;
-  for (;; ++t) {
+  for (; t <= 24; ++t) {
     const std::size_t q = max_count(substring_counts(s, t));
     if (q < 35) break;
     p_max = std::max(p_max, std::pow(static_cast<double>(q) /
                                          static_cast<double>(len - t + 1),
                                      1.0 / static_cast<double>(t)));
   }
-  ASSERT_GT(t, 3u);  // several tuple lengths take part
-  const double expected = -std::log2(spec_upper_bound(p_max, len));
+  lengths = t - 1;
+  return -std::log2(spec_upper_bound(p_max, len));
+}
+
+TEST(TTuple, KnownAnswerFromSpecFormula) {
+  const auto bits = kat_bits();
+  std::size_t lengths = 0;
+  const double expected = spec_t_tuple_estimate(bits, lengths);
+  ASSERT_GE(lengths, 3u);  // several tuple lengths take part
+  EXPECT_NEAR(t_tuple_estimate(bits), expected, 1e-12);
+}
+
+TEST(TTuple, KnownAnswerPastSixteenBitTuples) {
+  // Tuples longer than 16 bits are counted by sorting instead of in a
+  // 2^t table; a repetitive 4000-bit input keeps the most common tuple
+  // above the cutoff until t = 24.
+  common::Xoshiro256StarStar rng(11);
+  common::BitStream bits;
+  const bool pattern[8] = {1, 0, 1, 1, 0, 1, 0, 0};
+  for (int rep = 0; rep < 500; ++rep) {
+    const bool keep = rng.next_double() < 0.9;
+    for (const bool bit : pattern) {
+      bits.push_back(keep ? bit : (rng.next() & 1) != 0);
+    }
+  }
+  std::size_t lengths = 0;
+  const double expected = spec_t_tuple_estimate(bits, lengths);
+  ASSERT_GT(lengths, 16u);
   EXPECT_NEAR(t_tuple_estimate(bits), expected, 1e-12);
 }
 

@@ -57,6 +57,10 @@ layering the library depends on.
       correctness story is bit-identity with the tests-only oracle
       (tests/sp800_22_oracle.hpp); a kernel that nothing compares
       against its oracle is an unchecked rewrite of a statistical test.
+      Outside src/stattests/, a `// trng-analyzer: kernel` line marks
+      the function declared after it as such a kernel (for example
+      common::xor_fold_words, checked against the per-bit fold in
+      tests/oracles.hpp).
 
   TL009 socket-confinement
       No BSD socket calls (socket, socketpair, bind, listen, accept,
@@ -451,12 +455,14 @@ class KernelEquivalenceTest(Rule):
     rule_id = "TL008"
     name = "kernel-equivalence-test"
     doc = ("every kernel declared in a wordpar namespace in a header under "
-           "src/stattests/ must be called by name in a tests/ file whose "
-           "name contains 'equivalence' (the bit-identity suite against the "
-           "tests-only oracle)")
+           "src/stattests/, and every src/ function declared right after a "
+           "`// trng-analyzer: kernel` line, must be called by name in a "
+           "tests/ file whose name contains 'equivalence' (the bit-identity "
+           "suite against the tests-only oracle)")
 
     NAMESPACE_RE = re.compile(
         r"\bnamespace\s+(?:trng\s*::\s*stat\s*::\s*)?wordpar\b")
+    KERNEL_RE = re.compile(r"//\s*trng-analyzer:\s*kernel\b")
     # A declaration line: return type(s), then the kernel name, then its
     # parameter list. Anchored to line starts so parameter continuation
     # lines do not match.
@@ -467,7 +473,7 @@ class KernelEquivalenceTest(Rule):
         self._corpus_cache: dict[pathlib.Path, str] = {}
 
     def applies_to(self, rel):
-        return _under(rel, "src/stattests/") and rel.suffix == ".hpp"
+        return _under(rel, "src/")
 
     def _equivalence_corpus(self, root: pathlib.Path) -> str:
         cached = self._corpus_cache.get(root)
@@ -480,20 +486,34 @@ class KernelEquivalenceTest(Rule):
             self._corpus_cache[root] = cached
         return cached
 
-    def check(self, tu, repo):
+    def _kernel_decls(self, tu):
+        """Name matches of every kernel declaration in the TU: each one in
+        a wordpar namespace of a src/stattests/ header, and the first
+        declaration after each `// trng-analyzer: kernel` annotation."""
+        decls = []
         ns = self.NAMESPACE_RE.search(tu.stripped)
-        if not ns:
+        if ns and _under(tu.rel, "src/stattests/") and tu.rel.suffix == ".hpp":
+            decls.extend(self.DECL_RE.finditer(tu.stripped, ns.end()))
+        for annot in self.KERNEL_RE.finditer(tu.raw):
+            decl = self.DECL_RE.search(tu.stripped, annot.end())
+            if decl and all(decl.start(1) != d.start(1) for d in decls):
+                decls.append(decl)
+        return decls
+
+    def check(self, tu, repo):
+        decls = self._kernel_decls(tu)
+        if not decls:
             return []
         root = tu.path.parents[len(tu.rel.parts) - 1]
         corpus = self._equivalence_corpus(root)
         findings = []
-        for m in self.DECL_RE.finditer(tu.stripped, ns.end()):
+        for m in decls:
             name = m.group(1)
             if re.search(r"\b" + re.escape(name) + r"\s*\(", corpus):
                 continue
             findings.append((
                 facts.line_of(tu.stripped, m.start(1)),
-                f"word-parallel kernel '{name}' is never exercised by any "
+                f"kernel '{name}' is never exercised by any "
                 f"tests/*equivalence* file; compare it against the "
                 f"tests-only oracle in an equivalence suite"))
         return findings

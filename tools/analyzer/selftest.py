@@ -53,6 +53,7 @@ EXPECTED = sorted([
     ("src/core/bad_thread.cpp", "TL007"),    # .detach()
     ("src/core/bad_thread.cpp", "TL007"),    # std::thread member
     ("src/stattests/wordpar_kernels.hpp", "TL008"),  # uncovered_kernel
+    ("src/common/tagged_kernels.hpp", "TL008"),  # annotated uncovered_fold
     ("src/core/bad_socket.cpp", "TL009"),    # ::socket(
     ("src/core/bad_socket.cpp", "TL009"),    # ::bind(
     ("src/core/bad_socket.cpp", "TL009"),    # bare recv(
