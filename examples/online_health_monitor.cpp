@@ -15,7 +15,7 @@
 //   build/examples/online_health_monitor [--json] [--scrape <uds-path>]
 //
 // With --json, the prose goes to stderr and a machine-readable
-// service-metrics snapshot ("trng.service.metrics.v1", the same schema
+// service-metrics snapshot ("trng.service.metrics.v2", the same schema
 // entropy_serverd and the pool's Metrics::snapshot_json emit) is printed
 // to stdout, so the example can be scraped like the service daemon.
 //
@@ -31,6 +31,7 @@
 // 40000) so smoke tests and full runs share this binary.
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include <unistd.h>
@@ -77,14 +78,14 @@ int main(int argc, char** argv) {
   fpga::Fabric fabric(fpga::DeviceGeometry{}, 5);
   core::DesignParams params;
   params.accumulation_cycles = 2;  // tA = 20 ns: H_RAW bound ~ 0.996
-  core::CarryChainTrng trng(fabric, params, 3);
 
   // The monitor watches the POST-PROCESSED stream (np = 7), whose assessed
   // entropy comfortably exceeds 0.95; the raw stream's structural bias
   // would trip a 0.95 monitor by design, not by failure. The decorator
   // draws raw bits from the TRNG in batches and XOR-folds them.
   core::OnlineHealthMonitor monitor(/*h_per_bit=*/0.95);
-  core::XorCompressedSource compressed(trng, /*np=*/7);
+  core::XorCompressedSource compressed(
+      std::make_unique<core::CarryChainTrng>(fabric, params, 3), /*np=*/7);
 
   // One producer slot, same bookkeeping the pool keeps per source.
   service::Metrics metrics(1);

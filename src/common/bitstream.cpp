@@ -24,21 +24,6 @@ BitStream BitStream::from_string(const std::string& bits) {
   return bs;
 }
 
-BitStream BitStream::from_words(const std::vector<std::uint64_t>& words,
-                                unsigned bits_per_word) {
-  if (bits_per_word == 0 || bits_per_word > 64) {
-    throw std::invalid_argument(
-        "BitStream::from_words: bits_per_word must be in [1, 64]");
-  }
-  BitStream bs;
-  if (words.size() > kMaxBits / bits_per_word) {
-    throw std::length_error("BitStream::from_words: size overflow");
-  }
-  bs.reserve(words.size() * bits_per_word);
-  for (std::uint64_t w : words) bs.append_bits(w, bits_per_word);
-  return bs;
-}
-
 BitStream BitStream::adopt_words(std::vector<std::uint64_t> words,
                                  std::size_t nbits) {
   if (nbits > kMaxBits || words.size() != (nbits + 63) / 64) {

@@ -20,10 +20,6 @@ class BitStream {
   /// Throws std::invalid_argument on any other character.
   static BitStream from_string(const std::string& bits);
 
-  /// Constructs from the low `bits_per_word` bits of each value.
-  static BitStream from_words(const std::vector<std::uint64_t>& words,
-                              unsigned bits_per_word);
-
   /// Takes `words` as the storage of an `nbits`-bit stream, packed
   /// LSB-first (the layout core::BitSource::generate_into writes), without
   /// copying it. `words` must hold exactly (nbits + 63) / 64 words; bits
@@ -95,9 +91,9 @@ class BitStream {
   const std::vector<std::uint64_t>& words() const { return words_; }
 
  private:
-  /// Capacity guard used by reserve()/from_words(): large enough for any
-  /// real sequence, small enough that `bits + 63` and
-  /// `words * bits_per_word` can never wrap std::size_t.
+  /// Capacity guard used by reserve(), adopt_words() and append_words():
+  /// large enough for any real sequence, small enough that `bits + 63`
+  /// can never wrap std::size_t.
   static constexpr std::size_t kMaxBits = std::size_t{1} << 48;
 
   std::vector<std::uint64_t> words_;

@@ -32,40 +32,4 @@ void Xoshiro256StarStar::fill_gaussian(double* out, std::size_t n) {
   if (i < n) out[i] = next_gaussian();
 }
 
-std::uint64_t Xoshiro256StarStar::next_below(std::uint64_t bound) {
-  if (bound == 0) return 0;
-  // Lemire's nearly-divisionless unbiased bounded generation.
-  std::uint64_t x = next();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  auto lo = static_cast<std::uint64_t>(m);
-  if (lo < bound) {
-    const std::uint64_t threshold = (0 - bound) % bound;
-    while (lo < threshold) {
-      x = next();
-      m = static_cast<__uint128_t>(x) * bound;
-      lo = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
-void Xoshiro256StarStar::jump() {
-  static constexpr std::uint64_t kJump[] = {
-      0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL, 0xa9582618e03fc9aaULL,
-      0x39abdc4529b1661cULL};
-  std::array<std::uint64_t, 4> t{};
-  for (std::uint64_t jump_word : kJump) {
-    for (int b = 0; b < 64; ++b) {
-      if (jump_word & (1ULL << b)) {
-        t[0] ^= state_[0];
-        t[1] ^= state_[1];
-        t[2] ^= state_[2];
-        t[3] ^= state_[3];
-      }
-      next();
-    }
-  }
-  state_ = t;
-}
-
 }  // namespace trng::common

@@ -82,15 +82,6 @@ class Xoshiro256StarStar {
     return static_cast<double>(next() >> 11) * 0x1.0p-53;
   }
 
-  /// Uniform double in (0, 1) — never returns exactly 0, safe for log().
-  double next_double_open() {
-    // 2^-54 offset keeps the value strictly inside the unit interval.
-    return (static_cast<double>(next() >> 11) + 0.5) * 0x1.0p-53;
-  }
-
-  /// Uniform integer in [0, bound). Uses Lemire's multiply-shift rejection.
-  std::uint64_t next_below(std::uint64_t bound);
-
   /// Standard normal deviate (Marsaglia polar method with caching).
   /// Defined inline: this is the single hottest call in the physics
   /// simulation (every transition and every flip-flop capture draws one).
@@ -119,10 +110,6 @@ class Xoshiro256StarStar {
   /// contract that lets batch kernels pre-draw whole jitter blocks and stay
   /// bit-identical to their scalar reference paths.
   void fill_gaussian(double* out, std::size_t n);
-
-  /// Jump function: advances the stream by 2^128 steps. Calling jump() k
-  /// times on copies yields k non-overlapping parallel substreams.
-  void jump();
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {

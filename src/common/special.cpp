@@ -129,11 +129,6 @@ double igamc(double a, double x) {
   return igamc_cfrac(a, x);
 }
 
-double chi_square_sf(double x, double df) {
-  if (x < 0.0) return 1.0;
-  return igamc(df / 2.0, x / 2.0);
-}
-
 double log_binomial(unsigned n, unsigned k) {
   if (k > n) throw std::domain_error("log_binomial: k > n");
   return lgamma_threadsafe(static_cast<double>(n) + 1.0) -

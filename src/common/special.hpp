@@ -13,10 +13,6 @@ double igam(double a, double x);
 /// Q(df/2, chi2/2). Requires a > 0, x >= 0.
 double igamc(double a, double x);
 
-/// Survival function of the chi-square distribution with `df` degrees of
-/// freedom: P[X >= x].
-double chi_square_sf(double x, double df);
-
 /// Natural log of the binomial coefficient C(n, k).
 double log_binomial(unsigned n, unsigned k);
 

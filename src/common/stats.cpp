@@ -103,11 +103,4 @@ double binary_entropy(double p) {
   return -p * std::log2(p) - (1.0 - p) * std::log2(1.0 - p);
 }
 
-double binary_min_entropy(double p) {
-  if (p < 0.0 || p > 1.0) {
-    throw std::domain_error("binary_min_entropy: p must lie in [0, 1]");
-  }
-  return -std::log2(std::max(p, 1.0 - p));
-}
-
 }  // namespace trng::common

@@ -78,7 +78,4 @@ double chi_square_statistic(const std::vector<std::size_t>& observed,
 /// Binary Shannon entropy H(p) = -p log2 p - (1-p) log2 (1-p); H(0)=H(1)=0.
 double binary_entropy(double p);
 
-/// Binary min-entropy -log2(max(p, 1-p)).
-double binary_min_entropy(double p);
-
 }  // namespace trng::common

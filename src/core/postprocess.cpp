@@ -5,16 +5,9 @@
 
 namespace trng::core {
 
-XorCompressedSource::XorCompressedSource(BitSource& source, unsigned np)
-    : source_(&source), np_(np) {
-  if (np == 0) {
-    throw std::invalid_argument("XorCompressedSource: np must be >= 1");
-  }
-}
-
 XorCompressedSource::XorCompressedSource(std::unique_ptr<BitSource> source,
                                          unsigned np)
-    : owned_(std::move(source)), source_(owned_.get()), np_(np) {
+    : source_(std::move(source)), np_(np) {
   if (source_ == nullptr) {
     throw std::invalid_argument("XorCompressedSource: null source");
   }

@@ -23,10 +23,7 @@ namespace trng::core {
 /// runs the same fold (common::xor_fold_words).
 class XorCompressedSource : public BitSource {
  public:
-  /// Non-owning: `source` must outlive the decorator. np >= 1.
-  XorCompressedSource(BitSource& source, unsigned np);
-
-  /// Owning variant for factory registries. Throws on null source / np == 0.
+  /// Takes ownership of the inner source. Throws on null source / np == 0.
   XorCompressedSource(std::unique_ptr<BitSource> source, unsigned np);
 
   void generate_into(std::uint64_t* words, common::Bits nbits) override;
@@ -38,8 +35,7 @@ class XorCompressedSource : public BitSource {
   unsigned np() const { return np_; }
 
  private:
-  std::unique_ptr<BitSource> owned_;  ///< null in the non-owning case
-  BitSource* source_;
+  std::unique_ptr<BitSource> source_;
   unsigned np_;
   std::vector<std::uint64_t> raw_buf_;
 };

@@ -65,8 +65,8 @@ common::BitStream CarryChainTrng::generate_raw(common::Bits count) {
 
 common::BitStream CarryChainTrng::generate(common::Bits count) {
   if (count.is_zero()) return common::BitStream{};
-  // count * np raw bits, XOR-folded np -> 1: the stream
-  // XorCompressedSource(*this, np) produces.
+  // count * np raw bits, XOR-folded np -> 1: the stream an
+  // XorCompressedSource with the same np produces over this TRNG.
   return BitSource::generate(count * params_.np).xor_fold(params_.np);
 }
 

@@ -3,9 +3,9 @@
 // pool's service snapshot.
 //
 // Schema: "trng.server.metrics.v2". The service layer's
-// "trng.service.metrics.v1" object is nested verbatim under "service", so
-// a scraper of the daemon sees both tiers in one document and existing
-// service-schema consumers keep working unchanged.
+// "trng.service.metrics.v2" object is nested verbatim under "service", so
+// a scraper of the daemon sees both tiers in one document and reads the
+// nested object exactly as it would the pool's own snapshot.
 //
 // Same discipline as service/metrics.hpp: every counter is a relaxed
 // atomic (monotonic event tallies plus a few gauges); a snapshot is a

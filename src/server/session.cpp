@@ -37,17 +37,6 @@ std::uint16_t get_u16(const std::uint8_t* in) {
 
 }  // namespace
 
-const char* status_name(Status status) {
-  switch (status) {
-    case Status::kOk: return "ok";
-    case Status::kBackpressure: return "backpressure";
-    case Status::kRateLimited: return "rate_limited";
-    case Status::kBadRequest: return "bad_request";
-    case Status::kShuttingDown: return "shutting_down";
-  }
-  return "unknown";
-}
-
 void encode_request(const Request& req,
                     std::uint8_t out[kRequestFrameBytes]) {
   put_u32(out, kRequestMagic);

@@ -51,8 +51,6 @@ enum class Status : std::uint8_t {
   kShuttingDown = 4,
 };
 
-const char* status_name(Status status);
-
 struct Request {
   MessageType type = MessageType::kDraw;
   std::uint8_t flags = 0;

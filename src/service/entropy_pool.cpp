@@ -140,19 +140,6 @@ common::Words EntropyPool::draw(std::uint64_t* words, common::Words nwords) {
   return blocking_draw(kEveryShard, words, nwords, ~std::uint64_t{0});
 }
 
-common::Words EntropyPool::draw_nonblocking(std::uint64_t* words,
-                                            common::Words nwords) {
-  metrics_.draws.fetch_add(1, std::memory_order_relaxed);
-  const common::Words delivered = take(kEveryShard, words, nwords);
-  metrics_.words_drawn.fetch_add(delivered.count(),
-                                 std::memory_order_relaxed);
-  if (delivered < nwords) {
-    metrics_.nonblocking_shortfall_words.fetch_add(
-        (nwords - delivered).count(), std::memory_order_relaxed);
-  }
-  return delivered;
-}
-
 common::Words EntropyPool::draw_from_shard(std::size_t shard,
                                            std::uint64_t* words,
                                            common::Words nwords,

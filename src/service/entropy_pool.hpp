@@ -79,14 +79,11 @@ class EntropyPool {
   /// stopped and drained. Thread-safe (any number of consumers).
   common::Words draw(std::uint64_t* words, common::Words nwords);
 
-  /// Non-blocking draw: delivers whatever is buffered right now, up to
-  /// `nwords`; returns the number of words delivered.
-  common::Words draw_nonblocking(std::uint64_t* words, common::Words nwords);
-
   /// Blocking draw confined to producer `shard`'s ring: delivers up to
   /// `nwords` words from that ring only, waiting at most `timeout_ns` for
   /// them to arrive. Returns the number delivered — short on timeout or
-  /// once the pool is stopped and the ring drained. This is how the
+  /// once the pool is stopped and the ring drained; a zero timeout
+  /// delivers only the words already buffered. This is how the
   /// server tier's per-shard DRBGs reseed: a quarantined producer starves
   /// only its own shard's reseeds instead of the whole pool. Thread-safe.
   /// Throws std::out_of_range on a bad shard index.

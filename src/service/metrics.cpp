@@ -109,13 +109,11 @@ void Metrics::set_label(std::size_t i, std::string label) {
 std::string Metrics::snapshot_json() const {
   std::string out;
   out.reserve(512 + 512 * sources_.size());
-  out += "{\"schema\": \"trng.service.metrics.v1\", \"pool\": {";
+  out += "{\"schema\": \"trng.service.metrics.v2\", \"pool\": {";
   append_kv(out, "draws", draws.load(std::memory_order_relaxed));
   append_kv(out, "words_drawn", words_drawn.load(std::memory_order_relaxed));
   append_kv(out, "draw_wait_ns",
             draw_wait_ns.load(std::memory_order_relaxed));
-  append_kv(out, "nonblocking_shortfall_words",
-            nonblocking_shortfall_words.load(std::memory_order_relaxed));
   out += "\"draw_wait_us_histogram\": ";
   out += draw_wait_us.to_json();
   out += "}, \"producers\": [";

@@ -8,7 +8,7 @@
 //
 // snapshot_json() renders the whole structure as a single JSON object so
 // the service daemon, the examples and any external scraper share one
-// schema ("trng.service.metrics.v1").
+// schema ("trng.service.metrics.v2").
 #pragma once
 
 #include <atomic>
@@ -122,8 +122,6 @@ class Metrics {
   std::atomic<std::uint64_t> words_drawn{0};
   // trng-analyzer: atomic(counter)
   std::atomic<std::uint64_t> draw_wait_ns{0};  ///< blocked, all rings empty
-  // trng-analyzer: atomic(counter)
-  std::atomic<std::uint64_t> nonblocking_shortfall_words{0};
   /// Per-draw blocking wait, microseconds.
   Histogram draw_wait_us{{1, 10, 100, 1000, 10000, 100000, 1000000}};
 

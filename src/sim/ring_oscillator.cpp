@@ -79,12 +79,6 @@ RingOscillator::RingOscillator(std::vector<Picoseconds> stage_delays,
   }
 }
 
-Picoseconds RingOscillator::mean_stage_delay() const {
-  Picoseconds sum = 0.0;
-  for (Picoseconds d : stage_delays_) sum += d;
-  return sum / static_cast<double>(stage_delays_.size());
-}
-
 Picoseconds RingOscillator::nominal_half_period() const {
   Picoseconds sum = 0.0;
   for (Picoseconds d : stage_delays_) sum += d;

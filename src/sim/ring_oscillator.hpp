@@ -67,7 +67,6 @@ class RingOscillator {
   static constexpr Picoseconds kDefaultHistoryWindowPs = 1500.0;
 
   int stages() const { return static_cast<int>(stage_delays_.size()); }
-  Picoseconds mean_stage_delay() const;
   /// Noise-free half-period: sum of static stage delays.
   Picoseconds nominal_half_period() const;
 

@@ -146,12 +146,6 @@ TestResult random_excursions_test(const common::BitStream& bits);
 /// Inapplicable when J < 500.
 TestResult random_excursions_variant_test(const common::BitStream& bits);
 
-/// Linear complexity of the block of bits [begin, begin + len): the
-/// linear-complexity test's lane-parallel Berlekamp–Massey run on one block
-/// (helper, exposed for unit testing).
-std::size_t berlekamp_massey_words(const common::BitStream& bits,
-                                   std::size_t begin, std::size_t len);
-
 /// Bitsliced GF(2) rank of `nrows` packed matrix rows (row r's column j at
 /// rows[r] bit j, as the rank test packs them): pivot-insertion row echelon
 /// — each row is reduced against the pivots found so far, one whole-row XOR

@@ -354,13 +354,6 @@ void berlekamp_massey_lanes(const common::BitStream& bits, std::size_t begin,
 
 }  // namespace
 
-std::size_t berlekamp_massey_words(const common::BitStream& bits,
-                                   std::size_t begin, std::size_t len) {
-  std::size_t length = 0;
-  berlekamp_massey_lanes(bits, begin, len, 1, &length);
-  return length;
-}
-
 TestResult linear_complexity_test(const common::BitStream& bits,
                                   std::size_t block_len) {
   const std::size_t n = bits.size();

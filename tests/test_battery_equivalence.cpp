@@ -235,30 +235,6 @@ TEST(BatteryEquivalence, UniversalStatisticExplicitParameters) {
                std::invalid_argument);
 }
 
-TEST(BatteryEquivalence, BerlekampMasseyWords) {
-  const auto bits = random_bits(5000, 11);
-  for (const std::size_t begin : {0u, 1u, 63u, 64u, 100u}) {
-    for (const std::size_t len : {1u, 2u, 64u, 129u, 500u, 1000u}) {
-      SCOPED_TRACE(begin);
-      SCOPED_TRACE(len);
-      std::vector<bool> block;
-      block.reserve(len);
-      for (std::size_t i = 0; i < len; ++i) block.push_back(bits[begin + i]);
-      EXPECT_EQ(oracle::berlekamp_massey(block),
-                wordpar::berlekamp_massey_words(bits, begin, len));
-    }
-  }
-  // Degenerate blocks: all zeros (L = 0) and a single trailing one.
-  common::BitStream zeros;
-  for (int i = 0; i < 200; ++i) zeros.push_back(false);
-  EXPECT_EQ(wordpar::berlekamp_massey_words(zeros, 0, 200), 0u);
-  zeros.push_back(true);
-  std::vector<bool> trailing_one(201, false);
-  trailing_one[200] = true;
-  EXPECT_EQ(wordpar::berlekamp_massey_words(zeros, 0, 201),
-            oracle::berlekamp_massey(trailing_one));
-}
-
 TEST(BatteryEquivalence, LinearComplexityLaneGroups) {
   // Berlekamp–Massey runs 64 blocks per word: block counts around the lane
   // groups (the last group partial), then block lengths around word
@@ -276,8 +252,7 @@ TEST(BatteryEquivalence, LinearComplexityLaneGroups) {
                      wordpar::linear_complexity_test(bits, m));
   }
   // One lane group mixing all-zero blocks (L = 0), blocks whose only one
-  // is the last bit (L = M) and random blocks; each block also goes through
-  // the one-block entry point against the oracle.
+  // is the last bit (L = M) and random blocks.
   constexpr std::size_t kLen = 500;
   const auto noise = random_bits(256 * kLen, 61);
   common::BitStream mixed;
@@ -291,13 +266,6 @@ TEST(BatteryEquivalence, LinearComplexityLaneGroups) {
   }
   expect_identical(oracle::linear_complexity_test(mixed),
                    wordpar::linear_complexity_test(mixed));
-  std::vector<bool> block(kLen);
-  for (std::size_t b = 0; b < 6; ++b) {
-    SCOPED_TRACE(b);
-    for (std::size_t i = 0; i < kLen; ++i) block[i] = mixed[b * kLen + i];
-    EXPECT_EQ(oracle::berlekamp_massey(block),
-              wordpar::berlekamp_massey_words(mixed, b * kLen, kLen));
-  }
 }
 
 TEST(BatteryEquivalence, NonOverlappingTemplateEveryLength) {

@@ -202,8 +202,8 @@ TEST(BitSource, GenerateMatchesGenerateInto) {
 TEST(XorCompressedSource, MatchesManualFold) {
   const auto fabric = default_fabric();
   CarryChainTrng raw(fabric, DesignParams{}, 9);
-  CarryChainTrng wrapped_inner(fabric, DesignParams{}, 9);
-  XorCompressedSource wrapped(wrapped_inner, 7);
+  XorCompressedSource wrapped(
+      std::make_unique<CarryChainTrng>(fabric, DesignParams{}, 9), 7);
   const common::BitStream expected = raw.generate_raw(trng::common::Bits{70 * 7}).xor_fold(7);
   const common::BitStream got = wrapped.generate(trng::common::Bits{70});
   ASSERT_EQ(got.size(), expected.size());
@@ -214,23 +214,23 @@ TEST(XorCompressedSource, ChunkInvariant) {
   // The decorator over both inner pipelines: each chunk pulls its
   // chunk * np raw bits from where the previous one stopped.
   const auto fabric = default_fabric();
-  CarryChainTrng carry_a(fabric, DesignParams{}, 21);
-  CarryChainTrng carry_b(fabric, DesignParams{}, 21);
-  XorCompressedSource carry_chunked(carry_a, 7);
-  XorCompressedSource carry_one_shot(carry_b, 7);
+  XorCompressedSource carry_chunked(
+      std::make_unique<CarryChainTrng>(fabric, DesignParams{}, 21), 7);
+  XorCompressedSource carry_one_shot(
+      std::make_unique<CarryChainTrng>(fabric, DesignParams{}, 21), 7);
   expect_chunk_invariant(carry_chunked, carry_one_shot, 300);
 
-  ElementaryTrng elem_a(480.0, 2.0, 800, 21);
-  ElementaryTrng elem_b(480.0, 2.0, 800, 21);
-  XorCompressedSource elem_chunked(elem_a, 3);
-  XorCompressedSource elem_one_shot(elem_b, 3);
+  XorCompressedSource elem_chunked(
+      std::make_unique<ElementaryTrng>(480.0, 2.0, 800, 21), 3);
+  XorCompressedSource elem_one_shot(
+      std::make_unique<ElementaryTrng>(480.0, 2.0, 800, 21), 3);
   expect_chunk_invariant(elem_chunked, elem_one_shot, 600);
 }
 
 TEST(XorCompressedSource, InfoReflectsCompression) {
-  ElementaryTrng inner(480.0, 2.0, 800, 1);
-  const SourceInfo raw_info = inner.info();
-  XorCompressedSource wrapped(inner, 7);
+  const SourceInfo raw_info = ElementaryTrng(480.0, 2.0, 800, 1).info();
+  XorCompressedSource wrapped(
+      std::make_unique<ElementaryTrng>(480.0, 2.0, 800, 1), 7);
   const SourceInfo info = wrapped.info();
   EXPECT_NE(info.name.find("XOR np=7"), std::string::npos);
   EXPECT_DOUBLE_EQ(info.throughput_bps, raw_info.throughput_bps / 7.0);

@@ -236,12 +236,5 @@ TEST(BitStream, WordAtExtractsUnalignedWindows) {
   EXPECT_EQ(BitStream{}.word_at(0), 0u);
 }
 
-TEST(BitStream, FromWords) {
-  const BitStream bs = BitStream::from_words({0b101, 0b011}, 3);
-  EXPECT_EQ(bs.to_string(), "101110");  // LSB-first per word
-  EXPECT_THROW(BitStream::from_words({1}, 0), std::invalid_argument);
-  EXPECT_THROW(BitStream::from_words({1}, 65), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace trng::common

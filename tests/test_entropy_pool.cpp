@@ -366,7 +366,7 @@ TEST(ServiceMetrics, SnapshotJsonCarriesLabelsStatesAndCounters) {
   metrics.words_drawn.store(999);
 
   const std::string json = metrics.snapshot_json();
-  EXPECT_NE(json.find("\"schema\": \"trng.service.metrics.v1\""),
+  EXPECT_NE(json.find("\"schema\": \"trng.service.metrics.v2\""),
             std::string::npos);
   EXPECT_NE(json.find("\"words_produced\": 1234"), std::string::npos);
   EXPECT_NE(json.find("\"words_drawn\": 999"), std::string::npos);
@@ -703,24 +703,6 @@ TEST(EntropyPool, StopMakesDrawReturnShortAfterDraining) {
   EXPECT_EQ(pool.draw(&one, Words{1}), Words{0});
 }
 
-TEST(EntropyPool, NonblockingDrawDeliversBufferedWordsOnly) {
-  service::PoolConfig cfg;
-  cfg.producers = 1;
-  cfg.producer = permissive_producer(512);
-  cfg.ring_capacity_words = Words{64};
-
-  service::EntropyPool pool(registry_factory("str-virtex", 80), cfg);
-  // Not started: nothing buffered, shortfall is metered.
-  std::vector<std::uint64_t> words(16);
-  EXPECT_EQ(pool.draw_nonblocking(words.data(), Words{16}), Words{0});
-  EXPECT_EQ(pool.metrics().nonblocking_shortfall_words.load(), 16u);
-
-  // Drive one block in by hand (512 bits = 8 words) and draw it out.
-  ASSERT_TRUE(pool.producer(0).step());
-  EXPECT_EQ(pool.draw_nonblocking(words.data(), Words{16}), Words{8});
-  EXPECT_EQ(pool.metrics().nonblocking_shortfall_words.load(), 16u + 8u);
-}
-
 TEST(EntropyPool, BackpressureStallsProducerAndIsMetered) {
   service::PoolConfig cfg;
   cfg.producers = 1;
@@ -734,7 +716,7 @@ TEST(EntropyPool, BackpressureStallsProducerAndIsMetered) {
 
   std::vector<std::uint64_t> words(8);
   ASSERT_TRUE(eventually([&] {
-    (void)pool.draw_nonblocking(words.data(), Words{words.size()});
+    (void)pool.draw_from_shard(0, words.data(), Words{words.size()}, 0);
     return pool.metrics().producer(0).stall_ns.load() > 0;
   }));
   pool.stop();
@@ -836,13 +818,18 @@ TEST(EntropyPool, DrawFromShardIsShardConfinedAndTimesOut) {
 
   // Never started: drive only producer 0 by hand so shard 1 stays empty.
   service::EntropyPool pool(registry_factory("str-virtex", 115), cfg);
+  std::vector<std::uint64_t> words(16);
+  // A zero timeout delivers only buffered words: none before the first
+  // block, then that block's 8, short of the 16 asked for.
+  EXPECT_EQ(pool.draw_from_shard(0, words.data(), Words{16}, 0), Words{0});
   ASSERT_TRUE(pool.producer(0).step());  // 512 bits = 8 words into ring 0
+  EXPECT_EQ(pool.draw_from_shard(0, words.data(), Words{16}, 0), Words{8});
 
-  std::vector<std::uint64_t> words(8);
+  ASSERT_TRUE(pool.producer(0).step());
   EXPECT_EQ(pool.draw_from_shard(0, words.data(), Words{8},
                                  /*timeout_ns=*/1'000'000'000ull),
             Words{8});
-  EXPECT_EQ(pool.metrics().producer(0).words_drawn.load(), 8u);
+  EXPECT_EQ(pool.metrics().producer(0).words_drawn.load(), 16u);
   EXPECT_EQ(pool.metrics().producer(1).words_drawn.load(), 0u);
 
   // Shard 1 never produced: a bounded wait must expire, not hang or steal.
@@ -901,10 +888,10 @@ TEST(EntropyPool, SnapshotJsonReflectsLiveCounters) {
   service::EntropyPool pool(registry_factory("str-virtex", 110), cfg);
   ASSERT_TRUE(pool.producer(0).step());
   std::vector<std::uint64_t> words(8);
-  ASSERT_EQ(pool.draw_nonblocking(words.data(), Words{8}), Words{8});
+  ASSERT_EQ(pool.draw(words.data(), Words{8}), Words{8});
 
   const std::string json = pool.metrics().snapshot_json();
-  EXPECT_NE(json.find("\"schema\": \"trng.service.metrics.v1\""),
+  EXPECT_NE(json.find("\"schema\": \"trng.service.metrics.v2\""),
             std::string::npos);
   EXPECT_NE(json.find("\"words_produced\": 8"), std::string::npos);
   EXPECT_NE(json.find("\"words_drawn\": 8"), std::string::npos);

@@ -121,7 +121,7 @@ EpisodeTrace run_manual_episode() {
   std::vector<std::uint64_t> scratch(64);
   auto step_once = [&] {
     EXPECT_TRUE(producer.step());
-    (void)pool.draw_nonblocking(scratch.data(), Words{scratch.size()});
+    (void)pool.draw_from_shard(0, scratch.data(), Words{scratch.size()}, 0);
   };
 
   // Phase 1: under attack, the gate must trip and quarantine the source.
@@ -202,13 +202,15 @@ TEST(EntropyPoolFailover, PoolStaysAvailableAndReadmitsAfterAttackClears) {
   const auto& victim = pool.metrics().producer(1);
   std::vector<std::uint64_t> scratch(64);
   auto drain = [&] {
-    return pool.draw_nonblocking(scratch.data(), Words{scratch.size()});
+    for (std::size_t i = 0; i < pool.producers(); ++i) {
+      (void)pool.draw_from_shard(i, scratch.data(), Words{scratch.size()}, 0);
+    }
   };
 
   // The attack is detected: the victim gets quarantined at least once.
   // Keep draining so neither producer parks on a full ring.
   ASSERT_TRUE(eventually([&] {
-    (void)drain();
+    drain();
     return victim.quarantines.load() > 0;
   })) << "victim was never quarantined";
 
@@ -225,7 +227,7 @@ TEST(EntropyPoolFailover, PoolStaysAvailableAndReadmitsAfterAttackClears) {
   attacked->store(false);
   const std::uint64_t reseeds_at_clear = victim.reseeds.load();
   ASSERT_TRUE(eventually([&] {
-    (void)drain();
+    drain();
     return victim.reseeds.load() > reseeds_at_clear &&
            pool.producer_state(1) == service::AdmitState::kHealthy;
   })) << "victim never returned to healthy service after the attack";
@@ -233,7 +235,7 @@ TEST(EntropyPoolFailover, PoolStaysAvailableAndReadmitsAfterAttackClears) {
   // Post-readmission the victim contributes admitted blocks again.
   const std::uint64_t admitted_now = victim.blocks_admitted.load();
   ASSERT_TRUE(eventually([&] {
-    (void)drain();
+    drain();
     return victim.blocks_admitted.load() > admitted_now;
   }));
   for (int i = 0; i < 3; ++i) {
@@ -248,7 +250,7 @@ TEST(EntropyPoolFailover, PoolStaysAvailableAndReadmitsAfterAttackClears) {
   EXPECT_GT(victim.quarantines.load(), 0u);
   EXPECT_GT(victim.words_discarded.load(), 0u);
   const std::string json = pool.metrics().snapshot_json();
-  EXPECT_NE(json.find("\"schema\": \"trng.service.metrics.v1\""),
+  EXPECT_NE(json.find("\"schema\": \"trng.service.metrics.v2\""),
             std::string::npos);
 }
 

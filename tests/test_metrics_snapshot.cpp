@@ -1,4 +1,4 @@
-// Tests for Metrics::snapshot_json(): the trng.service.metrics.v1
+// Tests for Metrics::snapshot_json(): the trng.service.metrics.v2
 // document emitted by a live EntropyPool must carry every required key,
 // one complete section per producer, and well-formed histograms — and it
 // must never contain a raw drawn word (the snapshot is the one service
@@ -69,6 +69,33 @@ std::vector<std::uint64_t> parse_array(const std::string& json,
   return out;
 }
 
+// The keys of the object that opens at the first '{' at or after `from`,
+// in document order; nested objects and arrays are skipped. Keys and
+// string values never contain quotes or braces in these snapshots.
+std::vector<std::string> object_keys(const std::string& json,
+                                     std::size_t from) {
+  std::vector<std::string> keys;
+  std::size_t at = json.find('{', from);
+  EXPECT_NE(at, std::string::npos) << "no object after offset " << from;
+  if (at == std::string::npos) return keys;
+  int depth = 0;
+  for (; at < json.size(); ++at) {
+    const char c = json[at];
+    if (c == '{' || c == '[') ++depth;
+    if (c == '}' || c == ']') {
+      if (--depth == 0) break;
+    }
+    if (c != '"') continue;
+    const std::size_t close = json.find('"', at + 1);
+    if (close == std::string::npos) break;
+    if (depth == 1 && json.compare(close + 1, 1, ":") == 0) {
+      keys.push_back(json.substr(at + 1, close - at - 1));
+    }
+    at = close;
+  }
+  return keys;
+}
+
 // Builds a pool, runs every producer a few deterministic steps, draws a
 // handful of words and returns {snapshot, drawn words}.
 struct SnapshotRun {
@@ -96,7 +123,7 @@ void run_pool_snapshot(std::size_t producers, std::size_t draw_words,
   }
 
   run.drawn.resize(draw_words);
-  EXPECT_EQ(pool.draw_nonblocking(run.drawn.data(), Words{draw_words}),
+  EXPECT_EQ(pool.draw(run.drawn.data(), Words{draw_words}),
             Words{draw_words});
   run.json = pool.metrics().snapshot_json();
 }
@@ -108,14 +135,14 @@ TEST(ServiceMetricsSnapshot, TopLevelSchemaKeysPresent) {
   run_pool_snapshot(2, 32, run);
   const std::string& json = run.json;
 
-  EXPECT_NE(json.find("\"schema\": \"trng.service.metrics.v1\""),
-            std::string::npos);
-  for (const char* key :
-       {"\"pool\": {", "\"draws\": ", "\"words_drawn\": ",
-        "\"draw_wait_ns\": ", "\"nonblocking_shortfall_words\": ",
-        "\"draw_wait_us_histogram\": ", "\"producers\": ["}) {
-    EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
-  }
+  EXPECT_EQ(json.rfind("{\"schema\": \"trng.service.metrics.v2\", ", 0), 0u);
+  EXPECT_EQ(object_keys(json, 0),
+            (std::vector<std::string>{"schema", "pool", "producers"}));
+  // v2 dropped v1's nonblocking_shortfall_words with the draw it metered.
+  EXPECT_EQ(object_keys(json, json.find("\"pool\": {")),
+            (std::vector<std::string>{"draws", "words_drawn", "draw_wait_ns",
+                                      "draw_wait_us_histogram"}));
+  EXPECT_EQ(json.find("nonblocking_shortfall_words"), std::string::npos);
 }
 
 TEST(ServiceMetricsSnapshot, EveryProducerSectionIsComplete) {

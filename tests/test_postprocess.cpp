@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <utility>
 
 #include "common/rng.hpp"
@@ -47,16 +48,16 @@ common::BitStream random_bits(std::size_t n, std::uint64_t seed) {
 TEST(XorPostProcessor, RejectsZeroRate) {
   EXPECT_THROW((void)common::BitStream::from_string("1").xor_fold(0),
                std::invalid_argument);
-  ReplaySource inner(common::BitStream{});
-  EXPECT_THROW(XorCompressedSource(inner, 0), std::invalid_argument);
+  EXPECT_THROW(XorCompressedSource(
+                   std::make_unique<ReplaySource>(common::BitStream{}), 0),
+               std::invalid_argument);
   EXPECT_THROW(XorCompressedSource(nullptr, 1), std::invalid_argument);
 }
 
 TEST(XorPostProcessor, Np1PassesThrough) {
   const common::BitStream raw = random_bits(1000, 4);
   EXPECT_TRUE(raw.xor_fold(1) == raw);
-  ReplaySource inner(raw);
-  XorCompressedSource pass(inner, 1);
+  XorCompressedSource pass(std::make_unique<ReplaySource>(raw), 1);
   EXPECT_TRUE(pass.generate(common::Bits{1000}) == raw);
 }
 
@@ -69,8 +70,7 @@ TEST(XorPostProcessor, StreamingMatchesBlock) {
     SCOPED_TRACE(np);
     const common::BitStream block = raw.xor_fold(np);
     ASSERT_EQ(block.size(), raw.size() / np);
-    ReplaySource inner(raw);
-    XorCompressedSource folded(inner, np);
+    XorCompressedSource folded(std::make_unique<ReplaySource>(raw), np);
     common::BitStream streamed;
     for (std::size_t chunk = 1; streamed.size() < block.size(); chunk += 37) {
       const std::size_t n = std::min(chunk, block.size() - streamed.size());
@@ -87,8 +87,7 @@ TEST(XorPostProcessor, StreamingMatchesBlock) {
 TEST(XorPostProcessor, KnownFold) {
   const auto raw = common::BitStream::from_string("110" "011" "1");
   EXPECT_EQ(raw.xor_fold(3).to_string(), "00");  // partial group dropped
-  ReplaySource inner(raw);
-  XorCompressedSource folded(inner, 3);
+  XorCompressedSource folded(std::make_unique<ReplaySource>(raw), 3);
   EXPECT_EQ(folded.generate(common::Bits{2}).to_string(), "00");
 }
 
@@ -107,8 +106,7 @@ TEST(XorPostProcessor, PilingUpLemma) {
     const auto out = biased.xor_fold(np);
     EXPECT_NEAR(std::fabs(out.ones_fraction() - 0.5), expected, 0.004)
         << "np = " << np;
-    ReplaySource inner(biased);
-    XorCompressedSource folded(inner, np);
+    XorCompressedSource folded(std::make_unique<ReplaySource>(biased), np);
     EXPECT_TRUE(folded.generate(common::Bits{out.size()}) == out)
         << "np = " << np;
   }

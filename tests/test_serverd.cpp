@@ -100,14 +100,6 @@ TEST(ServerWire, ResponseRoundTripsAndRejectsBadMagic) {
   EXPECT_FALSE(server::decode_response(header, &back));
 }
 
-TEST(ServerWire, StatusNamesAreStable) {
-  EXPECT_STREQ(server::status_name(Status::kOk), "ok");
-  EXPECT_STREQ(server::status_name(Status::kBackpressure), "backpressure");
-  EXPECT_STREQ(server::status_name(Status::kRateLimited), "rate_limited");
-  EXPECT_STREQ(server::status_name(Status::kBadRequest), "bad_request");
-  EXPECT_STREQ(server::status_name(Status::kShuttingDown), "shutting_down");
-}
-
 // ------------------------------------------------------------ token bucket
 
 TEST(ServerTokenBucket, ZeroRateNeverLimits) {
@@ -444,7 +436,7 @@ TEST(ServerDaemonTest, MetricsScrapeCarriesBothSchemas) {
   EXPECT_NE(json.find("\"schema\": \"trng.server.metrics.v2\""),
             std::string::npos);
   // The pool's own snapshot rides along, unchanged, under "service".
-  EXPECT_NE(json.find("\"schema\": \"trng.service.metrics.v1\""),
+  EXPECT_NE(json.find("\"schema\": \"trng.service.metrics.v2\""),
             std::string::npos);
   EXPECT_NE(json.find("\"bytes_generated\": 512"), std::string::npos);
   EXPECT_NE(json.find("\"sessions_opened\": 1"), std::string::npos);
@@ -491,7 +483,7 @@ std::size_t count_of(const std::string& haystack, const std::string& needle) {
 }
 
 // The trng.server.metrics.v2 document: schema, every daemon key, one
-// object per shard, no per-client array, the service v1 object embedded
+// object per shard, no per-client array, the service v2 object embedded
 // whole; and the daemon-wide request counters conserve requests over
 // two sessions.
 TEST(ServerMetricsV2, DocumentShapeAndRequestConservation) {
@@ -570,7 +562,7 @@ TEST(ServerMetricsV2, DocumentShapeAndRequestConservation) {
   // The embedded service object is whole and closes the document.
   const std::string service = object_at(json, "service");
   ASSERT_FALSE(service.empty());
-  EXPECT_EQ(service.rfind("{\"schema\": \"trng.service.metrics.v1\", ", 0),
+  EXPECT_EQ(service.rfind("{\"schema\": \"trng.service.metrics.v2\", ", 0),
             0u);
   EXPECT_EQ(json.size(), json.find(service) + service.size() + 1);
   EXPECT_EQ(json.back(), '}');

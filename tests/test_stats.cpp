@@ -1,8 +1,6 @@
 // Unit tests for the online statistics helpers.
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 
@@ -99,24 +97,6 @@ TEST(BinaryEntropy, KnownValues) {
   EXPECT_THROW(binary_entropy(-0.1), std::domain_error);
   EXPECT_THROW(binary_entropy(1.1), std::domain_error);
 }
-
-TEST(BinaryMinEntropy, KnownValues) {
-  EXPECT_DOUBLE_EQ(binary_min_entropy(0.5), 1.0);
-  EXPECT_NEAR(binary_min_entropy(0.75), -std::log2(0.75), 1e-12);
-  EXPECT_DOUBLE_EQ(binary_min_entropy(1.0), 0.0);
-  EXPECT_LE(binary_min_entropy(0.3), binary_entropy(0.3));
-}
-
-class EntropyOrdering : public ::testing::TestWithParam<double> {};
-
-TEST_P(EntropyOrdering, MinEntropyNeverExceedsShannon) {
-  const double p = GetParam();
-  EXPECT_LE(binary_min_entropy(p), binary_entropy(p) + 1e-12);
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, EntropyOrdering,
-                         ::testing::Values(0.01, 0.1, 0.3, 0.5, 0.7, 0.9,
-                                           0.99));
 
 }  // namespace
 }  // namespace trng::common

@@ -1122,14 +1122,13 @@ class AtomicsDiscipline(Rule):
 # interfaces lead with the destination buffer; the sharded pool and the
 # DRBG conditioner take the shard index first, buffer second.
 _TAINT_SOURCE_CALLS = {"generate_into": 0, "pop_some": 0, "draw": 0,
-                       "draw_nonblocking": 0, "draw_from_shard": 1}
+                       "draw_from_shard": 1}
 
 # Definitions of the entropy-carrying interfaces taint their own word
 # buffer parameter: the body of generate_into writes raw entropy into
 # it, the body of push reads raw entropy out of it.
 _TAINT_DEF_RE = re.compile(
-    r"\b(generate_into|push|pop_some|draw|draw_nonblocking|"
-    r"draw_from_shard)\s*"
+    r"\b(generate_into|push|pop_some|draw|draw_from_shard)\s*"
     r"\(([^)]*)\)[^;{}]*\{")
 
 _WORD_PTR_PARAM_RE = re.compile(
