@@ -84,7 +84,7 @@ int main() {
 
   std::printf(
       "\ntakeaway: the attack slashes the RAW stream's assessed entropy\n"
-      "(90B 0.84 -> ~0.37) and trips the online monitor, while the\n"
+      "(90B 0.82 -> ~0.38) and trips the online monitor, while the\n"
       "post-processed output still sails through the offline battery —\n"
       "black-box output testing cannot see the attack that raw-signal\n"
       "assessment catches. This is precisely the paper's argument for\n"

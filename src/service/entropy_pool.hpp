@@ -99,8 +99,9 @@ class EntropyPool {
   Metrics& metrics() { return metrics_; }
   const Metrics& metrics() const { return metrics_; }
 
-  /// Direct access for deterministic single-threaded tests (drive
-  /// Producer::step() by hand). Must not be mixed with start().
+  /// Direct access for deterministic tests (drive Producer::step() by
+  /// hand). Never step a producer while its thread runs: after start(),
+  /// only between its stop_and_join() and a fresh Producer::start().
   Producer& producer(std::size_t i) { return *producers_[i]; }
   WordRing& ring(std::size_t i) { return *rings_[i]; }
 

@@ -1,8 +1,10 @@
 #include "sim/delay_line.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 
 namespace trng::sim {
@@ -18,17 +20,66 @@ TappedDelayLineSim::TappedDelayLineSim(const fpga::ElaboratedDelayLine& timing,
       timing_.tap_delay.size() != timing_.ff_clock_skew.size()) {
     throw std::invalid_argument("TappedDelayLineSim: inconsistent timing");
   }
-  static_offset_.reserve(timing_.tap_delay.size());
-  offset_lo_ = std::numeric_limits<Picoseconds>::infinity();
-  offset_hi_ = -offset_lo_;
-  for (std::size_t j = 0; j < timing_.tap_delay.size(); ++j) {
+  const std::size_t m = timing_.tap_delay.size();
+  static_offset_.reserve(m);
+  std::vector<Picoseconds> offset(m);
+  for (std::size_t j = 0; j < m; ++j) {
     static_offset_.push_back(ff_spec_.static_offset_sigma_ps *
                              rng_.next_gaussian());
-    const Picoseconds offset = timing_.ff_clock_skew[j] -
-                               timing_.cumulative_delay[j] + static_offset_[j];
-    offset_lo_ = std::min(offset_lo_, offset);
-    offset_hi_ = std::max(offset_hi_, offset);
+    offset[j] = timing_.ff_clock_skew[j] - timing_.cumulative_delay[j] +
+                static_offset_[j];
+    magnitude_ = std::max(magnitude_,
+                          std::fabs(timing_.ff_clock_skew[j]) +
+                              std::fabs(timing_.cumulative_delay[j]) +
+                              std::fabs(static_offset_[j]));
   }
+
+  // The taps in ascending offset: clock skew and static offsets make the
+  // order non-monotone in j, which is where the bubbles come from.
+  std::vector<std::size_t> order(m);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return offset[a] < offset[b];
+                   });
+  words_ = (m + 63) / 64;
+  sorted_offset_.resize(m);
+  prefix_mask_.assign((m + 1) * words_, 0);
+  for (std::size_t r = 0; r < m; ++r) {
+    sorted_offset_[r] = offset[order[r]];
+    std::uint64_t* entry = &prefix_mask_[(r + 1) * words_];
+    std::copy_n(entry - words_, words_, entry);
+    entry[order[r] >> 6] |= 1ULL << (order[r] & 63);
+  }
+  offset_lo_ = sorted_offset_.front();
+  offset_hi_ = sorted_offset_.back();
+  candidates_.resize(words_);
+
+  // m equal-width buckets over [offset_lo_, offset_hi_]. bucket_rank_[b]
+  // counts the offsets in lower buckets; bucket() is monotone, so each of
+  // them lies below every value of bucket b.
+  const Picoseconds span = offset_hi_ - offset_lo_;
+  bucket_scale_ = span > 0.0 ? static_cast<double>(m) / span : 0.0;
+  bucket_rank_.assign(m, 0);
+  for (const Picoseconds o : sorted_offset_) {
+    if (bucket(o) + 1 < m) ++bucket_rank_[bucket(o) + 1];
+  }
+  std::partial_sum(bucket_rank_.begin(), bucket_rank_.end(),
+                   bucket_rank_.begin());
+}
+
+std::size_t TappedDelayLineSim::bucket(Picoseconds offset) const {
+  const double f = (offset - offset_lo_) * bucket_scale_;
+  const double last = static_cast<double>(sorted_offset_.size() - 1);
+  if (!(f > 0.0)) return 0;
+  return f < last ? static_cast<std::size_t>(f)
+                  : sorted_offset_.size() - 1;
+}
+
+std::size_t TappedDelayLineSim::rank_below(Picoseconds offset) const {
+  std::size_t r = bucket_rank_[bucket(offset)];
+  while (r < sorted_offset_.size() && sorted_offset_[r] < offset) ++r;
+  return r;
 }
 
 Picoseconds TappedDelayLineSim::static_offset(int tap) const {
@@ -55,7 +106,8 @@ void TappedDelayLineSim::capture_into(const RingOscillator& source, int stage,
         "TappedDelayLineSim::capture_into: the capture reads toggles older "
         "than the source's history window");
   }
-  const int m = taps();
+  const std::size_t m = sorted_offset_.size();
+  const std::size_t nw = words_;
   const Picoseconds half_aperture = ff_spec_.aperture_ps / 2.0;
   const double dyn = ff_spec_.dynamic_jitter_sigma_ps;
   const double tau = ff_spec_.resolution_tau_ps;
@@ -63,124 +115,123 @@ void TappedDelayLineSim::capture_into(const RingOscillator& source, int stage,
   const bool aperture = half_aperture > 0.0;
   const bool noisy = jitter || aperture;
 
-  // Sparse jitter. A flip-flop samples at s = s0 + dyn * g, where s0 is its
-  // nominal instant and g = next_gaussian() satisfies
-  // |g| <= kPolarGaussianBound. It reads a value other than the level at
-  // s0, or goes metastable, only if a toggle lies within
-  // reach = half_aperture + kPolarGaussianBound * dyn of s0. A tap with no
-  // toggle in reach therefore reads the level at s0 under every draw, so
-  // it takes that level without drawing: the skip is exact in
-  // distribution, and it only changes which stream values the in-reach
-  // taps consume. A few ulps of s0 widen the reach so the rounding of
-  // s0 + dyn * g and s +- half_aperture cannot cross its edge. With no
-  // jitter and no aperture (ideal flip-flops) nothing draws at all.
+  // A flip-flop samples at s = s0 + dyn * g, where s0 is its nominal
+  // instant and g = next_gaussian() satisfies |g| <= kPolarGaussianBound.
+  // It reads a value other than the level at s0, or goes metastable, only
+  // if a toggle lies within reach = half_aperture + kPolarGaussianBound *
+  // dyn of s0; only then does it draw. With no jitter and no aperture
+  // (ideal flip-flops) nothing draws at all.
   const Picoseconds reach =
       half_aperture + common::kPolarGaussianBound * dyn;
+  // band widens the reach by the rounding of every sum below (a few ulps of
+  // t_clk and of the line's delays, 2^-46 relative leaves a wide margin):
+  // a tap whose offset is at least band from q - t_clk for every toggle q
+  // draws nothing, and its s0 sits on the same side of each toggle as its
+  // offset does of q - t_clk.
+  const Picoseconds band =
+      reach + (reach + std::fabs(t_clk) + magnitude_) * 0x1p-46;
   const auto& hist = source.toggle_history(stage);
   const std::size_t n = hist.size();
-  const bool now_value = source.current_value(stage);
 
-  // Quiet line: no toggle within reach of the whole span of nominal
-  // instants, t_clk + [offset_lo_, offset_hi_]. Then every tap reads the
-  // same level and none draws, which is what the per-tap loop below would
-  // produce, so the line is one fill. The span's rounding margin (2^-48
-  // relative) covers the loop's (2^-50) plus the difference between
-  // t_clk + offset and the loop's sum. A stage toggles about every 1.4 ns
-  // and a 36-tap line spans about 0.6 ns, so about two thirds of the lines
-  // of a restart-mode carry-chain source are quiet.
-  const Picoseconds slack =
-      reach + (std::fabs(t_clk) + std::max(std::fabs(offset_lo_),
-                                           std::fabs(offset_hi_))) *
-                  0x1p-48;
-  std::size_t later = n;  // hist[later, n) lie after the span
-  while (later > 0 && hist[later - 1] > t_clk + offset_hi_ + slack) --later;
-  if (later == 0 || hist[later - 1] < t_clk + offset_lo_ - slack) {
-    const bool v = now_value != (((n - later) & 1U) != 0);
-    const std::size_t nwords = (static_cast<std::size_t>(m) + 63) / 64;
-    std::fill_n(out_words, nwords, v ? ~0ULL : 0ULL);
-    if ((m & 63) != 0) out_words[nwords - 1] &= ~0ULL >> (64 - (m & 63));
-    return;
+  // hist[first, later) are the toggles within band of the line's nominal
+  // instants t_clk + [offset_lo_, offset_hi_]. Every toggle after them
+  // lies after every tap's instant: the fill is the current value
+  // un-flipped by their parity. Toggles before `first` flip no tap. The
+  // instants sit near the end of the retained history, so both walks are
+  // short.
+  std::size_t later = n;
+  while (later > 0 && hist[later - 1] > t_clk + offset_hi_ + band) --later;
+  std::size_t first = later;
+  while (first > 0 && hist[first - 1] >= t_clk + offset_lo_ - band) --first;
+  const bool now_value = source.current_value(stage);
+  const bool fill = now_value != (((n - later) & 1U) != 0);
+  std::fill_n(out_words, nw, fill ? ~0ULL : 0ULL);
+  if ((m & 63) != 0) out_words[nw - 1] &= ~0ULL >> (64 - (m & 63));
+  if (first == later) return;  // no toggle near the line: one level
+
+  // Each toggle q flips the taps whose instant precedes it: the rank of
+  // q - t_clk among the sorted offsets picks their prefix mask. The taps
+  // within band of q are candidates; they run the flip-flop body below,
+  // which replaces their bit. Their ranks lo and up are those of
+  // q - t_clk -/+ band, a short walk from the rank of q - t_clk.
+  std::uint64_t* cand = candidates_.data();
+  std::fill_n(cand, nw, 0ULL);
+  const Picoseconds* sorted = sorted_offset_.data();
+  for (std::size_t i = first; i < later; ++i) {
+    const Picoseconds x = hist[i] - t_clk;
+    const std::size_t rank = rank_below(x);
+    std::size_t lo = rank;
+    while (lo > 0 && sorted[lo - 1] >= x - band) --lo;
+    std::size_t up = rank;
+    while (up < m && sorted[up] < x + band) ++up;
+    const std::uint64_t* flip = &prefix_mask_[rank * nw];
+    const std::uint64_t* near_hi = &prefix_mask_[up * nw];
+    const std::uint64_t* near_lo = &prefix_mask_[lo * nw];
+    for (std::size_t w = 0; w < nw; ++w) {
+      out_words[w] ^= flip[w];
+      cand[w] |= near_hi[w] & ~near_lo[w];
+    }
   }
 
-  // Copy this stage's (already contiguous) toggle history between two
-  // sentinels: the per-tap scan below then walks one flat array instead of
-  // binary-searching per flip-flop. The +/-infinity sentinels absorb the
-  // hi == 0 / hi == n boundary checks: the walk and the window compares
-  // below never read past a sentinel, and a sentinel is never in reach.
-  scratch_toggles_.clear();
-  scratch_toggles_.reserve(n + 2);
-  scratch_toggles_.push_back(-std::numeric_limits<Picoseconds>::infinity());
-  scratch_toggles_.insert(scratch_toggles_.end(), hist.begin(), hist.end());
-  scratch_toggles_.push_back(std::numeric_limits<Picoseconds>::infinity());
-  const Picoseconds* q = scratch_toggles_.data();
-
-  // Hoisted per-tap inputs: same values observation_time and the member
-  // lookups produce, minus a bounds-checked call per flip-flop.
+  // The candidates in ascending j, each through the per-tap body of the
+  // walk in tests/capture_oracle.hpp: the same s0 association, reach test
+  // and draws in the same order, so the generator stream and the output
+  // match it bit for bit. hi counts the toggles at or before the sampling
+  // instant; no toggle from `later` on lies at or before any s.
   const Picoseconds* skew = timing_.ff_clock_skew.data();
   const Picoseconds* cum = timing_.cumulative_delay.data();
   const Picoseconds* stat = static_offset_.data();
-
   // Work on a local copy of the RNG (written back below) so its state can
   // stay in registers across the loop.
   common::Xoshiro256StarStar rng = rng_;
   std::uint64_t meta_events = 0;
-
-  // Accumulate each output word in a register and store it once: out_words
-  // is a uint64_t* the compiler must assume can alias the RNG state, so
-  // per-tap read-modify-write stores would force member reloads every
-  // iteration. Every word in [0, ceil(m/64)) gets written exactly once, and
-  // bits at or above `m` in the last word stay zero.
-  std::uint64_t word = 0;
-  // hi indexes the padded array: q[hi] is the first toggle strictly after
-  // the sampling instant (q[1..n] are the real toggles), so hi stays in
-  // [1, n + 1]. Adjacent taps' instants are a bin width apart, so a short
-  // walk from the previous tap's position replaces a binary search. Tap 0
-  // starts at n + 1 and walks down from the newest toggle: the observation
-  // instants sit near the end of the retained history.
-  std::size_t hi = n + 1;
-  for (int j = 0; j < m; ++j) {
-    // Same association as observation_time(j, t_clk) + static_offset(j).
-    const Picoseconds s0 = ((t_clk + skew[j]) - cum[j]) + stat[j];
-    while (q[hi - 1] > s0) --hi;
-    while (q[hi] <= s0) ++hi;
-    const Picoseconds r = reach + std::fabs(s0) * 0x1p-50;
-    bool meta = false;
-    if (noisy && (s0 - q[hi - 1] <= r || q[hi] - s0 <= r)) {
-      Picoseconds s = s0;
-      if (jitter) {
-        s = s0 + dyn * rng.next_gaussian();
-        while (q[hi - 1] > s) --hi;
-        while (q[hi] <= s) ++hi;
+  std::size_t hi = later;
+  const auto locate = [&](Picoseconds s) {
+    while (hi > 0 && hist[hi - 1] > s) --hi;
+    while (hi < n && hist[hi] <= s) ++hi;
+  };
+  constexpr Picoseconds kInf = std::numeric_limits<Picoseconds>::infinity();
+  for (std::size_t w = 0; w < nw; ++w) {
+    for (std::uint64_t bits = cand[w]; bits != 0; bits &= bits - 1) {
+      const int b = std::countr_zero(bits);
+      const std::size_t j = (w << 6) + static_cast<std::size_t>(b);
+      const Picoseconds s0 = ((t_clk + skew[j]) - cum[j]) + stat[j];
+      locate(s0);
+      const Picoseconds r = reach + std::fabs(s0) * 0x1p-50;
+      bool meta = false;
+      if (noisy && ((hi > 0 && s0 - hist[hi - 1] <= r) ||
+                    (hi < n && hist[hi] - s0 <= r))) {
+        Picoseconds s = s0;
+        if (jitter) {
+          s = s0 + dyn * rng.next_gaussian();
+          locate(s);
+        }
+        // Metastability: the toggle nearest to s in [s - ha, s + ha] can
+        // only be one of its two neighbours. If one sits inside the
+        // aperture the capture resolves to either rail, with probability
+        // decaying exponentially in its distance.
+        const Picoseconds left = hi > 0 ? hist[hi - 1] : -kInf;
+        const Picoseconds right = hi < n ? hist[hi] : kInf;
+        const bool left_in = aperture && !(left < s - half_aperture);
+        const bool right_in = aperture && !(s + half_aperture < right);
+        if (left_in || right_in) {
+          Picoseconds nearest = half_aperture;
+          if (left_in) nearest = std::min(nearest, s - left);
+          if (right_in) nearest = std::min(nearest, right - s);
+          meta = rng.next_double() < std::exp(-nearest / tau);
+        }
       }
-      // Metastability: the toggle nearest to s in [s - ha, s + ha] can
-      // only be one of the two neighbours q[hi-1] (<= s) and q[hi] (> s).
-      // If one sits inside the aperture the capture resolves to either
-      // rail, with probability decaying exponentially in its distance.
-      const bool left_in = aperture && !(q[hi - 1] < s - half_aperture);
-      const bool right_in = aperture && !(s + half_aperture < q[hi]);
-      if (left_in || right_in) {
-        Picoseconds nearest = half_aperture;
-        if (left_in) nearest = std::min(nearest, s - q[hi - 1]);
-        if (right_in) nearest = std::min(nearest, q[hi] - s);
-        meta = rng.next_double() < std::exp(-nearest / tau);
+      // Parity un-flip of the current value (n - hi toggles lie strictly
+      // after s); a metastable capture resolves to a random rail.
+      bool v = now_value != (((n - hi) & 1U) != 0);
+      if (meta) {
+        v = rng.next_double() < 0.5;
+        ++meta_events;
       }
-    }
-    // Parity un-flip of the current value (n + 1 - hi real toggles lie
-    // strictly after s); a metastable capture resolves to a random rail.
-    bool v = now_value != (((n + 1 - hi) & 1U) != 0);
-    if (meta) {
-      v = rng.next_double() < 0.5;
-      ++meta_events;
-    }
-    // Branchless pack: v is an unpredictable ~50/50 bit, so a conditional
-    // OR would mispredict every other capture.
-    word |= static_cast<std::uint64_t>(v) << (j & 63);
-    if ((j & 63) == 63) {
-      out_words[j >> 6] = word;
-      word = 0;
+      out_words[w] = (out_words[w] & ~(1ULL << b)) |
+                     (static_cast<std::uint64_t>(v) << b);
     }
   }
-  if ((m & 63) != 0) out_words[static_cast<std::size_t>(m) >> 6] = word;
   rng_ = rng;
   metastable_events_ += meta_events;
 }

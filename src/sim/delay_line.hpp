@@ -43,14 +43,16 @@ class TappedDelayLineSim {
   /// t_clk - look_back(): throws std::logic_error when
   /// t_clk - look_back() < source.now() - source.history_window().
   ///
-  /// A flip-flop draws its dynamic jitter, and its metastability outcome,
+  /// Each toggle near the line flips the taps whose nominal instant
+  /// precedes it: its rank among the taps' sorted offsets picks a prefix
+  /// mask, so the cost scales with the toggles, not with the taps. A
+  /// flip-flop draws its dynamic jitter, and its metastability outcome,
   /// only when a toggle lies within half the aperture plus
-  /// common::kPolarGaussianBound jitter sigmas of its nominal instant.
-  /// Further out, no draw could change its value, so it reads the level
-  /// there without drawing. The result is exact in distribution against
-  /// the dense per-tap capture (every flip-flop draws), but not bit for
-  /// bit: the skipped draws shift which stream values later taps consume.
-  /// tests/test_capture_equivalence.cpp holds the dense oracle.
+  /// common::kPolarGaussianBound jitter sigmas of its nominal instant;
+  /// further out no draw could change its value. The taps near a toggle
+  /// run the flip-flop body in ascending tap order, so the output, the
+  /// metastable count and the generator state match the per-tap walk in
+  /// tests/capture_oracle.hpp bit for bit.
   void capture_into(const RingOscillator& source, int stage, Picoseconds t_clk,
                     std::uint64_t* out_words);
 
@@ -81,11 +83,28 @@ class TappedDelayLineSim {
   fpga::FlipFlopTimingSpec ff_spec_;
   common::Xoshiro256StarStar rng_;
   std::vector<Picoseconds> static_offset_;  ///< per-FF, fixed per die
-  std::vector<Picoseconds> scratch_toggles_;  ///< capture_into work buffer
   /// Range of skew - cumulative delay + static offset over the taps: the
   /// nominal observation instants span t_clk + [offset_lo_, offset_hi_].
   Picoseconds offset_lo_ = 0.0;
   Picoseconds offset_hi_ = 0.0;
+  /// Largest |skew| + |cumulative delay| + |static offset| of a tap: with
+  /// |t_clk| it bounds the rounding of a tap's instant.
+  Picoseconds magnitude_ = 0.0;
+  /// The offsets in ascending order, and entry r of prefix_mask_ (words_
+  /// words wide) marks the taps of the r smallest ones.
+  std::vector<Picoseconds> sorted_offset_;
+  std::vector<std::uint64_t> prefix_mask_;
+  std::size_t words_ = 0;
+  /// bucket_rank_[b] offsets lie in buckets below b of the taps() equal
+  /// buckets over [offset_lo_, offset_hi_]: where a rank search starts.
+  std::vector<std::size_t> bucket_rank_;
+  double bucket_scale_ = 0.0;  ///< buckets per ps
+  std::vector<std::uint64_t> candidates_;  ///< capture_into work buffer
+
+  std::size_t bucket(Picoseconds offset) const;
+  /// Number of taps whose offset is below `offset`.
+  std::size_t rank_below(Picoseconds offset) const;
+
   std::uint64_t metastable_events_ = 0;
 };
 

@@ -94,10 +94,10 @@ class RingOscillator {
                                     Picoseconds t1) const;
 
   /// Direct read access to `stage`'s retained toggle times (ascending,
-  /// contiguous). Batched TDC captures flatten this once instead of
-  /// binary-searching per flip-flop through value_at/edges_in. Inline (with
-  /// the bounds check compiled into the caller): queried once per TDC line
-  /// capture.
+  /// contiguous). A TDC line capture reads the few toggles near its taps
+  /// straight from it, instead of searching per flip-flop through
+  /// value_at/edges_in. Inline (with the bounds check compiled into the
+  /// caller): queried once per TDC line capture.
   const std::vector<Picoseconds>& toggle_history(int stage) const {
     if (stage < 0 || stage >= stages()) {
       throw std::out_of_range("RingOscillator::toggle_history: bad stage");

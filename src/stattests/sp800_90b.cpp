@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -162,41 +162,124 @@ double t_tuple_estimate(const common::BitStream& bits) {
   return clamp_entropy(-std::log2(upper_bound(p_max, n)));
 }
 
+namespace {
+
+/// The LCP array of `bits`' suffixes in sorted order: entry i > 0 is the
+/// length of the longest common prefix of the i-th and (i-1)-th smallest
+/// suffix (entry 0 is 0). The suffix array comes from prefix doubling with
+/// counting sorts, O(L log L); the LCP from Kasai's algorithm, O(L).
+std::vector<std::size_t> sorted_suffix_lcp(const common::BitStream& bits) {
+  const std::size_t n = bits.size();
+  std::vector<std::uint8_t> s(n);
+  for (std::size_t i = 0; i < n; ++i) s[i] = bits[i] ? 1 : 0;
+  // sa sorted by the first k symbols; cls[i] ranks suffix i's first k
+  // symbols (a suffix shorter than k ranks below its extensions).
+  std::vector<std::size_t> sa(n), cls(n), next(n), order(n), count(n + 1);
+  std::size_t z = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (s[i] == 0) sa[z++] = i;
+  }
+  const std::size_t zeros = z;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (s[i] != 0) sa[z++] = i;
+    cls[i] = s[i] == 0 || zeros == 0 ? 0 : 1;
+  }
+  std::size_t classes = zeros == 0 || zeros == n ? 1 : 2;
+  for (std::size_t k = 1; classes < n; k *= 2) {
+    // By the second key (the class of i + k; the suffixes without one
+    // first), then stably by the first.
+    std::size_t o = 0;
+    for (std::size_t i = n - k; i < n; ++i) order[o++] = i;
+    for (const std::size_t i : sa) {
+      if (i >= k) order[o++] = i - k;
+    }
+    std::fill_n(count.begin(), classes + 1, 0);
+    for (const std::size_t i : order) ++count[cls[i] + 1];
+    for (std::size_t c = 1; c <= classes; ++c) count[c] += count[c - 1];
+    for (const std::size_t i : order) sa[count[cls[i]]++] = i;
+    const auto second = [&](std::size_t i) {
+      return i + k < n ? cls[i + k] + 1 : 0;
+    };
+    next[sa[0]] = 0;
+    for (std::size_t r = 1; r < n; ++r) {
+      const std::size_t a = sa[r - 1];
+      const std::size_t b = sa[r];
+      next[b] = next[a] + (cls[a] != cls[b] || second(a) != second(b) ? 1 : 0);
+    }
+    classes = next[sa[n - 1]] + 1;
+    cls.swap(next);
+  }
+  // Kasai: cls[i] is now suffix i's rank.
+  std::vector<std::size_t> lcp(n, 0);
+  std::size_t h = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (cls[i] == 0) {
+      h = 0;
+      continue;
+    }
+    const std::size_t j = sa[cls[i] - 1];
+    while (i + h < n && j + h < n && s[i + h] == s[j + h]) ++h;
+    lcp[cls[i]] = h;
+    if (h > 0) --h;
+  }
+  return lcp;
+}
+
+}  // namespace
+
 double lrs_estimate(const common::BitStream& bits) {
   const std::size_t n = bits.size();
   if (n < 1000) {
     throw std::invalid_argument("lrs_estimate: need >= 1000 bits");
   }
-  // For W = 8, 16, 32, 64 while some W-window repeats, the collision
-  // proportion of overlapping windows: P_W = sum_i C(c_i, 2) / C(N, 2).
-  double p_max = 0.0;
-  const unsigned w_cap = static_cast<unsigned>(std::min<std::size_t>(64, n / 2));
-  for (unsigned w = 8; w <= w_cap; w *= 2) {
-    std::unordered_map<std::uint64_t, std::uint32_t> counts;
-    counts.reserve(n);
-    std::uint64_t window = 0;
-    const std::uint64_t mask =
-        (w >= 64) ? ~0ULL : ((1ULL << w) - 1ULL);
-    bool any_repeat = false;
-    for (std::size_t i = 0; i < n; ++i) {
-      window = ((window << 1) | (bits[i] ? 1ULL : 0ULL)) & mask;
-      if (i + 1 >= w) {
-        const auto c = ++counts[window];
-        if (c >= 2) any_repeat = true;
-      }
-    }
-    if (!any_repeat) break;
-    const double total = static_cast<double>(n - w + 1);
-    double pairs = 0.0;
-    for (const auto& [key, c] : counts) {
-      (void)key;
-      pairs += 0.5 * static_cast<double>(c) * static_cast<double>(c - 1);
-    }
-    const double all_pairs = 0.5 * total * (total - 1.0);
-    const double p_col = pairs / all_pairs;  // P(two windows equal)
-    p_max = std::max(p_max, std::pow(p_col, 1.0 / static_cast<double>(w)));
+  // A W-tuple occurring c times is a run of c sorted suffixes whose c - 1
+  // adjacent LCPs are all >= W. So v, the longest W with a repeat, is the
+  // largest LCP, and u, the smallest W whose most common W-tuple occurs
+  // fewer than 35 times, is one more than the largest minimum over 34
+  // adjacent LCPs.
+  const std::vector<std::size_t> lcp = sorted_suffix_lcp(bits);
+  const std::size_t v = *std::max_element(lcp.begin(), lcp.end());
+  const std::size_t run = kTupleCutoff - 1;
+  std::size_t u = 1;
+  std::deque<std::size_t> window;  // minima of lcp[i - run + 1, i], rising
+  for (std::size_t i = 1; i < n; ++i) {
+    while (!window.empty() && lcp[window.back()] >= lcp[i]) window.pop_back();
+    window.push_back(i);
+    if (window.front() + run <= i) window.pop_front();
+    if (i >= run) u = std::max(u, lcp[window.front()] + 1);
   }
-  if (p_max <= 0.0) return 1.0;
+  if (u > v) return 1.0;
+
+  // P_W = sum_i C(C_i, 2) / C(L - W + 1, 2): the pairs of sorted suffixes
+  // whose LCP (the minimum of the adjacent LCPs between them) is >= W.
+  // Count the pairs by their minimum: adjacent LCP k is the minimum of
+  // (k - prev) * (nxt - k) ranges, prev the last index before k with a
+  // smaller value and nxt the first after it with a value <= lcp[k].
+  std::vector<std::size_t> prev(n), nxt(n);
+  std::vector<std::size_t> stack;
+  for (std::size_t k = 1; k < n; ++k) {
+    while (!stack.empty() && lcp[stack.back()] >= lcp[k]) stack.pop_back();
+    prev[k] = stack.empty() ? 0 : stack.back();
+    stack.push_back(k);
+  }
+  stack.clear();
+  for (std::size_t k = n; k-- > 1;) {
+    while (!stack.empty() && lcp[stack.back()] > lcp[k]) stack.pop_back();
+    nxt[k] = stack.empty() ? n : stack.back();
+    stack.push_back(k);
+  }
+  std::vector<double> pairs(v + 2, 0.0);  // pairs[W]: LCP exactly W, then >= W
+  for (std::size_t k = 1; k < n; ++k) {
+    pairs[lcp[k]] += static_cast<double>(k - prev[k]) *
+                     static_cast<double>(nxt[k] - k);
+  }
+  double p_max = 0.0;
+  for (std::size_t w = v; w >= u; --w) {
+    pairs[w] += pairs[w + 1];
+    const double windows = static_cast<double>(n - w + 1);
+    const double p_w = pairs[w] / (0.5 * windows * (windows - 1.0));
+    p_max = std::max(p_max, std::pow(p_w, 1.0 / static_cast<double>(w)));
+  }
   return clamp_entropy(-std::log2(upper_bound(p_max, n)));
 }
 

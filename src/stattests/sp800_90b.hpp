@@ -32,8 +32,11 @@ double markov_estimate(const common::BitStream& bits);
 double t_tuple_estimate(const common::BitStream& bits);
 
 /// 6.3.6 Longest-repeated-substring estimate: P_max = max P_W^(1/W) over
-/// the collision proportions P_W of windows W = 8, 16, 32, 64 (while any
-/// W-window repeats), then the upper bound. Requires >= 1000 bits.
+/// the collision proportions P_W of every window length W from u (the
+/// first whose most common W-tuple occurs < 35 times) to v (the longest
+/// repeated substring), then the upper bound; 1 when u > v. Windows are
+/// compared through a suffix array and its LCP array, so W is unbounded.
+/// Requires >= 1000 bits.
 double lrs_estimate(const common::BitStream& bits);
 
 /// The full non-IID assessment: min over all estimators above.

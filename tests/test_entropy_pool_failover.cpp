@@ -222,15 +222,46 @@ TEST(EntropyPoolFailover, PoolStaysAvailableAndReadmitsAfterAttackClears) {
               Words{words.size()});
   }
 
+  // Readmission waits for the source built under attack to trip again,
+  // which can take several hundred blocks. So the victim's thread is
+  // paused and the phase is driven block by block with Producer::step(),
+  // bounded by a block budget rather than a wall-clock deadline, while the
+  // survivor keeps running. A drainer keeps the victim's ring from filling
+  // until its thread has stopped.
+  service::Producer& victim_producer = pool.producer(1);
+  {
+    std::atomic<bool> joined{false};
+    std::thread drainer([&] {
+      std::vector<std::uint64_t> sink(64);
+      while (!joined.load()) {
+        (void)pool.draw_from_shard(1, sink.data(), Words{sink.size()}, 0);
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+    victim_producer.stop_and_join();
+    joined.store(true);
+    drainer.join();
+  }
+
   // The attack clears. The victim's next reseed builds a clean source,
   // which must then pass probation and return to healthy service.
   attacked->store(false);
   const std::uint64_t reseeds_at_clear = victim.reseeds.load();
-  ASSERT_TRUE(eventually([&] {
-    drain();
+  const auto readmitted = [&] {
     return victim.reseeds.load() > reseeds_at_clear &&
            pool.producer_state(1) == service::AdmitState::kHealthy;
-  })) << "victim never returned to healthy service after the attack";
+  };
+  constexpr std::uint64_t kReadmitBudget = 4000;  // blocks
+  std::uint64_t blocks = 0;
+  while (!readmitted() && blocks < kReadmitBudget) {
+    ASSERT_TRUE(victim_producer.step());
+    (void)pool.draw_from_shard(1, scratch.data(), Words{scratch.size()}, 0);
+    ++blocks;
+  }
+  ASSERT_TRUE(readmitted())
+      << "victim never returned to healthy service after the attack ("
+      << blocks << " blocks)";
+  victim_producer.start();
 
   // Post-readmission the victim contributes admitted blocks again.
   const std::uint64_t admitted_now = victim.blocks_admitted.load();

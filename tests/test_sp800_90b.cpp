@@ -219,18 +219,22 @@ TEST(Lrs, CatchesPeriodicSource) {
 }
 
 TEST(Lrs, KnownAnswerFromSpecFormula) {
-  // 6.3.6: P_W = sum_i C(C_i, 2) / C(L - W + 1, 2) for W = 8, 16, 32, 64
-  // while some W-window repeats, P_max = max P_W^(1/W), then the upper
-  // bound of step 4.
+  // 6.3.6: u is the smallest W whose most common W-tuple occurs fewer
+  // than 35 times, v the largest W whose most common W-tuple occurs at
+  // least twice; P_W = sum_i C(C_i, 2) / C(L - W + 1, 2) for every W from
+  // u to v, P_max = max P_W^(1/W), then the upper bound of step 4.
   const auto bits = kat_bits();
   const std::string s = bits.to_string();
   const std::size_t len = s.size();
+  std::size_t u = 1;
+  while (max_count(substring_counts(s, u)) >= 35) ++u;
+  std::size_t v = u;
+  while (max_count(substring_counts(s, v + 1)) >= 2) ++v;
+  ASSERT_GT(v, u + 2);
   double p_max = 0.0;
-  for (std::size_t w = 8; w <= 64; w *= 2) {
-    const auto counts = substring_counts(s, w);
-    if (max_count(counts) < 2) break;
+  for (std::size_t w = u; w <= v; ++w) {
     double pairs = 0.0;
-    for (const auto& [key, c] : counts) {
+    for (const auto& [key, c] : substring_counts(s, w)) {
       pairs += 0.5 * static_cast<double>(c) * static_cast<double>(c - 1);
     }
     const double windows = static_cast<double>(len - w + 1);
@@ -239,6 +243,38 @@ TEST(Lrs, KnownAnswerFromSpecFormula) {
   }
   const double expected = -std::log2(spec_upper_bound(p_max, len));
   EXPECT_NEAR(lrs_estimate(bits), expected, 1e-12);
+  EXPECT_NEAR(expected, 0.6408, 5e-5);
+}
+
+TEST(Lrs, RepeatsLongerThanAWord) {
+  // A 37-bit period repeats substrings up to v = L - 37 bits long, and the
+  // most common W-tuple occurs 35 times until only 34 * 37 windows are
+  // left: u = L - 34 * 37 + 1. Both lie far beyond 64 (the maximum of
+  // P_W^(1/W) is at W = 4763). Each W-window equals those a multiple of 37
+  // away, so P_W = sum_c C(c, 2) / C(L - W + 1, 2) over the 37 residue
+  // classes of window starts, c windows each.
+  constexpr std::size_t kLen = 5000;
+  constexpr std::size_t kPeriod = 37;
+  common::BitStream b;
+  for (std::size_t i = 0; i < kLen; ++i) b.push_back((i * 7 % kPeriod) < 18);
+  const std::size_t u = kLen - 34 * kPeriod + 1;
+  const std::size_t v = kLen - kPeriod;
+  double p_max = 0.0;
+  for (std::size_t w = u; w <= v; ++w) {
+    const std::size_t windows = kLen - w + 1;
+    double pairs = 0.0;
+    for (std::size_t r = 0; r < kPeriod; ++r) {
+      // Window starts r, r + 37, ... below `windows`.
+      const double c = static_cast<double>(
+          windows > r ? (windows - r + kPeriod - 1) / kPeriod : 0);
+      pairs += 0.5 * c * (c - 1.0);
+    }
+    const double wd = static_cast<double>(windows);
+    p_max = std::max(p_max, std::pow(pairs / (0.5 * wd * (wd - 1.0)),
+                                     1.0 / static_cast<double>(w)));
+  }
+  EXPECT_NEAR(lrs_estimate(b), -std::log2(spec_upper_bound(p_max, kLen)),
+              1e-12);
 }
 
 TEST(NonIid, MinOfAllEstimators) {
