@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "common/env.hpp"
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "core/source_registry.hpp"
 #include "core/trng.hpp"
@@ -183,22 +184,9 @@ std::string cpu_model() {
     if (colon == std::string::npos) break;
     std::string model = line.substr(colon + 1);
     model.erase(0, model.find_first_not_of(" \t"));
-    std::erase_if(model, [](char c) { return c == '"' || c == '\\'; });
     return model;
   }
   return "unknown";
-}
-
-void emit_rows(std::FILE* f, const char* key, const std::vector<Row>& rows,
-               const char* indent) {
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(f,
-                 "%s{\"%s\": \"%s\", \"median\": %.6g, \"p25\": %.6g, "
-                 "\"p75\": %.6g, \"n\": %zu}%s\n",
-                 indent, key, r.label.c_str(), r.median, r.p25, r.p75, r.n,
-                 i + 1 < rows.size() ? "," : "");
-  }
 }
 
 // Returns false when the file could not be opened or written.
@@ -206,32 +194,42 @@ bool write_json(const std::string& path, std::size_t source_bits,
                 std::size_t battery_bits, std::size_t repeats,
                 const std::vector<Row>& sources, const std::vector<Row>& tests,
                 const std::vector<Row>& engines) {
+  common::JsonWriter w;
+  const auto rows = [&w](const char* key, const char* label_key,
+                         const std::vector<Row>& rs) {
+    w.key(key).begin_array();
+    for (const Row& r : rs) {
+      w.begin_object();
+      w.key(label_key).emit_string(r.label);
+      w.key("median").emit_double(r.median);
+      w.key("p25").emit_double(r.p25);
+      w.key("p75").emit_double(r.p75);
+      w.key("n").emit_u64(r.n);
+      w.end();
+    }
+    w.end();
+  };
+  w.begin_object();
+  w.key("benchmark").emit_string("bit_source_throughput");
+  w.key("unit").emit_string("ns_per_bit");
+  w.key("aggregation").emit_string("median");
+  w.key("repeats").emit_u64(repeats);
+  w.key("hardware_threads").emit_u64(std::thread::hardware_concurrency());
+  w.key("cpu_model").emit_string(cpu_model());
+  w.key("bits_per_measurement").emit_u64(source_bits);
+  rows("sources", "id", sources);
+  w.key("battery").begin_object();
+  w.key("bits").emit_u64(battery_bits);
+  rows("tests", "name", tests);
+  w.key("threads").emit_u64(kBatteryThreads);
+  rows("whole_battery", "engine", engines);
+  w.end().end();
+  const std::string doc = w.take() + "\n";
+
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"benchmark\": \"bit_source_throughput\",\n");
-  std::fprintf(f, "  \"unit\": \"ns_per_bit\",\n");
-  std::fprintf(f, "  \"aggregation\": \"median\",\n");
-  std::fprintf(f, "  \"repeats\": %zu,\n", repeats);
-  std::fprintf(f, "  \"hardware_threads\": %u,\n",
-               std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"cpu_model\": \"%s\",\n", cpu_model().c_str());
-  std::fprintf(f, "  \"bits_per_measurement\": %zu,\n", source_bits);
-  std::fprintf(f, "  \"sources\": [\n");
-  emit_rows(f, "id", sources, "    ");
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"battery\": {\n");
-  std::fprintf(f, "    \"bits\": %zu,\n", battery_bits);
-  std::fprintf(f, "    \"tests\": [\n");
-  emit_rows(f, "name", tests, "      ");
-  std::fprintf(f, "    ],\n");
-  std::fprintf(f, "    \"threads\": %u,\n", kBatteryThreads);
-  std::fprintf(f, "    \"whole_battery\": [\n");
-  emit_rows(f, "engine", engines, "      ");
-  std::fprintf(f, "    ]\n");
-  std::fprintf(f, "  }\n}\n");
-  const bool write_failed = std::ferror(f) != 0;
-  return std::fclose(f) == 0 && !write_failed;
+  const bool written = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
+  return std::fclose(f) == 0 && written;
 }
 
 }  // namespace

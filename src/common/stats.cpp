@@ -53,48 +53,6 @@ void KahanSum::add(double x) {
   sum_ = t;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0) {
-  if (!(hi > lo) || bins == 0) {
-    throw std::invalid_argument("Histogram: requires hi > lo and bins >= 1");
-  }
-}
-
-void Histogram::add(double x) {
-  auto idx = static_cast<long>(std::floor((x - lo_) / width_));
-  idx = std::clamp(idx, 0L, static_cast<long>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-std::size_t Histogram::bin_count(std::size_t i) const {
-  if (i >= counts_.size()) throw std::out_of_range("Histogram::bin_count");
-  return counts_[i];
-}
-
-double Histogram::bin_center(std::size_t i) const {
-  if (i >= counts_.size()) throw std::out_of_range("Histogram::bin_center");
-  return lo_ + (static_cast<double>(i) + 0.5) * width_;
-}
-
-double chi_square_statistic(const std::vector<std::size_t>& observed,
-                            const std::vector<double>& expected) {
-  if (observed.size() != expected.size()) {
-    throw std::invalid_argument("chi_square_statistic: size mismatch");
-  }
-  double chi2 = 0.0;
-  for (std::size_t i = 0; i < observed.size(); ++i) {
-    if (expected[i] <= 0.0) {
-      throw std::invalid_argument(
-          "chi_square_statistic: expected counts must be positive");
-    }
-    const double d = static_cast<double>(observed[i]) - expected[i];
-    chi2 += d * d / expected[i];
-  }
-  return chi2;
-}
-
 double binary_entropy(double p) {
   if (p < 0.0 || p > 1.0) {
     throw std::domain_error("binary_entropy: p must lie in [0, 1]");

@@ -1,11 +1,9 @@
 // Online statistics and small numeric helpers used across the repository:
-// jitter-measurement post-processing, code-density (bin-width) estimation,
-// chi-square goodness of fit, and compensated summation for the stochastic
-// model's long Gaussian tail sums.
+// jitter-measurement post-processing, compensated summation for the
+// stochastic model's long Gaussian tail sums, and binary entropy.
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 namespace trng::common {
 
@@ -46,34 +44,6 @@ class KahanSum {
   double sum_ = 0.0;
   double compensation_ = 0.0;
 };
-
-/// Fixed-width histogram over [lo, hi); out-of-range samples are clamped
-/// into the edge bins. Used by the TDC code-density (bin non-linearity)
-/// analysis.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t bin_count(std::size_t i) const;
-  std::size_t bins() const { return counts_.size(); }
-  std::size_t total() const { return total_; }
-  double bin_center(std::size_t i) const;
-
-  const std::vector<std::size_t>& counts() const { return counts_; }
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
-
-/// Pearson chi-square statistic of observed counts against expected counts.
-/// Throws std::invalid_argument on size mismatch or non-positive expected.
-double chi_square_statistic(const std::vector<std::size_t>& observed,
-                            const std::vector<double>& expected);
 
 /// Binary Shannon entropy H(p) = -p log2 p - (1-p) log2 (1-p); H(0)=H(1)=0.
 double binary_entropy(double p);

@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
-#include <type_traits>
 
 namespace trng::common {
 
@@ -127,30 +126,6 @@ class Words {
 /// Position of bit `b` within its word (0..63).
 [[nodiscard]] constexpr unsigned bit_offset(Bits b) {
   return static_cast<unsigned>(b.count() % 64);
-}
-
-/// Narrowing with a runtime range check: converts an unsigned count to any
-/// narrower integral type, throwing std::overflow_error instead of
-/// truncating. Used where a typed count meets a legacy narrow parameter
-/// (histogram buckets, percentages, test lengths held in unsigned).
-template <typename To>
-[[nodiscard]] constexpr To checked_narrow(std::uint64_t v) {
-  static_assert(std::is_integral_v<To> && !std::is_same_v<To, bool>,
-                "checked_narrow targets an integral type");
-  if (v > static_cast<std::uint64_t>(std::numeric_limits<To>::max())) {
-    throw std::overflow_error("checked_narrow: value out of range");
-  }
-  return static_cast<To>(v);
-}
-
-template <typename To>
-[[nodiscard]] constexpr To checked_narrow(Bits b) {
-  return checked_narrow<To>(b.count());
-}
-
-template <typename To>
-[[nodiscard]] constexpr To checked_narrow(Words w) {
-  return checked_narrow<To>(w.count());
 }
 
 }  // namespace trng::common

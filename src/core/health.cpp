@@ -28,15 +28,6 @@ bool RepetitionCountTest::feed(bool bit) {
   return false;
 }
 
-std::uint64_t RepetitionCountTest::feed_block(const std::uint64_t* words,
-                                              common::Bits nbits) {
-  std::uint64_t block_alarms = 0;
-  for (std::size_t i = 0, n = nbits.count(); i < n; ++i) {
-    if (feed(((words[i >> 6] >> (i & 63)) & 1ULL) != 0)) ++block_alarms;
-  }
-  return block_alarms;
-}
-
 void RepetitionCountTest::reset() {
   last_ = false;
   run_ = 0;
@@ -85,15 +76,6 @@ bool AdaptiveProportionTest::feed(bool bit) {
   if (alarm) ++alarms_;
   pos_ = 0;
   return alarm;
-}
-
-std::uint64_t AdaptiveProportionTest::feed_block(const std::uint64_t* words,
-                                                 common::Bits nbits) {
-  std::uint64_t block_alarms = 0;
-  for (std::size_t i = 0, n = nbits.count(); i < n; ++i) {
-    if (feed(((words[i >> 6] >> (i & 63)) & 1ULL) != 0)) ++block_alarms;
-  }
-  return block_alarms;
 }
 
 void AdaptiveProportionTest::reset() {
@@ -149,10 +131,6 @@ std::uint64_t OnlineHealthMonitor::feed_block(const std::uint64_t* words,
     }
   }
   return block_alarms;
-}
-
-std::uint64_t OnlineHealthMonitor::feed_block(const common::BitStream& bits) {
-  return feed_block(bits.words().data(), common::Bits{bits.size()});
 }
 
 void OnlineHealthMonitor::reset() {

@@ -16,7 +16,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "common/bitstream.hpp"
 #include "common/units.hpp"
 
 namespace trng::core {
@@ -32,11 +31,6 @@ class RepetitionCountTest {
   /// Feeds one bit; returns true when the alarm fires (the run is then
   /// reset so monitoring can continue).
   bool feed(bool bit);
-
-  /// Feeds `nbits` packed bits (BitSource::generate_into layout); returns
-  /// the number of alarms fired within the block. Equivalent to feeding
-  /// each bit in order.
-  std::uint64_t feed_block(const std::uint64_t* words, common::Bits nbits);
 
   /// Returns the monitor to its just-constructed state (run and alarm
   /// counters cleared). Used when the monitored source is replaced — e.g.
@@ -63,9 +57,6 @@ class AdaptiveProportionTest {
                          double alpha_log2 = 20.0);
 
   bool feed(bool bit);
-
-  /// Block form of feed(); returns the number of alarms in the block.
-  std::uint64_t feed_block(const std::uint64_t* words, common::Bits nbits);
 
   /// Returns to the just-constructed state (window and alarms cleared).
   void reset();
@@ -117,9 +108,6 @@ class OnlineHealthMonitor {
   /// bits, so missed-edge info is only available via the per-capture
   /// feed(). Returns the number of bits whose feed() returned an alarm.
   std::uint64_t feed_block(const std::uint64_t* words, common::Bits nbits);
-
-  /// Convenience overload over a BitStream.
-  std::uint64_t feed_block(const common::BitStream& bits);
 
   /// Resets all three tests to their just-constructed state (alarm
   /// counters included). The service layer calls this when a quarantined

@@ -4,8 +4,6 @@
 
 namespace trng::server {
 
-using service::append_kv;
-
 ServerMetrics::ServerMetrics(std::size_t shards) : shards_(shards) {
   if (shards == 0) {
     throw std::invalid_argument("ServerMetrics: shards must be >= 1");
@@ -13,58 +11,45 @@ ServerMetrics::ServerMetrics(std::size_t shards) : shards_(shards) {
 }
 
 std::string ServerMetrics::snapshot_json(const service::Metrics& pool) const {
-  std::string out;
-  out.reserve(1024 + 512 * shards_.size());
-  out += "{\"schema\": \"trng.server.metrics.v2\", \"daemon\": {";
-  append_kv(out, "sessions_opened",
-            sessions_opened.load(std::memory_order_relaxed));
-  append_kv(out, "sessions_closed",
-            sessions_closed.load(std::memory_order_relaxed));
-  append_kv(out, "requests_total",
-            requests_total.load(std::memory_order_relaxed));
-  append_kv(out, "draws_ok", draws_ok.load(std::memory_order_relaxed));
-  append_kv(out, "bytes_served",
-            bytes_served.load(std::memory_order_relaxed));
-  append_kv(out, "denied_rate_limit",
-            denied_rate_limit.load(std::memory_order_relaxed));
-  append_kv(out, "denied_backpressure",
-            denied_backpressure.load(std::memory_order_relaxed));
-  append_kv(out, "bad_requests",
-            bad_requests.load(std::memory_order_relaxed));
-  append_kv(out, "metrics_requests",
-            metrics_requests.load(std::memory_order_relaxed));
-  append_kv(out, "shutdown_refusals",
-            shutdown_refusals.load(std::memory_order_relaxed));
-  append_kv(out, "accept_retries",
-            accept_retries.load(std::memory_order_relaxed), false);
-  out += "}, \"shards\": [";
+  constexpr auto relaxed = std::memory_order_relaxed;
+  common::JsonWriter w;
+  w.begin_object();
+  w.key("schema").emit_string("trng.server.metrics.v2");
+  w.key("daemon").begin_object();
+  w.key("sessions_opened").emit_u64(sessions_opened.load(relaxed));
+  w.key("sessions_closed").emit_u64(sessions_closed.load(relaxed));
+  w.key("requests_total").emit_u64(requests_total.load(relaxed));
+  w.key("draws_ok").emit_u64(draws_ok.load(relaxed));
+  w.key("bytes_served").emit_u64(bytes_served.load(relaxed));
+  w.key("denied_rate_limit").emit_u64(denied_rate_limit.load(relaxed));
+  w.key("denied_backpressure").emit_u64(denied_backpressure.load(relaxed));
+  w.key("bad_requests").emit_u64(bad_requests.load(relaxed));
+  w.key("metrics_requests").emit_u64(metrics_requests.load(relaxed));
+  w.key("shutdown_refusals").emit_u64(shutdown_refusals.load(relaxed));
+  w.key("accept_retries").emit_u64(accept_retries.load(relaxed));
+  w.end().key("shards").begin_array();
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     const ShardCounters& s = shards_[i];
-    if (i > 0) out += ", ";
-    out += "{";
-    append_kv(out, "shard", i);
-    append_kv(out, "instantiates",
-              s.instantiates.load(std::memory_order_relaxed));
-    append_kv(out, "reseeds", s.reseeds.load(std::memory_order_relaxed));
-    append_kv(out, "reseed_timeouts",
-              s.reseed_timeouts.load(std::memory_order_relaxed));
-    append_kv(out, "generates", s.generates.load(std::memory_order_relaxed));
-    append_kv(out, "bytes_generated",
-              s.bytes_generated.load(std::memory_order_relaxed));
-    append_kv(out, "backpressure",
-              s.backpressure.load(std::memory_order_relaxed));
-    append_kv(out, "entropy_words_consumed",
-              s.entropy_words_consumed.load(std::memory_order_relaxed));
-    append_kv(out, "generates_since_reseed",
-              s.generates_since_reseed.load(std::memory_order_relaxed));
-    out += "\"generate_latency_us_histogram\": ";
-    out += s.generate_latency_us.to_json();
-    out += "}";
+    w.begin_object();
+    w.key("shard").emit_u64(i);
+    w.key("instantiates").emit_u64(s.instantiates.load(relaxed));
+    w.key("reseeds").emit_u64(s.reseeds.load(relaxed));
+    w.key("reseed_timeouts").emit_u64(s.reseed_timeouts.load(relaxed));
+    w.key("generates").emit_u64(s.generates.load(relaxed));
+    w.key("bytes_generated").emit_u64(s.bytes_generated.load(relaxed));
+    w.key("backpressure").emit_u64(s.backpressure.load(relaxed));
+    w.key("entropy_words_consumed")
+        .emit_u64(s.entropy_words_consumed.load(relaxed));
+    w.key("generates_since_reseed")
+        .emit_u64(s.generates_since_reseed.load(relaxed));
+    w.key("generate_latency_us_histogram");
+    s.generate_latency_us.write_json(w);
+    w.end();
   }
-  out += "], \"service\": ";
-  out += pool.snapshot_json();
-  out += "}";
-  return out;
+  w.end().key("service");
+  pool.write_json(w);
+  w.end();
+  return w.take();
 }
 
 }  // namespace trng::server

@@ -5,30 +5,6 @@
 
 namespace trng::service {
 
-namespace {
-
-void append_u64(std::string& out, std::uint64_t v) {
-  out += std::to_string(v);
-}
-
-/// Escapes the characters that can plausibly appear in a source label.
-void append_json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) >= 0x20) {
-      out += c;
-    } else {
-      out += ' ';
-    }
-  }
-  out += '"';
-}
-
-}  // namespace
-
 Histogram::Histogram(std::vector<std::uint64_t> bounds)
     : bounds_(std::move(bounds)) {
   if (bounds_.empty() ||
@@ -59,28 +35,18 @@ std::uint64_t Histogram::total() const {
   return sum;
 }
 
-std::string Histogram::to_json() const {
-  std::string out = "{\"bounds\": [";
-  for (std::size_t i = 0; i < bounds_.size(); ++i) {
-    if (i > 0) out += ", ";
-    append_u64(out, bounds_[i]);
-  }
-  out += "], \"counts\": [";
-  for (std::size_t i = 0; i <= bounds_.size(); ++i) {
-    if (i > 0) out += ", ";
-    append_u64(out, count(i));
-  }
-  out += "]}";
-  return out;
+void Histogram::write_json(common::JsonWriter& w) const {
+  w.begin_object().key("bounds").begin_array();
+  for (const std::uint64_t b : bounds_) w.emit_u64(b);
+  w.end().key("counts").begin_array();
+  for (std::size_t i = 0; i <= bounds_.size(); ++i) w.emit_u64(count(i));
+  w.end().end();
 }
 
-void append_kv(std::string& out, const char* key, std::uint64_t v,
-               bool trailing_comma) {
-  out += '"';
-  out += key;
-  out += "\": ";
-  append_u64(out, v);
-  if (trailing_comma) out += ", ";
+std::string Histogram::to_json() const {
+  common::JsonWriter w;
+  write_json(w);
+  return w.take();
 }
 
 const char* admit_state_name(AdmitState state) {
@@ -106,52 +72,45 @@ void Metrics::set_label(std::size_t i, std::string label) {
   labels_[i] = std::move(label);
 }
 
-std::string Metrics::snapshot_json() const {
-  std::string out;
-  out.reserve(512 + 512 * sources_.size());
-  out += "{\"schema\": \"trng.service.metrics.v2\", \"pool\": {";
-  append_kv(out, "draws", draws.load(std::memory_order_relaxed));
-  append_kv(out, "words_drawn", words_drawn.load(std::memory_order_relaxed));
-  append_kv(out, "draw_wait_ns",
-            draw_wait_ns.load(std::memory_order_relaxed));
-  out += "\"draw_wait_us_histogram\": ";
-  out += draw_wait_us.to_json();
-  out += "}, \"producers\": [";
+void Metrics::write_json(common::JsonWriter& w) const {
+  constexpr auto relaxed = std::memory_order_relaxed;
+  w.begin_object();
+  w.key("schema").emit_string("trng.service.metrics.v2");
+  w.key("pool").begin_object();
+  w.key("draws").emit_u64(draws.load(relaxed));
+  w.key("words_drawn").emit_u64(words_drawn.load(relaxed));
+  w.key("draw_wait_ns").emit_u64(draw_wait_ns.load(relaxed));
+  w.key("draw_wait_us_histogram");
+  draw_wait_us.write_json(w);
+  w.end().key("producers").begin_array();
   for (std::size_t i = 0; i < sources_.size(); ++i) {
     const ProducerCounters& c = sources_[i];
-    if (i > 0) out += ", ";
-    out += "{\"label\": ";
-    append_json_string(out, labels_[i]);
-    out += ", \"state\": \"";
-    out += admit_state_name(
-        static_cast<AdmitState>(c.state.load(std::memory_order_relaxed)));
-    out += "\", ";
-    append_kv(out, "words_produced",
-              c.words_produced.load(std::memory_order_relaxed));
-    append_kv(out, "words_discarded",
-              c.words_discarded.load(std::memory_order_relaxed));
-    append_kv(out, "words_drawn",
-              c.words_drawn.load(std::memory_order_relaxed));
-    append_kv(out, "blocks_admitted",
-              c.blocks_admitted.load(std::memory_order_relaxed));
-    append_kv(out, "blocks_rejected",
-              c.blocks_rejected.load(std::memory_order_relaxed));
-    append_kv(out, "health_alarms",
-              c.health_alarms.load(std::memory_order_relaxed));
-    append_kv(out, "quarantines",
-              c.quarantines.load(std::memory_order_relaxed));
-    append_kv(out, "reseeds", c.reseeds.load(std::memory_order_relaxed));
-    append_kv(out, "readmissions",
-              c.readmissions.load(std::memory_order_relaxed));
-    append_kv(out, "stall_ns", c.stall_ns.load(std::memory_order_relaxed));
-    append_kv(out, "ring_words",
-              c.ring_words.load(std::memory_order_relaxed));
-    out += "\"ring_occupancy_pct_histogram\": ";
-    out += c.ring_occupancy_pct.to_json();
-    out += "}";
+    w.begin_object();
+    w.key("label").emit_string(labels_[i]);
+    w.key("state").emit_string(
+        admit_state_name(static_cast<AdmitState>(c.state.load(relaxed))));
+    w.key("words_produced").emit_u64(c.words_produced.load(relaxed));
+    w.key("words_discarded").emit_u64(c.words_discarded.load(relaxed));
+    w.key("words_drawn").emit_u64(c.words_drawn.load(relaxed));
+    w.key("blocks_admitted").emit_u64(c.blocks_admitted.load(relaxed));
+    w.key("blocks_rejected").emit_u64(c.blocks_rejected.load(relaxed));
+    w.key("health_alarms").emit_u64(c.health_alarms.load(relaxed));
+    w.key("quarantines").emit_u64(c.quarantines.load(relaxed));
+    w.key("reseeds").emit_u64(c.reseeds.load(relaxed));
+    w.key("readmissions").emit_u64(c.readmissions.load(relaxed));
+    w.key("stall_ns").emit_u64(c.stall_ns.load(relaxed));
+    w.key("ring_words").emit_u64(c.ring_words.load(relaxed));
+    w.key("ring_occupancy_pct_histogram");
+    c.ring_occupancy_pct.write_json(w);
+    w.end();
   }
-  out += "]}";
-  return out;
+  w.end().end();
+}
+
+std::string Metrics::snapshot_json() const {
+  common::JsonWriter w;
+  write_json(w);
+  return w.take();
 }
 
 }  // namespace trng::service

@@ -18,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
+
 namespace trng::service {
 
 /// Fixed-bound histogram with atomic bucket counts. Bucket i counts values
@@ -44,8 +46,10 @@ class Histogram {
 
   const std::vector<std::uint64_t>& bounds() const { return bounds_; }
 
-  /// Renders as {"bounds": [...], "counts": [...]} (counts has one extra
-  /// trailing entry: the overflow bucket).
+  /// Writes {"bounds": [...], "counts": [...]} as the writer's next value
+  /// (counts has one extra trailing entry: the overflow bucket).
+  void write_json(common::JsonWriter& w) const;
+  /// The same object as a standalone document.
   std::string to_json() const;
 
  private:
@@ -59,11 +63,6 @@ class Histogram {
 enum class AdmitState : int { kHealthy = 0, kQuarantined = 1, kProbation = 2 };
 
 const char* admit_state_name(AdmitState state);
-
-/// Appends `"key": v` to a JSON object being built in `out`, then ", "
-/// unless it is the object's last member. Both tiers' snapshots use it.
-void append_kv(std::string& out, const char* key, std::uint64_t v,
-               bool trailing_comma = true);
 
 /// Per-producer counters. Written by the owning producer thread (and the
 /// pool's draw path for words_drawn); read by snapshot_json at any time.
@@ -125,7 +124,10 @@ class Metrics {
   /// Per-draw blocking wait, microseconds.
   Histogram draw_wait_us{{1, 10, 100, 1000, 10000, 100000, 1000000}};
 
-  /// One JSON object covering the pool and every producer.
+  /// Writes one JSON object covering the pool and every producer as the
+  /// writer's next value; the daemon nests it in its own snapshot.
+  void write_json(common::JsonWriter& w) const;
+  /// The same object as a standalone document.
   std::string snapshot_json() const;
 
  private:

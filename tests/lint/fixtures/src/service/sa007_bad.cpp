@@ -1,5 +1,5 @@
-// SA007 bad fixture: entropy-tainted words reaching logs, JSON helpers
-// and exception messages.
+// SA007 bad fixture: entropy-tainted words reaching logs, JSON helpers,
+// the JSON writer and exception messages.
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
@@ -10,6 +10,11 @@ namespace fixture {
 
 struct RawSource {
   void generate_into(std::uint64_t* words, std::size_t nbits);
+};
+
+struct JsonWriter {
+  JsonWriter& key(const char* name);
+  JsonWriter& emit_u64(std::uint64_t v);
 };
 
 struct Reporter {
@@ -33,6 +38,12 @@ struct Reporter {
     std::uint64_t payload[4] = {};
     source_.generate_into(payload, 256);
     return std::to_string(payload[1]);  // SA007: serialized raw word
+  }
+
+  void leak_writer(JsonWriter& w) {
+    std::uint64_t drawn[4] = {};
+    source_.generate_into(drawn, 256);
+    w.key("first").emit_u64(drawn[0]);  // SA007: raw word in a document
   }
 
   void leak_throw() {

@@ -147,20 +147,6 @@ TEST(OnlineHealthMonitor, FeedBlockMatchesScalarFeed) {
   EXPECT_GT(batched_alarms, 0u);  // the stuck phase must trip something
 }
 
-TEST(OnlineHealthMonitor, FeedBlockBitStreamOverload) {
-  OnlineHealthMonitor a(0.95);
-  OnlineHealthMonitor b(0.95);
-  common::Xoshiro256StarStar rng(77);
-  common::BitStream bits;
-  for (int i = 0; i < 5000; ++i) bits.push_back((rng.next() & 1) != 0);
-  std::uint64_t scalar_alarms = 0;
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    if (a.feed(bits[i], true)) ++scalar_alarms;
-  }
-  EXPECT_EQ(b.feed_block(bits), scalar_alarms);
-  EXPECT_EQ(b.total_alarms(), a.total_alarms());
-}
-
 TEST(OnlineHealthMonitor, CatchesBiasCollapse) {
   OnlineHealthMonitor m(0.95);
   common::Xoshiro256StarStar rng(6);

@@ -55,39 +55,6 @@ TEST(KahanSum, RecoversCancelledDigits) {
   EXPECT_NEAR(k.value(), 1.0 + 1.0e-10, 1e-14);
 }
 
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(9.99);
-  h.add(-5.0);   // clamps into bin 0
-  h.add(100.0);  // clamps into bin 9
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(9), 2u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.bin_center(0), 0.5);
-  EXPECT_THROW(h.bin_count(10), std::out_of_range);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 10), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(ChiSquareStatistic, UniformCountsGiveZero) {
-  EXPECT_DOUBLE_EQ(
-      chi_square_statistic({10, 10, 10}, {10.0, 10.0, 10.0}), 0.0);
-}
-
-TEST(ChiSquareStatistic, KnownValue) {
-  // (12-10)^2/10 + (8-10)^2/10 = 0.8
-  EXPECT_NEAR(chi_square_statistic({12, 8}, {10.0, 10.0}), 0.8, 1e-12);
-}
-
-TEST(ChiSquareStatistic, RejectsBadInput) {
-  EXPECT_THROW(chi_square_statistic({1}, {1.0, 2.0}), std::invalid_argument);
-  EXPECT_THROW(chi_square_statistic({1}, {0.0}), std::invalid_argument);
-}
-
 TEST(BinaryEntropy, KnownValues) {
   EXPECT_DOUBLE_EQ(binary_entropy(0.0), 0.0);
   EXPECT_DOUBLE_EQ(binary_entropy(1.0), 0.0);

@@ -1,6 +1,6 @@
 // Unit tests for the strong-typed Bits/Words layer (src/common/units.hpp):
 // explicit construction, same-type arithmetic, the four named conversions,
-// and the checked-narrowing guard rails the SA002 analyzer rule assumes.
+// and the overflow and underflow checks the SA002 analyzer rule assumes.
 #include "common/units.hpp"
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@ namespace {
 using trng::common::bit_offset;
 using trng::common::Bits;
 using trng::common::bits_to_words;
-using trng::common::checked_narrow;
 using trng::common::word_index;
 using trng::common::Words;
 using trng::common::words_to_bits;
@@ -100,28 +99,11 @@ TEST(Units, BitOffsetWrapsAt64) {
   EXPECT_EQ(bit_offset(Bits{130}), 2u);
 }
 
-TEST(Units, CheckedNarrowPassesInRangeValues) {
-  EXPECT_EQ(checked_narrow<unsigned>(Bits{4096}), 4096u);
-  EXPECT_EQ(checked_narrow<std::uint8_t>(Words{255}), 255u);
-  EXPECT_EQ(checked_narrow<int>(std::uint64_t{1 << 20}), 1 << 20);
-}
-
-TEST(Units, CheckedNarrowThrowsOnTruncation) {
-  EXPECT_THROW((void)checked_narrow<std::uint8_t>(Bits{256}),
-               std::overflow_error);
-  EXPECT_THROW((void)checked_narrow<int>(
-                   std::uint64_t{std::numeric_limits<std::uint64_t>::max()}),
-               std::overflow_error);
-  EXPECT_THROW((void)checked_narrow<std::int8_t>(Words{128}),
-               std::overflow_error);
-}
-
 TEST(Units, ConstexprUsable) {
   static_assert(bits_to_words(Bits{4096}) == Words{64});
   static_assert(words_to_bits(Words{2}) == Bits{128});
   static_assert(word_index(Bits{100}) == Words{1});
   static_assert(bit_offset(Bits{100}) == 36u);
-  static_assert(checked_narrow<unsigned>(Bits{7}) == 7u);
   SUCCEED();
 }
 

@@ -1139,7 +1139,8 @@ _PRINT_SINKS = {"printf", "fprintf", "sprintf", "snprintf", "puts",
 _EXCEPTION_SINKS = {"runtime_error", "logic_error", "invalid_argument",
                     "out_of_range", "domain_error", "length_error",
                     "range_error"}
-_FORMAT_SINKS = {"to_string", "format", "append_u64", "append_kv"}
+_FORMAT_SINKS = {"to_string", "format", "emit_u64", "emit_double",
+                 "emit_string"}
 
 _COPY_DST_FIRST = {"memcpy", "memmove"}
 _COPY_DST_LAST = {"copy", "copy_n"}

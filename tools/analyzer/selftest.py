@@ -81,6 +81,7 @@ EXPECTED = sorted([
     ("src/service/sa007_bad.cpp", "SA007"),   # raw word to printf
     ("src/service/sa007_bad.cpp", "SA007"),   # raw word to a stream
     ("src/service/sa007_bad.cpp", "SA007"),   # raw word to to_string
+    ("src/service/sa007_bad.cpp", "SA007"),   # raw word to the JSON writer
     ("src/service/sa007_bad.cpp", "SA007"),   # raw word in an exception
     ("src/server/sa007_shard_bad.cpp", "SA007"),  # draw_from_shard arg 1
     ("src/service/sa008_bad.cpp", "SA008"),   # front -> back acquisition
