@@ -46,7 +46,7 @@ int main() {
 
     core::DesignParams params;  // Table-1 working point: k=1, tA=10 ns
     core::CarryChainTrng trng(fabric, params, 9);
-    const auto raw = trng.generate_raw(trng::common::Bits{bits * 8});
+    const auto raw = trng.generate(trng::common::Bits{bits * 8});
     const auto out = raw.xor_fold(7);
     const double miss_rate =
         static_cast<double>(trng.diagnostics().missed_edges) /
@@ -59,7 +59,7 @@ int main() {
     stat::TestBattery battery(opt);
     unsigned np_needed = 0;
     for (unsigned np = 7; np <= 12 && np_needed == 0; ++np) {
-      if (battery.run(trng.generate_raw(trng::common::Bits{bits * np}).xor_fold(np))
+      if (battery.run(trng.generate(trng::common::Bits{bits * np}).xor_fold(np))
               .all_passed()) {
         np_needed = np;
       }

@@ -61,7 +61,7 @@ int main() {
     p.accumulation_cycles = 10;
     core::CarryChainTrng trng(fabric, p, die, sim::NoiseConfig::white_only());
     const double h = common::binary_entropy(
-        trng.generate_raw(trng::common::Bits{bits}).ones_fraction());
+        trng.generate(trng::common::Bits{bits}).ones_fraction());
     std::printf("%-6llu %-12.4f %-12.4f %-12.4f %-12.4f%s\n",
                 static_cast<unsigned long long>(die), h, eq3, folded,
                 dnl_bound, h < eq3 ? "   <- below Eq. 3!" : "");

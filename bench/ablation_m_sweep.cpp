@@ -39,7 +39,7 @@ int main() {
       p.m = m;
       p.mode = sim::SamplingMode::kFreeRunning;  // sweep all phases
       core::CarryChainTrng trng(fabric, p, 100 + static_cast<unsigned>(die));
-      (void)trng.generate_raw(trng::common::Bits{captures});
+      (void)trng.generate(trng::common::Bits{captures});
       const double rate =
           100.0 * static_cast<double>(trng.diagnostics().missed_edges) /
           static_cast<double>(trng.diagnostics().captures);

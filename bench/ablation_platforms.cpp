@@ -64,7 +64,7 @@ int main() {
     stat::TestBattery battery(opt);
     bool ok = false;
     for (; np <= 16 && !ok; ++np) {
-      ok = battery.run(trng.generate_raw(trng::common::Bits{bits * np}).xor_fold(np))
+      ok = battery.run(trng.generate(trng::common::Bits{bits * np}).xor_fold(np))
                .all_passed();
       if (ok) break;
     }

@@ -49,7 +49,7 @@ int main() {
 
   std::printf("[1] white-only noise (i.i.d. raw bits — Eq. 7's domain):\n");
   core::CarryChainTrng iid_trng(fabric, p, 31, sim::NoiseConfig::white_only());
-  const auto iid_raw = iid_trng.generate_raw(trng::common::Bits{out_bits * max_np});
+  const auto iid_raw = iid_trng.generate(trng::common::Bits{out_bits * max_np});
   fold_table(iid_raw, max_np);
   std::printf("sampling floor ~%.5f on %zu bits\n\n",
               0.5 / std::sqrt(static_cast<double>(out_bits)), out_bits);
@@ -57,7 +57,7 @@ int main() {
   std::printf("[2] full noise taxonomy (flicker + supply drift -> serially\n"
               "    correlated raw bits; Eq. 7 becomes optimistic):\n");
   core::CarryChainTrng drift_trng(fabric, p, 31, sim::NoiseConfig{});
-  const auto drift_raw = drift_trng.generate_raw(trng::common::Bits{out_bits * max_np});
+  const auto drift_raw = drift_trng.generate(trng::common::Bits{out_bits * max_np});
   fold_table(drift_raw, max_np);
 
   std::printf(

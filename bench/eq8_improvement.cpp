@@ -69,7 +69,7 @@ int main() {
     p.accumulation_cycles = na;
     core::CarryChainTrng trng(fabric, p, 55,
                               sim::NoiseConfig::white_only());
-    return trng.generate_raw(trng::common::Bits{bits}).ones_fraction();
+    return trng.generate(trng::common::Bits{bits}).ones_fraction();
   };
   const double tdc_inf = tdc_p1(64);
   std::optional<Cycles> tdc_pass;

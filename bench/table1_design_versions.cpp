@@ -92,7 +92,7 @@ int main() {
     core::CarryChainTrng trng(fabric, params, 1000 + row.na);
 
     // Empirical raw-entropy estimate from a dedicated sample.
-    const auto raw_sample = trng.generate_raw(trng::common::Bits{std::min<std::size_t>(test_bits, 60000)});
+    const auto raw_sample = trng.generate(trng::common::Bits{std::min<std::size_t>(test_bits, 60000)});
     const double h_raw_sim =
         stat::shannon_entropy_estimate(raw_sample);
 
@@ -100,7 +100,7 @@ int main() {
     double h_new_model = 0.0;
     if (model_np.has_value()) {
       auto source = [&trng](std::size_t count) {
-        return trng.generate_raw(trng::common::Bits{count});
+        return trng.generate(trng::common::Bits{count});
       };
       // Search around the model prediction (the paper's Step 2 -> Step 4
       // flow: the model narrows the design space, statistics confirm).

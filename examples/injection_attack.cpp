@@ -31,7 +31,7 @@ void evaluate(const char* label, const sim::NoiseConfig& noise) {
   params.accumulation_cycles = 2;  // tA = 20 ns
   core::CarryChainTrng trng(fabric, params, 3, noise);
 
-  const auto raw = trng.generate_raw(trng::common::Bits{280000});
+  const auto raw = trng.generate(trng::common::Bits{280000});
   const auto out = raw.xor_fold(7);
 
   // Full battery, including the spectral (DFT) test — a beating tone is a

@@ -129,11 +129,4 @@ double igamc(double a, double x) {
   return igamc_cfrac(a, x);
 }
 
-double log_binomial(unsigned n, unsigned k) {
-  if (k > n) throw std::domain_error("log_binomial: k > n");
-  return lgamma_threadsafe(static_cast<double>(n) + 1.0) -
-         lgamma_threadsafe(static_cast<double>(k) + 1.0) -
-         lgamma_threadsafe(static_cast<double>(n - k) + 1.0);
-}
-
 }  // namespace trng::common

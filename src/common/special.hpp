@@ -13,7 +13,4 @@ double igam(double a, double x);
 /// Q(df/2, chi2/2). Requires a > 0, x >= 0.
 double igamc(double a, double x);
 
-/// Natural log of the binomial coefficient C(n, k).
-double log_binomial(unsigned n, unsigned k);
-
 }  // namespace trng::common

@@ -55,17 +55,15 @@ class SelfTimedRingTrng : public BitSource {
 
   SourceInfo info() const override;
 
-  /// Phase-bin width Delta = T / L in ps (fixed per design; hoisted to a
-  /// member at construction so the sampling loops do not re-divide).
-  Picoseconds phase_resolution_ps() const { return resolution_ps_; }
-
  private:
   Params params_;
   common::Xoshiro256StarStar rng_;
   double phase_ps_ = 0.0;      ///< sampled phase offset within the period
   double drift_ps_ = 0.0;      ///< deterministic incommensurate drift/sample
   double sigma_per_sample_ = 0.0;
-  double resolution_ps_ = 0.0; ///< Delta = T / L
+  /// Phase-bin width Delta = T / L (fixed per design; hoisted to a member
+  /// at construction so the sampling loops do not re-divide).
+  double resolution_ps_ = 0.0;
 };
 
 }  // namespace trng::core::baselines

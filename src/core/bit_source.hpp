@@ -52,10 +52,8 @@ class BitSource {
   virtual SourceInfo info() const = 0;
 
   /// Generates `count` bits into a BitStream via the batched path.
-  /// Non-virtual on purpose: it is pure plumbing over generate_into, and
-  /// generators with a different container-level convention (e.g. the
-  /// carry-chain TRNG's post-processed generate()) hide it by name rather
-  /// than override it.
+  /// Non-virtual on purpose: it is pure plumbing over generate_into, so a
+  /// call through any static type returns the same bits.
   common::BitStream generate(common::Bits count);
 };
 

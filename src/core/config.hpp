@@ -42,7 +42,8 @@ struct DesignParams {
   /// N_A: accumulation time in system-clock cycles; t_A = N_A * T_clk.
   Cycles accumulation_cycles = 1;
 
-  /// XOR post-processing compression rate n_p (1 = raw output).
+  /// XOR post-processing compression rate n_p (1 = raw output). The TRNG
+  /// itself emits raw bits; XorCompressedSource applies this rate.
   unsigned np = 1;
 
   sim::SamplingMode mode = sim::SamplingMode::kRestart;

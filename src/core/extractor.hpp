@@ -34,9 +34,6 @@ class EntropyExtractor {
   /// empty or its tap count differs from the configured m.
   ExtractionResult extract_packed(const sim::PackedCapture& capture) const;
 
-  int m() const { return m_; }
-  int k() const { return k_; }
-
  private:
   int m_;
   int k_;

@@ -62,7 +62,6 @@ class AdaptiveProportionTest {
   void reset();
 
   unsigned cutoff() const { return cutoff_; }
-  unsigned window() const { return window_; }
   std::uint64_t alarms() const { return alarms_; }
 
  private:

@@ -32,8 +32,6 @@ class XorCompressedSource : public BitSource {
   /// throughput divided by np (the rate-for-entropy trade of Eq. 7).
   SourceInfo info() const override;
 
-  unsigned np() const { return np_; }
-
  private:
   std::unique_ptr<BitSource> source_;
   unsigned np_;

@@ -55,7 +55,7 @@ std::vector<SourceFactory> canonical_sources(const fpga::Fabric& fabric) {
          DesignParams p;  // paper defaults: n=3, m=36, k=1, N_A=1
          p.np = 7;
          auto trng = std::make_unique<CarryChainTrng>(*fab, p, seed);
-         return std::make_unique<XorCompressedSource>(std::move(trng), 7);
+         return std::make_unique<XorCompressedSource>(std::move(trng), p.np);
        }});
 
   registry.push_back(
@@ -67,7 +67,7 @@ std::vector<SourceFactory> canonical_sources(const fpga::Fabric& fabric) {
          p.accumulation_cycles = 20;  // t_A = 200 ns
          p.np = 9;  // our die's measured n_NIST for this row (paper die: 6)
          auto trng = std::make_unique<CarryChainTrng>(*fab, p, seed);
-         return std::make_unique<XorCompressedSource>(std::move(trng), 9);
+         return std::make_unique<XorCompressedSource>(std::move(trng), p.np);
        }});
 
   registry.push_back(

@@ -59,32 +59,14 @@ void CarryChainTrng::generate_into(std::uint64_t* words, common::Bits nbits) {
   diagnostics_.missed_edges += missed;
 }
 
-common::BitStream CarryChainTrng::generate_raw(common::Bits count) {
-  return BitSource::generate(count);
-}
-
-common::BitStream CarryChainTrng::generate(common::Bits count) {
-  if (count.is_zero()) return common::BitStream{};
-  // count * np raw bits, XOR-folded np -> 1: the stream an
-  // XorCompressedSource with the same np produces over this TRNG.
-  return BitSource::generate(count * params_.np).xor_fold(params_.np);
-}
-
 SourceInfo CarryChainTrng::info() const {
   SourceInfo si;
   si.name = "This work (k=" + std::to_string(params_.k) + ")";
   si.platform = "Spartan 6 (sim)";
   si.resources = std::to_string(elaborated_.resources.slices) + " slices";
-  si.throughput_bps = raw_throughput_bps();
+  si.throughput_bps =
+      sampler_.schedule().raw_throughput_bps(params_.accumulation_cycles);
   return si;
-}
-
-double CarryChainTrng::raw_throughput_bps() const {
-  return sampler_.schedule().raw_throughput_bps(params_.accumulation_cycles);
-}
-
-double CarryChainTrng::throughput_bps() const {
-  return raw_throughput_bps() / static_cast<double>(params_.np);
 }
 
 }  // namespace trng::core

@@ -3,16 +3,15 @@
 //   ring oscillator (entropy source)
 //     -> carry-chain TDC lines (digitization)
 //     -> entropy extractor (XOR fold, first-edge priority encode, LSB)
-//     -> optional XOR post-processing
 //
 // One raw bit is produced every N_A system-clock cycles, so raw throughput
-// is f_CLK / N_A and post-processed throughput f_CLK / (N_A * n_p) — the
-// accounting behind Table 1's throughput column.
+// is f_CLK / N_A. XOR post-processing is a separate stage: wrap the TRNG in
+// core::XorCompressedSource (rate f_CLK / (N_A * n_p), Table 1's
+// throughput column), or fold a stream in memory with BitStream::xor_fold.
 #pragma once
 
 #include <cstdint>
 
-#include "common/bitstream.hpp"
 #include "core/bit_source.hpp"
 #include "core/config.hpp"
 #include "core/extractor.hpp"
@@ -22,11 +21,8 @@
 
 namespace trng::core {
 
-/// The BitSource facet emits RAW (pre-post-processing) bits through
-/// generate_into(). The post-processed stream stays available as
-/// generate() (which name-hides BitSource::generate — it consumes
-/// count * np raw bits), or, for polymorphic consumers, by wrapping the
-/// TRNG in XorCompressedSource.
+/// Emits RAW (pre-post-processing) bits: generate_into() and the inherited
+/// BitSource::generate() both return one raw bit per capture.
 class CarryChainTrng : public BitSource {
  public:
   /// Places the canonical floorplan (Section 5) on `fabric`, elaborates it
@@ -44,22 +40,10 @@ class CarryChainTrng : public BitSource {
   /// yields 0 and is counted in diagnostics().missed_edges.
   void generate_into(std::uint64_t* words, common::Bits nbits) override;
 
-  /// BitSource: identity + the paper's headline raw-rate figures.
+  /// BitSource: identity + the paper's headline figures; throughput_bps is
+  /// the raw rate f_CLK / N_A.
   SourceInfo info() const override;
 
-  /// Generates `count` raw bits (batched path).
-  common::BitStream generate_raw(common::Bits count);
-
-  /// Generates `count` post-processed bits (consumes count * np raw bits).
-  common::BitStream generate(common::Bits count);
-
-  /// Raw bit rate f_CLK / N_A in bits/s.
-  double raw_throughput_bps() const;
-
-  /// Post-processed bit rate f_CLK / (N_A * n_p) in bits/s.
-  double throughput_bps() const;
-
-  const DesignParams& params() const { return params_; }
   const fpga::ResourceReport& resources() const {
     return elaborated_.resources;
   }

@@ -16,16 +16,6 @@ bool DeviceGeometry::has_carry_chain(SliceCoord c) const {
   return (c.col % 2) == 0;
 }
 
-SliceKind DeviceGeometry::slice_kind(SliceCoord c) const {
-  if (!contains(c)) {
-    throw std::out_of_range("DeviceGeometry::slice_kind: off-device");
-  }
-  if (c.col % 2 != 0) return SliceKind::kSliceX;
-  // Every fourth carry column is a SLICEM column, matching the roughly
-  // 25%/25%/50% SLICEM/SLICEL/SLICEX split of real Spartan-6 parts.
-  return (c.col % 8 == 0) ? SliceKind::kSliceM : SliceKind::kSliceL;
-}
-
 int DeviceGeometry::clock_region(SliceCoord c) const {
   if (!contains(c)) {
     throw std::out_of_range("DeviceGeometry::clock_region: off-device");

@@ -19,13 +19,6 @@
 
 namespace trng::fpga {
 
-/// Kinds of slices on the simulated fabric.
-enum class SliceKind {
-  kSliceX,  ///< logic only, no carry chain (odd columns)
-  kSliceL,  ///< carry-capable (even columns)
-  kSliceM,  ///< carry-capable with distributed RAM (subset of even columns)
-};
-
 struct SliceCoord {
   int col = 0;
   int row = 0;
@@ -41,7 +34,6 @@ class DeviceGeometry {
   int columns() const { return columns_; }
   int rows() const { return rows_; }
   int rows_per_clock_region() const { return rows_per_region_; }
-  int clock_regions() const { return (rows_ + rows_per_region_ - 1) / rows_per_region_; }
 
   bool contains(SliceCoord c) const {
     return c.col >= 0 && c.col < columns_ && c.row >= 0 && c.row < rows_;
@@ -50,8 +42,6 @@ class DeviceGeometry {
   /// Carry chains exist only in even columns (paper Section 5:
   /// "these slices are located in even numbered columns").
   bool has_carry_chain(SliceCoord c) const;
-
-  SliceKind slice_kind(SliceCoord c) const;
 
   /// Index of the clock region containing `c`; throws if out of bounds.
   int clock_region(SliceCoord c) const;
@@ -62,8 +52,6 @@ class DeviceGeometry {
 
   /// Per-slice capacity constants (Spartan-6).
   static constexpr int kLutsPerSlice = 4;
-  static constexpr int kFlipFlopsPerSlice = 8;
-  static constexpr int kCarryTapsPerSlice = 4;  ///< one CARRY4 per carry slice
 
  private:
   int columns_;

@@ -23,7 +23,6 @@ FabricSpec ideal_fabric_spec() {
 
 Fabric::Fabric(DeviceGeometry geom, std::uint64_t die_seed, FabricSpec spec)
     : geom_(geom),
-      die_seed_(die_seed),
       spec_(spec),
       variation_(die_seed, spec.process_gradient_rel),
       clock_tree_(geom, spec.clock_tree, die_seed) {}

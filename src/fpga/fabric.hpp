@@ -84,9 +84,6 @@ class Fabric {
 
   const DeviceGeometry& geometry() const { return geom_; }
   const FabricSpec& spec() const { return spec_; }
-  std::uint64_t die_seed() const { return die_seed_; }
-  const ClockTreeModel& clock_tree() const { return clock_tree_; }
-  const OperatingPoint& operating_point() const { return op_; }
 
   /// The same die at a different operating point: all delays scale with
   /// the environmental model, the thermal sigma with sqrt(T).
@@ -107,7 +104,6 @@ class Fabric {
 
  private:
   DeviceGeometry geom_;
-  std::uint64_t die_seed_;
   FabricSpec spec_;
   ProcessVariationModel variation_;
   ClockTreeModel clock_tree_;

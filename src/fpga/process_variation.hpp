@@ -22,8 +22,6 @@ class ProcessVariationModel {
   /// `gradient_rel` is the worst-case systematic delay tilt corner-to-corner.
   ProcessVariationModel(std::uint64_t die_seed, double gradient_rel = 0.04);
 
-  std::uint64_t die_seed() const { return die_seed_; }
-
   /// Multiplier (~1.0) for element `element_index` (0 = LUT A, ... 3 = LUT D,
   /// or carry tap index) at slice `c` on a device of geometry `geom`.
   /// `sigma_rel` is the element class's random-variation std-dev.

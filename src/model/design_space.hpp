@@ -52,8 +52,6 @@ class DesignSpaceExplorer {
   unsigned min_np(int k, Cycles accumulation_cycles, double target_h,
                   unsigned max_np = 64) const;
 
-  const StochasticModel& model() const { return model_; }
-
  private:
   const StochasticModel& model_;
 };

@@ -79,8 +79,6 @@ class HashDrbg {
     return reseed_counter_ > limits_.reseed_interval;
   }
 
-  const DrbgLimits& limits() const { return limits_; }
-
  private:
   /// V += addend (big-endian) mod 2^440.
   void add_to_v(const std::uint8_t* addend, std::size_t len);

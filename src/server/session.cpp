@@ -248,6 +248,7 @@ void Session::serve() {
       (void)write_full(fd_, header, sizeof(header));
       break;
     }
+    // decode_request admits only the two message types.
     bool ok = false;
     switch (req.type) {
       case MessageType::kDraw:
@@ -256,15 +257,6 @@ void Session::serve() {
       case MessageType::kMetrics:
         ok = serve_metrics();
         break;
-      default: {
-        metrics_.bad_requests.fetch_add(1, std::memory_order_relaxed);
-        ResponseHeader rsp;
-        rsp.status = Status::kBadRequest;
-        std::uint8_t header[kResponseHeaderBytes];
-        encode_response(rsp, header);
-        ok = write_full(fd_, header, sizeof(header));
-        break;
-      }
     }
     if (!ok) break;
   }

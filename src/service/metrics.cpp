@@ -43,12 +43,6 @@ void Histogram::write_json(common::JsonWriter& w) const {
   w.end().end();
 }
 
-std::string Histogram::to_json() const {
-  common::JsonWriter w;
-  write_json(w);
-  return w.take();
-}
-
 const char* admit_state_name(AdmitState state) {
   switch (state) {
     case AdmitState::kHealthy:

@@ -36,9 +36,6 @@ class Histogram {
 
   void record(std::uint64_t value);
 
-  /// Number of buckets including the overflow bucket.
-  std::size_t buckets() const { return bounds_.size() + 1; }
-
   /// Count in bucket i (i == bounds().size() is the overflow bucket).
   std::uint64_t count(std::size_t i) const;
 
@@ -49,8 +46,6 @@ class Histogram {
   /// Writes {"bounds": [...], "counts": [...]} as the writer's next value
   /// (counts has one extra trailing entry: the overflow bucket).
   void write_json(common::JsonWriter& w) const;
-  /// The same object as a standalone document.
-  std::string to_json() const;
 
  private:
   std::vector<std::uint64_t> bounds_;
@@ -112,7 +107,6 @@ class Metrics {
   /// Must only be called before any other thread reads the metrics (the
   /// pool does it during construction).
   void set_label(std::size_t i, std::string label);
-  const std::string& label(std::size_t i) const { return labels_[i]; }
 
   // Pool-level draw-path counters.
   // trng-analyzer: atomic(counter)

@@ -47,21 +47,21 @@ Producer::Producer(std::size_t index, SourceFactory make,
     throw std::invalid_argument(
         "Producer: ring capacity must hold at least one block");
   }
-  source_ = make_(index_, next_epoch_seed());
-  if (source_ == nullptr) {
-    throw std::invalid_argument("Producer: factory returned null source");
-  }
+  source_ = make_source();
 }
 
 Producer::~Producer() { stop_and_join(); }
 
-std::uint64_t Producer::next_epoch_seed() { return seed_stream_.next(); }
-
-void Producer::reseed() {
-  source_ = make_(index_, next_epoch_seed());
-  if (source_ == nullptr) {
+std::unique_ptr<core::BitSource> Producer::make_source() {
+  auto source = make_(index_, seed_stream_.next());
+  if (source == nullptr) {
     throw std::invalid_argument("Producer: factory returned null source");
   }
+  return source;
+}
+
+void Producer::reseed() {
+  source_ = make_source();
   monitor_.reset();
   counters_.reseeds.fetch_add(1, std::memory_order_relaxed);
 }

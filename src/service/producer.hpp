@@ -102,13 +102,13 @@ class Producer {
   core::SourceInfo source_info() const { return source_->info(); }
 
   AdmitState state() const { return policy_.state(); }
-  const QuarantinePolicy& policy() const { return policy_; }
-  std::size_t index() const { return index_; }
 
  private:
   void run();
   void reseed();
-  std::uint64_t next_epoch_seed();
+  /// The next epoch's source: the factory's on the next seed of the
+  /// stream. Throws std::invalid_argument when the factory returns null.
+  std::unique_ptr<core::BitSource> make_source();
   void pace_wait(std::uint64_t deadline_ns);
 
   std::size_t index_;

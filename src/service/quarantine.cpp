@@ -12,7 +12,6 @@ BlockDecision QuarantinePolicy::on_block(std::uint64_t alarms) {
   switch (state_) {
     case AdmitState::kHealthy:
       if (!tripped) return BlockDecision::kAdmit;
-      ++trips_;
       state_ = AdmitState::kQuarantined;
       cooldown_left_ = config_.cooldown_blocks;
       return BlockDecision::kDiscardAndReseed;
@@ -23,7 +22,6 @@ BlockDecision QuarantinePolicy::on_block(std::uint64_t alarms) {
       // e.g. an ongoing injection attack): reseed again and restart the
       // cooldown.
       if (tripped) {
-        ++trips_;
         cooldown_left_ = config_.cooldown_blocks;
         return BlockDecision::kDiscardAndReseed;
       }
@@ -36,14 +34,12 @@ BlockDecision QuarantinePolicy::on_block(std::uint64_t alarms) {
 
     case AdmitState::kProbation:
       if (tripped) {
-        ++trips_;
         state_ = AdmitState::kQuarantined;
         cooldown_left_ = config_.cooldown_blocks;
         return BlockDecision::kDiscardAndReseed;
       }
       if (++clean_blocks_ >= config_.probation_blocks) {
         state_ = AdmitState::kHealthy;
-        ++readmissions_;
       }
       // Probation output is never served: the block that completes
       // probation is still discarded; admission resumes with the next one.

@@ -19,6 +19,8 @@
 // counts, so failover behaviour is exactly reproducible under a seeded
 // generator: which block trips, how many blocks are discarded, and when
 // re-admission happens are all deterministic functions of the bit stream.
+// It keeps no tallies: the producer counts its transitions
+// (ProducerCounters::reseeds, quarantines, readmissions).
 #pragma once
 
 #include <cstdint>
@@ -69,21 +71,11 @@ class QuarantinePolicy {
 
   AdmitState state() const { return state_; }
 
-  /// healthy/probation -> quarantined transitions so far.
-  std::uint64_t trips() const { return trips_; }
-
-  /// probation -> healthy transitions so far.
-  std::uint64_t readmissions() const { return readmissions_; }
-
-  const QuarantineConfig& config() const { return config_; }
-
  private:
   QuarantineConfig config_;
   AdmitState state_ = AdmitState::kHealthy;
   std::uint64_t cooldown_left_ = 0;
   std::uint64_t clean_blocks_ = 0;
-  std::uint64_t trips_ = 0;
-  std::uint64_t readmissions_ = 0;
 };
 
 }  // namespace trng::service

@@ -25,7 +25,6 @@ class AccumulationSchedule {
     }
   }
 
-  Picoseconds clock_period_ps() const { return period_; }
   double clock_hz() const { return 1.0e12 / period_; }
 
   /// t_A = N_A * T_clk in picoseconds.

@@ -328,51 +328,16 @@ void RingOscillator::prune_history() {
   const Picoseconds cutoff = now_ - history_window_;
   for (Stage& st : stage_) {
     auto& q = st.toggles;
-    // Keep one toggle before the window so value_at can resolve the level
-    // at the window's left edge. Same retention as the old per-element
-    // pop_front loop, as one contiguous erase.
+    // Keep one toggle before the window so the tests' level oracle
+    // (tests/oracles.hpp) can resolve the level at the window's left
+    // edge. Same retention as the old per-element pop_front loop, as one
+    // contiguous erase.
     std::size_t drop = 0;
     while (q.size() - drop > 1 && q[drop + 1] < cutoff) ++drop;
     if (drop > 0) {
       q.erase(q.begin(), q.begin() + static_cast<std::ptrdiff_t>(drop));
     }
   }
-}
-
-bool RingOscillator::value_at(int stage, Picoseconds t) const {
-  if (stage < 0 || stage >= stages()) {
-    throw std::out_of_range("RingOscillator::value_at: bad stage");
-  }
-  if (t > now_) {
-    throw std::logic_error("RingOscillator::value_at: time not simulated yet");
-  }
-  if (t < now_ - history_window_) {
-    throw std::logic_error(
-        "RingOscillator::value_at: time before retained history window");
-  }
-  const auto& q = stage_[static_cast<std::size_t>(stage)].toggles;
-  // Current value was flipped by all retained toggles; undo those after t.
-  const auto it = std::upper_bound(q.begin(), q.end(), t);
-  const auto after_t = static_cast<std::size_t>(q.end() - it);
-  bool v = stage_[static_cast<std::size_t>(stage)].value != 0;
-  if (after_t % 2 == 1) v = !v;
-  return v;
-}
-
-std::vector<Picoseconds> RingOscillator::edges_in(int stage, Picoseconds t0,
-                                                  Picoseconds t1) const {
-  if (stage < 0 || stage >= stages()) {
-    throw std::out_of_range("RingOscillator::edges_in: bad stage");
-  }
-  if (t1 > now_) {
-    throw std::logic_error("RingOscillator::edges_in: time not simulated yet");
-  }
-  const auto& q = stage_[static_cast<std::size_t>(stage)].toggles;
-  std::vector<Picoseconds> out;
-  auto lo = std::lower_bound(q.begin(), q.end(), t0);
-  auto hi = std::upper_bound(q.begin(), q.end(), t1);
-  out.assign(lo, hi);
-  return out;
 }
 
 }  // namespace trng::sim

@@ -81,23 +81,12 @@ class RingOscillator {
   /// same code.
   void advance_to(Picoseconds t, AdvanceKernel kernel = AdvanceKernel::kBatched);
 
-  /// Output value of `stage` at time `t`. Requires advance_to(>= t) first
-  /// and t within the retained history window; throws std::logic_error
-  /// otherwise.
-  bool value_at(int stage, Picoseconds t) const;
-
-  /// Toggle times of `stage` inside [t0, t1] (ascending). Requires
-  /// t1 <= now(); a t0 older than the retained history window silently
-  /// clips to the window: only retained toggles are returned, and the
-  /// toggles an aggregate step skipped all lie before the window.
-  std::vector<Picoseconds> edges_in(int stage, Picoseconds t0,
-                                    Picoseconds t1) const;
-
   /// Direct read access to `stage`'s retained toggle times (ascending,
   /// contiguous). A TDC line capture reads the few toggles near its taps
-  /// straight from it, instead of searching per flip-flop through
-  /// value_at/edges_in. Inline (with the bounds check compiled into the
-  /// caller): queried once per TDC line capture.
+  /// straight from it; the tests' per-time level and edge oracles
+  /// (tests/oracles.hpp) are built on it and current_value. Inline (with
+  /// the bounds check compiled into the caller): queried once per TDC line
+  /// capture.
   const std::vector<Picoseconds>& toggle_history(int stage) const {
     if (stage < 0 || stage >= stages()) {
       throw std::out_of_range("RingOscillator::toggle_history: bad stage");

@@ -75,7 +75,6 @@ class SampleController {
   void next_capture_into(Cycles accumulation_cycles, PackedCapture& out);
 
   const RingOscillator& oscillator() const { return oscillator_; }
-  SamplingMode mode() const { return mode_; }
 
   /// The enable -> accumulate -> capture clock accounting.
   const AccumulationSchedule& schedule() const { return schedule_; }

@@ -73,8 +73,6 @@ class TestBattery {
                                          common::Bits test_bits,
                                          unsigned max_np = 16) const;
 
-  const Options& options() const { return options_; }
-
  private:
   Options options_;
 };

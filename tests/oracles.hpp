@@ -10,7 +10,9 @@
 // '0'/'1' strings, the elementary TRNG's two per-bit kernels that the
 // Bernoulli(P1) kernel replaced (ElementaryReference), and the XOR fold a
 // group at a time (xor_fold_per_bit), which common::xor_fold_words's
-// prefix-parity gather replaced.
+// prefix-parity gather replaced. And sim::RingOscillator's per-time
+// queries (value_at, edges_in), which the capture stopped calling when it
+// began reading the retained toggle history directly.
 #pragma once
 
 #include <algorithm>
@@ -18,6 +20,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -120,6 +123,47 @@ inline core::ExtractionResult extract_scalar(const std::vector<Snapshot>& lines,
   return r;
 }
 
+/// Output value of `osc`'s `stage` at time `t`, from its retained toggle
+/// history. Requires osc.advance_to(>= t) first and t within the retained
+/// history window; throws std::logic_error otherwise, and
+/// std::out_of_range for a bad stage.
+inline bool value_at(const sim::RingOscillator& osc, int stage, Picoseconds t) {
+  if (stage < 0 || stage >= osc.stages()) {
+    throw std::out_of_range("test::value_at: bad stage");
+  }
+  if (t > osc.now()) {
+    throw std::logic_error("test::value_at: time not simulated yet");
+  }
+  if (t < osc.now() - osc.history_window()) {
+    throw std::logic_error(
+        "test::value_at: time before retained history window");
+  }
+  const std::vector<Picoseconds>& q = osc.toggle_history(stage);
+  // The current value was flipped by every retained toggle; undo those
+  // after t.
+  const auto after_t = q.end() - std::upper_bound(q.begin(), q.end(), t);
+  return osc.current_value(stage) != (after_t % 2 == 1);
+}
+
+/// Toggle times of `osc`'s `stage` inside [t0, t1] (ascending). Requires
+/// t1 <= osc.now() (std::logic_error otherwise); a t0 older than the
+/// retained history window silently clips to the window: only retained
+/// toggles are returned, and the toggles an aggregate step skipped all lie
+/// before the window.
+inline std::vector<Picoseconds> edges_in(const sim::RingOscillator& osc,
+                                         int stage, Picoseconds t0,
+                                         Picoseconds t1) {
+  if (stage < 0 || stage >= osc.stages()) {
+    throw std::out_of_range("test::edges_in: bad stage");
+  }
+  if (t1 > osc.now()) {
+    throw std::logic_error("test::edges_in: time not simulated yet");
+  }
+  const std::vector<Picoseconds>& q = osc.toggle_history(stage);
+  return {std::lower_bound(q.begin(), q.end(), t0),
+          std::upper_bound(q.begin(), q.end(), t1)};
+}
+
 /// SunarSchellekensTrng a ring and a bit at a time: the same die (ring
 /// de-tuning and start phases drawn from `seed` in constructor order) and
 /// the same Gaussian stream, one next_gaussian() per ring per sample.
@@ -210,7 +254,7 @@ class ElementaryReference : public core::BitSource {
         osc_->reset(schedule_.cursor_ps());
         const Picoseconds t_sample = schedule_.begin_conversion(cycles_);
         osc_->advance_to(t_sample + 1.0);
-        bit = osc_->value_at(0, t_sample);
+        bit = value_at(*osc_, 0, t_sample);
       } else {
         // From reset all-high the ring toggles at d0, 2*d0, ...; the clamped
         // phase is >= 0, so truncation is floor. next_gaussian() draws in

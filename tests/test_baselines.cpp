@@ -70,11 +70,6 @@ TEST(StrTrng, RejectsBadParameters) {
   EXPECT_THROW(SelfTimedRingTrng(p, 1), std::invalid_argument);
 }
 
-TEST(StrTrng, PhaseResolutionIsPeriodOverStages) {
-  SelfTimedRingTrng t(1);
-  EXPECT_NEAR(t.phase_resolution_ps(), 2497.3 / 511.0, 1e-9);
-}
-
 TEST(StrTrng, InfoMatchesTable2) {
   const auto info = SelfTimedRingTrng(1).info();
   EXPECT_EQ(info.platform, "Virtex 5");

@@ -189,7 +189,7 @@ TEST(BitSource, GenerateMatchesGenerateInto) {
   const auto fabric = default_fabric();
   CarryChainTrng a(fabric, DesignParams{}, 3);
   CarryChainTrng b(fabric, DesignParams{}, 3);
-  const common::BitStream via_stream = a.generate_raw(trng::common::Bits{130});
+  const common::BitStream via_stream = a.generate(trng::common::Bits{130});
   std::uint64_t words[3] = {};
   b.generate_into(words, trng::common::Bits{130});
   ASSERT_EQ(via_stream.size(), 130u);
@@ -204,7 +204,7 @@ TEST(XorCompressedSource, MatchesManualFold) {
   CarryChainTrng raw(fabric, DesignParams{}, 9);
   XorCompressedSource wrapped(
       std::make_unique<CarryChainTrng>(fabric, DesignParams{}, 9), 7);
-  const common::BitStream expected = raw.generate_raw(trng::common::Bits{70 * 7}).xor_fold(7);
+  const common::BitStream expected = raw.generate(trng::common::Bits{70 * 7}).xor_fold(7);
   const common::BitStream got = wrapped.generate(trng::common::Bits{70});
   ASSERT_EQ(got.size(), expected.size());
   EXPECT_TRUE(got == expected);
@@ -275,7 +275,7 @@ TEST(Battery, BitSourceOverloadMatchesStreamRun) {
   stat::TestBattery battery;
   const auto a = battery.run(static_cast<BitSource&>(via_source),
                              trng::common::Bits{20000});
-  const auto b = battery.run(via_stream.generate_raw(trng::common::Bits{20000}));
+  const auto b = battery.run(via_stream.generate(trng::common::Bits{20000}));
   EXPECT_EQ(a.applicable_count(), b.applicable_count());
   EXPECT_EQ(a.failed_count(), b.failed_count());
 }

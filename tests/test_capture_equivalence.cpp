@@ -9,8 +9,8 @@
 // so the two captures agree in law, not bit for bit.
 //
 // The oracle below is the dense capture: every flip-flop draws a Gaussian,
-// and RingOscillator::value_at / edges_in resolve the level and the
-// aperture. Both captures read the same oscillator trajectory (capturing
+// and the value_at / edges_in oracles (oracles.hpp) resolve the level and
+// the aperture. Both captures read the same oscillator trajectory (capturing
 // does not touch the oscillator) and the same die, static offsets
 // included, so every difference between them comes from the flip-flop
 // layer. Every check compares two counts over N trials with a kZ = 5
@@ -34,6 +34,7 @@
 #include "fpga/fabric.hpp"
 #include "fpga/placement.hpp"
 #include "model/stochastic_model.hpp"
+#include "oracles.hpp"
 #include "sim/delay_line.hpp"
 #include "sim/sampler.hpp"
 
@@ -60,9 +61,9 @@ class DenseCapture {
       const Picoseconds s = line.observation_time(j, t_clk) +
                             line.static_offset(j) +
                             ff_.dynamic_jitter_sigma_ps * rng_.next_gaussian();
-      bool v = source.value_at(stage, s);
-      const auto edges =
-          source.edges_in(stage, s - half_aperture, s + half_aperture);
+      bool v = test::value_at(source, stage, s);
+      const auto edges = test::edges_in(source, stage, s - half_aperture,
+                                        s + half_aperture);
       if (!edges.empty()) {
         Picoseconds nearest = half_aperture;
         for (Picoseconds e : edges) nearest = std::min(nearest, std::fabs(e - s));

@@ -185,12 +185,13 @@ TEST(TappedDelayLine, IdealFlipFlopsReadTheLevelAtTheirInstant) {
     std::uint64_t words[1] = {~0ULL};
     line.capture_into(osc, 0, t_clk, words);
     for (int j = 0; j < 36; ++j) {
-      const bool expected = osc.value_at(0, line.observation_time(j, t_clk));
+      const bool expected =
+          test::value_at(osc, 0, line.observation_time(j, t_clk));
       EXPECT_EQ(((words[0] >> j) & 1ULL) != 0, expected) << "tap " << j;
     }
     EXPECT_EQ(words[0] >> 36, 0u);
   }
-  EXPECT_EQ(osc.value_at(0, 1920.0), !osc.value_at(0, 1919.0));
+  EXPECT_EQ(test::value_at(osc, 0, 1920.0), !test::value_at(osc, 0, 1919.0));
   EXPECT_EQ(line.metastable_events(), 0u);
 }
 
@@ -253,7 +254,7 @@ TEST(TappedDelayLine, DrawsOnlyForTapsWithAToggleInReach) {
         const auto k = static_cast<std::size_t>(j);
         any_in_reach = any_in_reach || in_reach[k];
         if (in_reach[k]) continue;
-        EXPECT_EQ(((word >> j) & 1ULL) != 0, osc.value_at(0, s0[k]))
+        EXPECT_EQ(((word >> j) & 1ULL) != 0, test::value_at(osc, 0, s0[k]))
             << "t_clk " << t_clk << " tap " << j;
       }
       EXPECT_EQ(probes(line) != undrawn, any_in_reach) << "t_clk " << t_clk;

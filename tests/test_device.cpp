@@ -11,7 +11,6 @@ TEST(DeviceGeometry, DefaultDimensions) {
   EXPECT_EQ(g.columns(), 64);
   EXPECT_EQ(g.rows(), 128);
   EXPECT_EQ(g.rows_per_clock_region(), 16);
-  EXPECT_EQ(g.clock_regions(), 8);
 }
 
 TEST(DeviceGeometry, RejectsBadDimensions) {
@@ -37,25 +36,6 @@ TEST(DeviceGeometry, CarryChainsOnlyInEvenColumns) {
   EXPECT_THROW(g.has_carry_chain({-1, 0}), std::out_of_range);
 }
 
-TEST(DeviceGeometry, SliceKinds) {
-  DeviceGeometry g;
-  EXPECT_EQ(g.slice_kind({1, 0}), SliceKind::kSliceX);
-  EXPECT_EQ(g.slice_kind({2, 0}), SliceKind::kSliceL);
-  EXPECT_EQ(g.slice_kind({0, 0}), SliceKind::kSliceM);
-  EXPECT_EQ(g.slice_kind({8, 0}), SliceKind::kSliceM);
-  EXPECT_THROW(g.slice_kind({0, 1000}), std::out_of_range);
-}
-
-TEST(DeviceGeometry, CarrySlicesAreCarryCapable) {
-  DeviceGeometry g;
-  for (int col = 0; col < g.columns(); ++col) {
-    const SliceCoord c{col, 5};
-    if (g.slice_kind(c) != SliceKind::kSliceX) {
-      EXPECT_TRUE(g.has_carry_chain(c));
-    }
-  }
-}
-
 TEST(DeviceGeometry, ClockRegions) {
   DeviceGeometry g;
   EXPECT_EQ(g.clock_region({0, 0}), 0);
@@ -78,8 +58,6 @@ TEST(DeviceGeometry, RowsInSingleRegion) {
 
 TEST(DeviceGeometry, PerSliceCapacityConstants) {
   EXPECT_EQ(DeviceGeometry::kLutsPerSlice, 4);
-  EXPECT_EQ(DeviceGeometry::kFlipFlopsPerSlice, 8);
-  EXPECT_EQ(DeviceGeometry::kCarryTapsPerSlice, 4);
 }
 
 }  // namespace

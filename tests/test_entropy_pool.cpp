@@ -346,13 +346,13 @@ TEST(ServiceHistogram, BucketsAreUpperBoundInclusive) {
   h.record(11);
   h.record(20);  // <= 20 -> bucket 1
   h.record(21);  // overflow
-  ASSERT_EQ(h.buckets(), 3u);
   EXPECT_EQ(h.count(0), 2u);
   EXPECT_EQ(h.count(1), 2u);
-  EXPECT_EQ(h.count(2), 1u);
+  EXPECT_EQ(h.count(2), 1u);  // the overflow bucket
   EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.to_json(),
-            "{\"bounds\": [10, 20], \"counts\": [2, 2, 1]}");
+  common::JsonWriter w;
+  h.write_json(w);
+  EXPECT_EQ(w.take(), "{\"bounds\": [10, 20], \"counts\": [2, 2, 1]}");
 }
 
 // ----------------------------------------------------------------- Metrics
@@ -411,7 +411,6 @@ TEST(ServiceQuarantine, CleanBlocksStayAdmitted) {
     EXPECT_EQ(policy.on_block(0), service::BlockDecision::kAdmit);
   }
   EXPECT_EQ(policy.state(), service::AdmitState::kHealthy);
-  EXPECT_EQ(policy.trips(), 0u);
 }
 
 TEST(ServiceQuarantine, AlarmThresholdGatesTheTrip) {
@@ -421,7 +420,6 @@ TEST(ServiceQuarantine, AlarmThresholdGatesTheTrip) {
   EXPECT_EQ(policy.on_block(2), service::BlockDecision::kAdmit);
   EXPECT_EQ(policy.on_block(3), service::BlockDecision::kDiscardAndReseed);
   EXPECT_EQ(policy.state(), service::AdmitState::kQuarantined);
-  EXPECT_EQ(policy.trips(), 1u);
 }
 
 TEST(ServiceQuarantine, FullTripCooldownProbationReadmitCycle) {
@@ -446,7 +444,6 @@ TEST(ServiceQuarantine, FullTripCooldownProbationReadmitCycle) {
   EXPECT_EQ(policy.state(), service::AdmitState::kProbation);
   EXPECT_EQ(policy.on_block(0), service::BlockDecision::kDiscard);
   EXPECT_EQ(policy.state(), service::AdmitState::kHealthy);
-  EXPECT_EQ(policy.readmissions(), 1u);
   EXPECT_EQ(policy.on_block(0), service::BlockDecision::kAdmit);
 }
 
@@ -458,7 +455,6 @@ TEST(ServiceQuarantine, RetripDuringCooldownReseedsAgain) {
   // The reseeded source trips too (environmental fault): reseed again,
   // cooldown restarts.
   EXPECT_EQ(policy.on_block(1), service::BlockDecision::kDiscardAndReseed);
-  EXPECT_EQ(policy.trips(), 2u);
   EXPECT_EQ(policy.state(), service::AdmitState::kQuarantined);
   EXPECT_EQ(policy.on_block(0), service::BlockDecision::kDiscard);
   EXPECT_EQ(policy.on_block(0), service::BlockDecision::kDiscard);
@@ -479,8 +475,6 @@ TEST(ServiceQuarantine, RetripDuringProbationRestartsQuarantine) {
             service::BlockDecision::kDiscard);
   EXPECT_EQ(policy.on_block(2), service::BlockDecision::kDiscardAndReseed);
   EXPECT_EQ(policy.state(), service::AdmitState::kQuarantined);
-  EXPECT_EQ(policy.trips(), 2u);
-  EXPECT_EQ(policy.readmissions(), 0u);
   // Probation's clean-block counter restarted: 1 cooldown + 3 clean blocks
   // to get back out.
   EXPECT_EQ(policy.on_block(0), service::BlockDecision::kDiscard);
@@ -489,7 +483,6 @@ TEST(ServiceQuarantine, RetripDuringProbationRestartsQuarantine) {
   EXPECT_EQ(policy.state(), service::AdmitState::kProbation);
   EXPECT_EQ(policy.on_block(0), service::BlockDecision::kDiscard);
   EXPECT_EQ(policy.state(), service::AdmitState::kHealthy);
-  EXPECT_EQ(policy.readmissions(), 1u);
 }
 
 TEST(ServiceQuarantine, ZeroCooldownGoesStraightToProbation) {

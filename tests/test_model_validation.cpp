@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "common/stats.hpp"
 #include "core/elementary.hpp"
+#include "core/postprocess.hpp"
 #include "core/trng.hpp"
 #include "model/nonlinearity.hpp"
 #include "model/stochastic_model.hpp"
@@ -30,7 +32,7 @@ double run_trng_h(const fpga::Fabric& fabric, int k, Cycles na,
   p.k = k;
   p.accumulation_cycles = na;
   core::CarryChainTrng trng(fabric, p, seed, noise);
-  return empirical_h(trng.generate_raw(trng::common::Bits{n}));
+  return empirical_h(trng.generate(trng::common::Bits{n}));
 }
 
 class IdealFabricBound : public ::testing::TestWithParam<Cycles> {};
@@ -60,7 +62,7 @@ TEST(IdealFabricBound, EmpiricalP1MatchesModelAtSomeTau) {
   model::StochasticModel m(paper_platform());
   core::DesignParams p;
   core::CarryChainTrng trng(fabric, p, 3, sim::NoiseConfig::white_only());
-  const double p1_emp = trng.generate_raw(trng::common::Bits{60000}).ones_fraction();
+  const double p1_emp = trng.generate(trng::common::Bits{60000}).ones_fraction();
   const double sigma = m.sigma_acc(10000.0);
   double best_err = 1.0;
   for (double tau = 0.0; tau < 480.0; tau += 0.25) {
@@ -82,9 +84,9 @@ TEST(IdealFabricBound, EntropyGrowsWithAccumulation) {
   p_long.accumulation_cycles = 16;
   core::CarryChainTrng t_long(fabric, p_long, 5, noise);
   const double b_short =
-      std::fabs(t_short.generate_raw(trng::common::Bits{30000}).ones_fraction() - 0.5);
+      std::fabs(t_short.generate(trng::common::Bits{30000}).ones_fraction() - 0.5);
   const double b_long =
-      std::fabs(t_long.generate_raw(trng::common::Bits{30000}).ones_fraction() - 0.5);
+      std::fabs(t_long.generate(trng::common::Bits{30000}).ones_fraction() - 0.5);
   EXPECT_LT(b_long, b_short + 0.01);
   EXPECT_LT(b_long, 0.03);  // 160 ns: sigma_acc ~ 36 ps >> bin
 }
@@ -144,7 +146,8 @@ TEST(RealisticFabric, XorPostProcessingReachesTableOneTarget) {
   fpga::Fabric fabric(fpga::DeviceGeometry{}, 42);
   core::DesignParams p;
   p.np = 7;
-  core::CarryChainTrng trng(fabric, p, 11);
+  core::XorCompressedSource trng(
+      std::make_unique<core::CarryChainTrng>(fabric, p, 11), p.np);
   const auto bits = trng.generate(trng::common::Bits{40000});
   EXPECT_GT(empirical_h(bits), 0.9995);
 }

@@ -75,8 +75,13 @@ TEST(FabricAt, RatioOfLineToLutDelayIsEnvironmentInvariant) {
 
 TEST(FabricAt, DoesNotMutateOriginal) {
   Fabric nominal(DeviceGeometry{}, 1);
+  const auto fp = TrngFloorplan::canonical(nominal.geometry(), 3, 36);
+  const auto before = nominal.elaborate(fp);
   (void)nominal.at(OperatingPoint::hot_low_voltage());
-  EXPECT_DOUBLE_EQ(nominal.operating_point().temperature_c, 25.0);
+  const auto after = nominal.elaborate(fp);
+  EXPECT_EQ(after.ro_stage_delay, before.ro_stage_delay);
+  EXPECT_EQ(after.lines[0].cumulative_delay, before.lines[0].cumulative_delay);
+  EXPECT_DOUBLE_EQ(after.stage_white_sigma_ps, before.stage_white_sigma_ps);
 }
 
 }  // namespace

@@ -53,7 +53,7 @@ TEST(Profiles, TrngRunsOnEveryPlatform) {
     core::DesignParams params;
     params.m = 44;
     core::CarryChainTrng trng(fabric, params, 5);
-    (void)trng.generate_raw(trng::common::Bits{3000});
+    (void)trng.generate(trng::common::Bits{3000});
     EXPECT_EQ(trng.diagnostics().missed_edges, 0u) << profile.name;
   }
 }

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/stats.hpp"
+#include "oracles.hpp"
 #include "sim/ring_oscillator.hpp"
 
 namespace trng::sim {
@@ -56,11 +57,11 @@ TEST(RingOscillator, NoiselessToggleTimesMatchStageDelays) {
   osc.advance_to(2000.0);
   // Stage 0 (NAND) falls at t=100; stage 1 at 250; stage 2 at 450;
   // NAND rises again at 550, ...
-  const auto e0 = osc.edges_in(0, 0.0, 700.0);
+  const auto e0 = test::edges_in(osc, 0, 0.0, 700.0);
   ASSERT_GE(e0.size(), 2u);
   EXPECT_NEAR(e0[0], 100.0, 1e-9);
   EXPECT_NEAR(e0[1], 550.0, 1e-9);
-  const auto e2 = osc.edges_in(2, 0.0, 500.0);
+  const auto e2 = test::edges_in(osc, 2, 0.0, 500.0);
   ASSERT_EQ(e2.size(), 1u);
   EXPECT_NEAR(e2[0], 450.0, 1e-9);
 }
@@ -69,31 +70,31 @@ TEST(RingOscillator, ValueTracksToggles) {
   auto osc = make_noiseless({100.0, 150.0, 200.0}, kLongWindow);
   osc.reset(0.0);
   osc.advance_to(2000.0);
-  EXPECT_TRUE(osc.value_at(0, 50.0));    // before first fall
-  EXPECT_FALSE(osc.value_at(0, 150.0));  // after fall at 100
-  EXPECT_TRUE(osc.value_at(0, 600.0));   // after rise at 550
-  EXPECT_TRUE(osc.value_at(2, 100.0));
-  EXPECT_FALSE(osc.value_at(2, 460.0));
+  EXPECT_TRUE(test::value_at(osc, 0, 50.0));    // before first fall
+  EXPECT_FALSE(test::value_at(osc, 0, 150.0));  // after fall at 100
+  EXPECT_TRUE(test::value_at(osc, 0, 600.0));   // after rise at 550
+  EXPECT_TRUE(test::value_at(osc, 2, 100.0));
+  EXPECT_FALSE(test::value_at(osc, 2, 460.0));
 }
 
 TEST(RingOscillator, ValueAtRejectsFutureAndBadStage) {
   auto osc = make_noiseless({480.0});
   osc.reset(0.0);
   osc.advance_to(1000.0);
-  EXPECT_THROW(osc.value_at(0, 2000.0), std::logic_error);
-  EXPECT_THROW(osc.value_at(1, 500.0), std::out_of_range);
-  EXPECT_THROW(osc.edges_in(1, 0.0, 10.0), std::out_of_range);
-  EXPECT_THROW(osc.edges_in(0, 0.0, 5000.0), std::logic_error);
+  EXPECT_THROW(test::value_at(osc, 0, 2000.0), std::logic_error);
+  EXPECT_THROW(test::value_at(osc, 1, 500.0), std::out_of_range);
+  EXPECT_THROW(test::edges_in(osc, 1, 0.0, 10.0), std::out_of_range);
+  EXPECT_THROW(test::edges_in(osc, 0, 0.0, 5000.0), std::logic_error);
 }
 
 TEST(RingOscillator, ResetRestoresPhase) {
   RingOscillator osc({480.0}, 0.0, NoiseConfig::white_only(), nullptr, 3);
   osc.reset(0.0);
   osc.advance_to(10000.0);
-  const bool v1 = osc.value_at(0, 10000.0);
+  const bool v1 = test::value_at(osc, 0, 10000.0);
   osc.reset(20000.0);
   osc.advance_to(30000.0);
-  const bool v2 = osc.value_at(0, 30000.0);
+  const bool v2 = test::value_at(osc, 0, 30000.0);
   EXPECT_EQ(v1, v2);  // same accumulation time from reset, no noise
 }
 
@@ -107,8 +108,8 @@ TEST(RingOscillator, HistoryWindowIsPruned) {
   osc.reset(0.0);
   osc.advance_to(1.0e6);
   // Values inside the retained window work; far past throws.
-  EXPECT_NO_THROW(osc.value_at(0, 1.0e6 - 1000.0));
-  EXPECT_THROW(osc.value_at(0, 100.0), std::logic_error);
+  EXPECT_NO_THROW(test::value_at(osc, 0, 1.0e6 - 1000.0));
+  EXPECT_THROW(test::value_at(osc, 0, 100.0), std::logic_error);
 }
 
 /// Eq. 1: the std-dev of the edge position after accumulation time t_A is
@@ -130,7 +131,7 @@ TEST_P(JitterAccumulation, MatchesSqrtLaw) {
   for (int rep = 0; rep < kReps; ++rep) {
     osc.reset(t0);
     osc.advance_to(t0 + t_acc + 3000.0);
-    const auto edges = osc.edges_in(0, t0, t0 + t_acc + 3000.0);
+    const auto edges = test::edges_in(osc, 0, t0, t0 + t_acc + 3000.0);
     // Pick the edge index closest to t_acc; its noise-free position is
     // deterministic, so the spread across reps is the accumulated jitter.
     std::size_t idx = 0;
@@ -159,7 +160,8 @@ TEST(RingOscillator, FlickerInflatesLongWindows) {
   for (int rep = 0; rep < 120; ++rep) {
     osc.reset(t0);
     osc.advance_to(t0 + t_acc + 3000.0);
-    const auto edges = osc.edges_in(0, t0 + t_acc - 2000.0, t0 + t_acc);
+    const auto edges =
+        test::edges_in(osc, 0, t0 + t_acc - 2000.0, t0 + t_acc);
     ASSERT_FALSE(edges.empty());
     spread.add(edges.back() - t0);
     t0 += t_acc + 10000.0;

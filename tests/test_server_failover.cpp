@@ -24,6 +24,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -202,16 +203,39 @@ TEST(ServerFailover, HealthyShardUnaffectedVictimServesUntilSeedExpires) {
   std::atomic<bool> stop_healthy{false};
   std::atomic<std::uint64_t> healthy_ok{0};
   std::atomic<int> healthy_errors{0};
+  // The healthy client's failing draw, if any: whether the reply arrived,
+  // its status, and how long the draw took.
+  std::atomic<bool> healthy_fail_reply{false};
+  std::atomic<int> healthy_fail_status{-1};
+  std::atomic<std::int64_t> healthy_fail_us{-1};
   std::thread healthy_client([&] {
     while (!stop_healthy.load()) {
+      const auto start = std::chrono::steady_clock::now();
       auto reply = server::client::draw(healthy_fd, 512);
       if (!reply.ok || reply.status != Status::kOk) {
+        healthy_fail_us.store(
+            std::chrono::duration_cast<std::chrono::microseconds>(
+                std::chrono::steady_clock::now() - start)
+                .count());
+        healthy_fail_reply.store(reply.ok);
+        healthy_fail_status.store(static_cast<int>(reply.status));
         healthy_errors.fetch_add(1);
         break;
       }
       healthy_ok.fetch_add(1);
     }
   });
+  // Streamed by every failing expectation below: the healthy client's
+  // failing draw and the daemon's metrics at the time of the failure.
+  const auto diagnostics = [&] {
+    std::ostringstream os;
+    os << "healthy failing draw (-1: none): reply="
+       << healthy_fail_reply.load()
+       << " status=" << healthy_fail_status.load()
+       << " elapsed_us=" << healthy_fail_us.load()
+       << "\nmetrics: " << daemon.metrics_json();
+    return os.str();
+  };
 
   // The victim shard must keep serving from its current seed (plus ring
   // leftovers) for a while, then refuse with backpressure once the reseed
@@ -228,31 +252,37 @@ TEST(ServerFailover, HealthyShardUnaffectedVictimServesUntilSeedExpires) {
   bool saw_backpressure = false;
   for (int i = 0; i < kVictimDraws && !saw_backpressure; ++i) {
     auto reply = server::client::draw(victim_fd, 256);
-    ASSERT_TRUE(reply.ok) << "victim connection broke";
+    ASSERT_TRUE(reply.ok) << "victim connection broke\n" << diagnostics();
     if (reply.status == Status::kOk) {
       ++victim_ok_after_attack;
     } else {
-      ASSERT_EQ(reply.status, Status::kBackpressure);
+      ASSERT_EQ(reply.status, Status::kBackpressure) << diagnostics();
       saw_backpressure = true;
     }
   }
   EXPECT_TRUE(saw_backpressure)
-      << "victim shard never hit backpressure under a sustained attack";
+      << "victim shard never hit backpressure under a sustained attack\n"
+      << diagnostics();
   // It did not fail closed instantly: at least one full reseed interval
   // was served off the pre-attack seed before the refusal.
-  EXPECT_GE(victim_ok_after_attack, 16u);
+  EXPECT_GE(victim_ok_after_attack, 16u) << diagnostics();
 
   // The gate actually fired (this is failover, not silent starvation).
-  EXPECT_GT(daemon.pool().metrics().producer(1).quarantines.load(), 0u);
-  EXPECT_GT(daemon.metrics().shard(1).reseed_timeouts.load(), 0u);
-  EXPECT_GT(daemon.metrics().shard(1).backpressure.load(), 0u);
+  EXPECT_GT(daemon.pool().metrics().producer(1).quarantines.load(), 0u)
+      << diagnostics();
+  EXPECT_GT(daemon.metrics().shard(1).reseed_timeouts.load(), 0u)
+      << diagnostics();
+  EXPECT_GT(daemon.metrics().shard(1).backpressure.load(), 0u)
+      << diagnostics();
 
   stop_healthy.store(true);
   healthy_client.join();
   EXPECT_EQ(healthy_errors.load(), 0)
-      << "healthy-shard client saw errors during the victim's episode";
-  EXPECT_GT(healthy_ok.load(), 0u);
-  EXPECT_EQ(daemon.metrics().shard(0).backpressure.load(), 0u);
+      << "healthy-shard client saw errors during the victim's episode\n"
+      << diagnostics();
+  EXPECT_GT(healthy_ok.load(), 0u) << diagnostics();
+  EXPECT_EQ(daemon.metrics().shard(0).backpressure.load(), 0u)
+      << diagnostics();
 
   ::close(healthy_fd);
   ::close(victim_fd);

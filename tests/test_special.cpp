@@ -53,17 +53,5 @@ TEST(Igamc, IsMonotoneInX) {
   }
 }
 
-TEST(LogBinomial, SmallValues) {
-  EXPECT_NEAR(std::exp(log_binomial(5, 2)), 10.0, 1e-9);
-  EXPECT_NEAR(std::exp(log_binomial(10, 0)), 1.0, 1e-9);
-  EXPECT_NEAR(std::exp(log_binomial(10, 10)), 1.0, 1e-9);
-  EXPECT_NEAR(std::exp(log_binomial(52, 5)), 2598960.0, 1e-3);
-}
-
-TEST(LogBinomial, SymmetryAndDomain) {
-  EXPECT_NEAR(log_binomial(100, 30), log_binomial(100, 70), 1e-9);
-  EXPECT_THROW(log_binomial(5, 6), std::domain_error);
-}
-
 }  // namespace
 }  // namespace trng::common

@@ -1,6 +1,9 @@
 // Integration tests for the complete carry-chain TRNG datapath.
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "core/postprocess.hpp"
 #include "core/trng.hpp"
 #include "fpga/fabric.hpp"
 
@@ -30,7 +33,7 @@ TEST(CarryChainTrng, RejectsInvalidParams) {
 TEST(CarryChainTrng, GeneratesRequestedBitCount) {
   const auto fabric = default_fabric();
   CarryChainTrng trng(fabric, DesignParams{}, 1);
-  EXPECT_EQ(trng.generate_raw(trng::common::Bits{1000}).size(), 1000u);
+  EXPECT_EQ(trng.generate(trng::common::Bits{1000}).size(), 1000u);
   EXPECT_EQ(trng.diagnostics().captures, 1000u);
 }
 
@@ -39,9 +42,9 @@ TEST(CarryChainTrng, DeterministicPerSeed) {
   CarryChainTrng a(fabric, DesignParams{}, 99);
   CarryChainTrng b(fabric, DesignParams{}, 99);
   CarryChainTrng c(fabric, DesignParams{}, 100);
-  const auto ba = a.generate_raw(trng::common::Bits{2000});
-  EXPECT_TRUE(ba == b.generate_raw(trng::common::Bits{2000}));
-  EXPECT_FALSE(ba == c.generate_raw(trng::common::Bits{2000}));
+  const auto ba = a.generate(trng::common::Bits{2000});
+  EXPECT_TRUE(ba == b.generate(trng::common::Bits{2000}));
+  EXPECT_FALSE(ba == c.generate(trng::common::Bits{2000}));
 }
 
 TEST(CarryChainTrng, PaperResourceFigures) {
@@ -58,15 +61,19 @@ TEST(CarryChainTrng, ThroughputAccounting) {
   DesignParams p;
   p.accumulation_cycles = 1;
   p.np = 7;
-  CarryChainTrng trng(fabric, p, 1);
-  EXPECT_DOUBLE_EQ(trng.raw_throughput_bps(), 100.0e6);
-  EXPECT_NEAR(trng.throughput_bps(), 14.2857e6, 1e2);  // paper: 14.3 Mb/s
+  EXPECT_DOUBLE_EQ(CarryChainTrng(fabric, p, 1).info().throughput_bps,
+                   100.0e6);
+  // The post-processed rate is the XOR stage's, as the registry serves it.
+  const XorCompressedSource folded(
+      std::make_unique<CarryChainTrng>(fabric, p, 1), p.np);
+  EXPECT_NEAR(folded.info().throughput_bps, 14.2857e6, 1e2);  // paper: 14.3 Mb/s
   DesignParams p2;
   p2.accumulation_cycles = 5;
   p2.np = 13;
   p2.k = 4;
-  CarryChainTrng trng2(fabric, p2, 1);
-  EXPECT_NEAR(trng2.throughput_bps(), 1.538e6, 1e3);  // paper: 1.53 Mb/s
+  const XorCompressedSource folded2(
+      std::make_unique<CarryChainTrng>(fabric, p2, 1), p2.np);
+  EXPECT_NEAR(folded2.info().throughput_bps, 1.538e6, 1e3);  // paper: 1.53 Mb/s
 }
 
 TEST(CarryChainTrng, NoMissedEdgesAtM36) {
@@ -74,14 +81,14 @@ TEST(CarryChainTrng, NoMissedEdgesAtM36) {
   const auto fabric = default_fabric();
   DesignParams p;
   CarryChainTrng trng(fabric, p, 3);
-  (void)trng.generate_raw(trng::common::Bits{20000});
+  (void)trng.generate(trng::common::Bits{20000});
   EXPECT_EQ(trng.diagnostics().missed_edges, 0u);
 }
 
 TEST(CarryChainTrng, RawOutputIsNotConstant) {
   const auto fabric = default_fabric();
   CarryChainTrng trng(fabric, DesignParams{}, 4);
-  const auto bits = trng.generate_raw(trng::common::Bits{20000});
+  const auto bits = trng.generate(trng::common::Bits{20000});
   const double ones = bits.ones_fraction();
   EXPECT_GT(ones, 0.02);
   EXPECT_LT(ones, 0.98);
@@ -91,8 +98,10 @@ TEST(CarryChainTrng, PostProcessedGenerateConsumesNpRawBits) {
   const auto fabric = default_fabric();
   DesignParams p;
   p.np = 7;
-  CarryChainTrng trng(fabric, p, 5);
-  const auto bits = trng.generate(trng::common::Bits{100});
+  auto owned = std::make_unique<CarryChainTrng>(fabric, p, 5);
+  const CarryChainTrng& trng = *owned;
+  XorCompressedSource folded(std::move(owned), p.np);
+  const auto bits = folded.generate(trng::common::Bits{100});
   EXPECT_EQ(bits.size(), 100u);
   EXPECT_EQ(trng.diagnostics().captures, 700u);
 }
@@ -102,12 +111,8 @@ TEST(CarryChainTrng, PostProcessingReducesBias) {
   DesignParams raw_p;
   raw_p.accumulation_cycles = 1;
   CarryChainTrng raw_trng(fabric, raw_p, 6);
-  const auto raw = raw_trng.generate_raw(trng::common::Bits{70000});
-
-  DesignParams pp = raw_p;
-  pp.np = 7;
-  CarryChainTrng pp_trng(fabric, pp, 6);
-  const auto post = pp_trng.generate(trng::common::Bits{10000});
+  const auto raw = raw_trng.generate(trng::common::Bits{70000});
+  const auto post = raw.xor_fold(7);
   const double raw_bias = std::abs(raw.ones_fraction() - 0.5);
   const double post_bias = std::abs(post.ones_fraction() - 0.5);
   EXPECT_LE(post_bias, raw_bias + 0.01);
@@ -120,7 +125,7 @@ TEST(CarryChainTrng, FreeRunningShowsDoubleEdgesAndBubbles) {
   DesignParams p;
   p.mode = sim::SamplingMode::kFreeRunning;
   CarryChainTrng trng(fabric, p, 77);
-  (void)trng.generate_raw(trng::common::Bits{50000});
+  (void)trng.generate(trng::common::Bits{50000});
   const auto& d = trng.diagnostics();
   EXPECT_GT(d.double_edges, d.captures / 20);  // common
   EXPECT_GT(d.bubbles, 0u);                    // occasional
@@ -137,12 +142,12 @@ TEST(CarryChainTrng, MissedEdgesCountedWhenWindowTooShort) {
   DesignParams p;
   p.m = 8;
   CarryChainTrng restarted(fabric, p, 7);
-  (void)restarted.generate_raw(trng::common::Bits{2000});
+  (void)restarted.generate(trng::common::Bits{2000});
   EXPECT_EQ(restarted.diagnostics().missed_edges, 2000u);
 
   p.mode = sim::SamplingMode::kFreeRunning;
   CarryChainTrng free_running(fabric, p, 7);
-  (void)free_running.generate_raw(trng::common::Bits{2000});
+  (void)free_running.generate(trng::common::Bits{2000});
   EXPECT_GT(free_running.diagnostics().missed_edges, 0u);
   EXPECT_LT(free_running.diagnostics().missed_edges, 2000u);
 }
@@ -167,7 +172,7 @@ TEST_P(DesignParamSweep, AllConfigurationsProduceBits) {
   p.k = k;
   p.accumulation_cycles = na;
   CarryChainTrng trng(fabric, p, 11);
-  EXPECT_EQ(trng.generate_raw(trng::common::Bits{500}).size(), 500u);
+  EXPECT_EQ(trng.generate(trng::common::Bits{500}).size(), 500u);
   EXPECT_EQ(trng.diagnostics().missed_edges, 0u);
 }
 
